@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <type_traits>
+#include <utility>
 
-#include "common/backoff.hpp"
 #include "common/logging.hpp"
 
 namespace kmsg::messaging {
@@ -14,14 +15,46 @@ NotifyId next_notify_id() {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
+namespace {
+
+/// Calls fn(engine, port, engine_config) for stream transport `t` dialled or
+/// listened to on the announced `port`: the engine type as a
+/// std::type_identity, the engine's own wire port, and its config.
+template <typename Fn>
+auto with_stream(const NetworkConfig& config, Transport t, netsim::Port port,
+                 Fn&& fn) {
+  switch (t) {
+    case Transport::kUdt:
+      return fn(std::type_identity<transport::UdtConnection>{},
+                static_cast<netsim::Port>(port + 1), config.udt);
+    case Transport::kLedbat:
+      return fn(std::type_identity<transport::LedbatConnection>{},
+                static_cast<netsim::Port>(port + 2), config.ledbat);
+    default:  // kTcp: sessions only ever carry the three stream transports
+      return fn(std::type_identity<transport::TcpConnection>{}, port,
+                config.tcp);
+  }
+}
+
+std::shared_ptr<transport::StreamConnection> connect_stream(
+    netsim::Host& host, const NetworkConfig& config, Transport t,
+    const Address& peer) {
+  return with_stream(
+      config, t, peer.port,
+      [&](auto engine, netsim::Port port, const auto& engine_config)
+          -> std::shared_ptr<transport::StreamConnection> {
+        return decltype(engine)::type::connect(host, peer.host, port,
+                                               engine_config);
+      });
+}
+
+}  // namespace
+
 NetworkComponent::NetworkComponent(netsim::Host& host, NetworkConfig config,
                                    std::shared_ptr<SerializerRegistry> registry)
     : host_(host),
       config_(config),
-      registry_(std::move(registry)),
-      reconnect_rng_(config.jitter_seed ^
-                     (static_cast<std::uint64_t>(config.self.host) *
-                      0x9e3779b97f4a7c15ULL)) {
+      registry_(std::move(registry)) {
   if (config_.enable_compression) {
     pipeline_.add_last(std::make_unique<wire::CompressionHandler>());
   }
@@ -98,9 +131,7 @@ void NetworkComponent::teardown() {
   for (auto& in : inbound_) {
     if (in->conn && !in->closed) doomed.push_back(in->conn);
   }
-  tcp_listener_.reset();
-  udt_listener_.reset();
-  ledbat_listener_.reset();
+  listeners_.clear();
   udp_.reset();
   // Inbound records are reaped by the aborts' deferred on_closed handlers —
   // freeing them here would leave each connection's on_data callback with a
@@ -110,29 +141,23 @@ void NetworkComponent::teardown() {
 
 void NetworkComponent::start_listeners() {
   const auto self = config_.self;
-  if (config_.listen_tcp) {
-    tcp_listener_ = std::make_unique<transport::TcpListener>(
-        host_, self.port, config_.tcp,
-        [this](std::shared_ptr<transport::TcpConnection> conn) {
-          ++stats_.sessions_accepted;
-          attach_inbound(std::move(conn), Transport::kTcp);
-        });
-  }
-  if (config_.listen_udt) {
-    udt_listener_ = std::make_unique<transport::UdtListener>(
-        host_, static_cast<netsim::Port>(self.port + kUdtPortOffset),
-        config_.udt, [this](std::shared_ptr<transport::UdtConnection> conn) {
-          ++stats_.sessions_accepted;
-          attach_inbound(std::move(conn), Transport::kUdt);
-        });
-  }
-  if (config_.listen_ledbat) {
-    ledbat_listener_ = std::make_unique<transport::LedbatListener>(
-        host_, static_cast<netsim::Port>(self.port + kLedbatPortOffset),
-        config_.ledbat,
-        [this](std::shared_ptr<transport::LedbatConnection> conn) {
-          ++stats_.sessions_accepted;
-          attach_inbound(std::move(conn), Transport::kLedbat);
+  const std::pair<Transport, bool> streams[] = {
+      {Transport::kTcp, config_.listen_tcp},
+      {Transport::kUdt, config_.listen_udt},
+      {Transport::kLedbat, config_.listen_ledbat}};
+  for (const auto& [t, on] : streams) {
+    if (!on) continue;
+    const auto accept = [this, t = t](std::shared_ptr<transport::StreamConnection> conn) {
+      ++stats_.sessions_accepted;
+      attach_inbound(std::move(conn), t);
+    };
+    listeners_[t] = with_stream(
+        config_, t, self.port,
+        [&](auto engine, netsim::Port port,
+            const auto& engine_config) -> std::shared_ptr<void> {
+          using Conn = typename decltype(engine)::type;
+          return std::make_shared<transport::StreamListener<Conn>>(
+              host_, port, engine_config, accept);
         });
   }
   if (config_.listen_udp) {
@@ -349,20 +374,7 @@ void NetworkComponent::open_session(Session& s) {
                                                config_.delta_keyframe_interval);
     }
   }
-  std::shared_ptr<transport::StreamConnection> conn;
-  if (s.transport == Transport::kTcp) {
-    conn = transport::TcpConnection::connect(host_, s.peer.host, s.peer.port,
-                                             config_.tcp);
-  } else if (s.transport == Transport::kLedbat) {
-    conn = transport::LedbatConnection::connect(
-        host_, s.peer.host,
-        static_cast<netsim::Port>(s.peer.port + kLedbatPortOffset),
-        config_.ledbat);
-  } else {
-    conn = transport::UdtConnection::connect(
-        host_, s.peer.host, static_cast<netsim::Port>(s.peer.port + kUdtPortOffset),
-        config_.udt);
-  }
+  auto conn = connect_stream(host_, config_, s.transport, s.peer);
   s.conn = conn;
   const Address peer = s.peer;
   const Transport t = s.transport;
@@ -371,7 +383,6 @@ void NetworkComponent::open_session(Session& s) {
     if (it == sessions_.end()) return;
     it->second->connected = true;
     it->second->reconnect_attempts = 0;
-    it->second->prev_backoff = Duration::zero();
     it->second->acked_snapshot = 0;
     send_hello(*it->second);
     if (config_.supervision_enabled) {
@@ -606,17 +617,8 @@ void NetworkComponent::on_session_closed(const Address& peer, Transport t) {
                           PeerHealth::kSuspected, HealthReason::kSuspicion,
                           peer_state(peer).phi.phi(system().clock().now()));
     }
-    Duration delay;
-    if (config_.session_reconnect_jitter) {
-      delay = decorrelated_backoff(reconnect_rng_,
-                                   config_.session_reconnect_backoff,
-                                   config_.session_reconnect_backoff_cap,
-                                   s.prev_backoff);
-      s.prev_backoff = delay;
-    } else {
-      delay = Duration::nanos(config_.session_reconnect_backoff.as_nanos()
-                              << (s.reconnect_attempts - 1));
-    }
+    const Duration delay = Duration::nanos(
+        config_.session_reconnect_backoff.as_nanos() << (s.reconnect_attempts - 1));
     KMSG_INFO("network") << "session to " << peer.to_string()
                          << " died with queued frames; reconnect attempt "
                          << s.reconnect_attempts << " in " << to_string(delay);
@@ -1139,8 +1141,7 @@ void NetworkComponent::probe_dead_peer(const Address& peer) {
   // TCP probe: the cheapest channel to establish, and success is evidence
   // enough for the whole peer (Recovering re-opens per-transport sessions on
   // demand anyway).
-  auto conn = transport::TcpConnection::connect(host_, peer.host, peer.port,
-                                                config_.tcp);
+  auto conn = connect_stream(host_, config_, Transport::kTcp, peer);
   ps.probe_conn = conn;
   auto* raw = conn.get();
   conn->set_on_connected([this, peer, raw] {

@@ -18,7 +18,8 @@
 // UDP — exactly the semantics table of paper §III-B.
 //
 // Wire-level port convention: TCP listens on (tcp, port); plain UDP on
-// (udp, port); UDT on (udp, port + 1) so the two UDP consumers do not clash.
+// (udp, port); UDT on (udp, port + 1) and LEDBAT on (udp, port + 2) so the
+// UDP consumers do not clash.
 #pragma once
 
 #include <deque>
@@ -27,7 +28,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "kompics/system.hpp"
 #include "messaging/network_port.hpp"
 #include "messaging/serialization.hpp"
@@ -40,11 +40,6 @@
 #include "wire/pipeline.hpp"
 
 namespace kmsg::messaging {
-
-/// Offset added to the announced port for the UDT listener's UDP binding.
-inline constexpr netsim::Port kUdtPortOffset = 1;
-/// Offset for the LEDBAT listener's UDP binding.
-inline constexpr netsim::Port kLedbatPortOffset = 2;
 
 struct NetworkConfig {
   Address self;
@@ -104,16 +99,6 @@ struct NetworkConfig {
   int session_reconnect_attempts = 3;
   /// Base delay before a reconnect attempt; doubles per consecutive failure.
   Duration session_reconnect_backoff = Duration::millis(200);
-  /// Replaces the deterministic doubling with decorrelated jitter (uniform
-  /// in [base, prev*3], capped) so peers re-dialling a recovered node do not
-  /// arrive in lockstep. Off by default: deterministic schedules keep
-  /// existing tests byte-stable; enable it for multi-node recovery runs.
-  bool session_reconnect_jitter = false;
-  /// Ceiling on the jittered reconnect delay.
-  Duration session_reconnect_backoff_cap = Duration::seconds(8.0);
-  /// Seed for the jitter stream; the component mixes in its own address so
-  /// co-simulated nodes sharing a config still decorrelate.
-  std::uint64_t jitter_seed = 0x6a697474ULL;
 
   // --- Channel supervision (peer-health FSM, heartbeats, dead letters) ---
   /// Master switch for the supervision layer: heartbeat exchange, phi
@@ -247,7 +232,6 @@ class NetworkComponent final : public kompics::ComponentDefinition {
     TimePoint last_activity = TimePoint::zero();
     int reconnect_attempts = 0;        // consecutive failures since last connect
     kompics::TimerHandle reconnect_timer; // pending re-establishment, if any
-    Duration prev_backoff = Duration::zero();  // last jittered reconnect delay
     // Supervision bookkeeping.
     PeerHealth channel_health = PeerHealth::kHealthy;  // last reported state
     std::uint64_t acked_snapshot = 0;  // bytes_acked at the last tick
@@ -386,9 +370,9 @@ class NetworkComponent final : public kompics::ComponentDefinition {
 
   kompics::PortInstance* net_port_ = nullptr;
 
-  std::unique_ptr<transport::TcpListener> tcp_listener_;
-  std::unique_ptr<transport::UdtListener> udt_listener_;
-  std::unique_ptr<transport::LedbatListener> ledbat_listener_;
+  /// Stream listeners by transport, held type-erased: each unbinds its
+  /// port when released.
+  std::map<Transport, std::shared_ptr<void>> listeners_;
   std::shared_ptr<transport::UdpEndpoint> udp_;
 
   std::map<std::pair<Address, Transport>, std::unique_ptr<Session>> sessions_;
@@ -398,7 +382,6 @@ class NetworkComponent final : public kompics::ComponentDefinition {
   kompics::TimerHandle status_cancel_;
   kompics::TimerHandle supervision_cancel_;
   bool started_ = false;
-  Rng reconnect_rng_;  // decorrelated-jitter stream (seeded in the ctor)
   NetworkComponentStats stats_;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/backoff.hpp"
 #include "common/logging.hpp"
 
 namespace kmsg::messaging {
@@ -95,22 +94,15 @@ void ReliableChannel::arm_retransmit(const Address& peer, std::uint64_t seq) {
   auto pit = fit->second.pending.find(seq);
   if (pit == fit->second.pending.end()) return;
   Pending& p = pit->second;
-  Duration rto;
-  if (config_.retransmit_jitter) {
-    rto = decorrelated_backoff(jitter_rng_, config_.retransmit_timeout,
-                               config_.max_retransmit_timeout, p.prev_rto);
-    p.prev_rto = rto;
-  } else {
-    // Exponential backoff: the RTO doubles (by default) per unacked retry,
-    // capped so recovery after a long partition is still prompt.
-    double rto_s = config_.retransmit_timeout.as_seconds();
-    for (int i = 0; i < p.retries; ++i) {
-      rto_s *= config_.backoff_factor;
-      if (rto_s >= config_.max_retransmit_timeout.as_seconds()) break;
-    }
-    rto = Duration::seconds(
-        std::min(rto_s, config_.max_retransmit_timeout.as_seconds()));
+  // Exponential backoff: the RTO doubles (by default) per unacked retry,
+  // capped so recovery after a long partition is still prompt.
+  double rto_s = config_.retransmit_timeout.as_seconds();
+  for (int i = 0; i < p.retries; ++i) {
+    rto_s *= config_.backoff_factor;
+    if (rto_s >= config_.max_retransmit_timeout.as_seconds()) break;
   }
+  const Duration rto =
+      Duration::seconds(std::min(rto_s, config_.max_retransmit_timeout.as_seconds()));
   p.timer = system().scheduler().schedule_delayed(
       rto, [this, peer, seq] {
         auto f = flows_.find(peer);

@@ -22,7 +22,6 @@
 #include <map>
 #include <set>
 
-#include "common/rng.hpp"
 #include "kompics/system.hpp"
 #include "messaging/network_component.hpp"
 
@@ -84,13 +83,6 @@ struct ReliableConfig {
   double backoff_factor = 2.0;
   /// Ceiling on the backed-off RTO.
   Duration max_retransmit_timeout = Duration::seconds(8.0);
-  /// Replaces the deterministic exponential RTO schedule with decorrelated
-  /// jitter (uniform in [base, prev*3], capped at max_retransmit_timeout) so
-  /// senders retransmitting into a recovered peer do not fire in lockstep.
-  /// Off by default to keep retransmission timing byte-stable in tests.
-  bool retransmit_jitter = false;
-  /// Seed for the jitter stream (deterministic per seed).
-  std::uint64_t jitter_seed = 0x72746f6aULL;
 };
 
 struct ReliableStats {
@@ -109,9 +101,7 @@ class ReliableChannel final : public kompics::ComponentDefinition {
  public:
   ReliableChannel(ReliableConfig config,
                   std::shared_ptr<SerializerRegistry> registry)
-      : config_(config),
-        registry_(std::move(registry)),
-        jitter_rng_(config.jitter_seed) {}
+      : config_(config), registry_(std::move(registry)) {}
   ~ReliableChannel() override;
 
   void setup() override;
@@ -125,7 +115,6 @@ class ReliableChannel final : public kompics::ComponentDefinition {
     MsgPtr envelope;
     int retries = 0;
     kompics::TimerHandle timer;
-    Duration prev_rto = Duration::zero();  // last jittered RTO draw
   };
   struct Flow {
     std::uint64_t next_seq = 1;               // sender side
@@ -146,7 +135,6 @@ class ReliableChannel final : public kompics::ComponentDefinition {
   kompics::PortInstance* up_ = nullptr;
   kompics::PortInstance* down_ = nullptr;
   std::map<Address, Flow> flows_;
-  Rng jitter_rng_;
   ReliableStats stats_;
 };
 

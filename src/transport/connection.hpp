@@ -1,19 +1,35 @@
-// Transport-facing interfaces consumed by the wire/messaging layers.
+// The stream-connection core shared by the TCP, UDT and LEDBAT engines.
 //
-// Stream transports (TCP, UDT) expose `StreamConnection`: an ordered,
-// reliable byte pipe with backpressure via finite send buffers — the
-// backpressure is load-bearing for the paper's Fig. 8, where control
+// `StreamConnection` is what the wire and messaging layers write to: an
+// ordered, reliable byte pipe with backpressure via a finite send buffer —
+// the backpressure is load-bearing for the paper's Fig. 8, where control
 // messages sharing a TCP connection with bulk data queue behind megabytes of
-// buffered stream. UDP exposes `DatagramFlow`: unordered at-most-once
-// messages.
+// buffered stream. It is also the socket layer every engine has in common,
+// the part Netty's channel abstraction plays in the paper (§III):
+//  - the ephemeral port and `emit`, which addresses one packet body to the
+//    peer;
+//  - the send side: a RingBuffer addressed by absolute stream offset,
+//    `write`, the cumulative-ack release and the writable callback;
+//  - the receive side: in-order delivery through a ReassemblyBuffer;
+//  - the four user callbacks and the close/abort/finish_close life cycle.
+// Each engine derives from it and keeps only what differs between protocols
+// — packet formats, handshake, congestion control and loss recovery —
+// reached through the virtual hooks below. `StreamListener<Conn>` is the one
+// passive opener for all of them.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <map>
+#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/time.hpp"
+#include "netsim/network.hpp"
+#include "transport/reassembly.hpp"
+#include "transport/ring_buffer.hpp"
 
 namespace kmsg::transport {
 
@@ -35,54 +51,193 @@ struct ConnStats {
   Duration smoothed_rtt = Duration::zero();
 };
 
-class StreamConnection {
+class StreamConnection : public std::enable_shared_from_this<StreamConnection> {
  public:
   using DataFn = std::function<void(std::span<const std::uint8_t>)>;
   using PlainFn = std::function<void()>;
 
-  virtual ~StreamConnection() = default;
+  virtual ~StreamConnection();
+  StreamConnection(const StreamConnection&) = delete;
+  StreamConnection& operator=(const StreamConnection&) = delete;
 
   /// Appends bytes to the send buffer; returns how many were accepted
   /// (possibly 0 when the buffer is full). Never blocks.
-  virtual std::size_t write(std::span<const std::uint8_t> data) = 0;
+  std::size_t write(std::span<const std::uint8_t> data);
 
   /// Free space currently available in the send buffer.
-  virtual std::size_t writable_bytes() const = 0;
+  std::size_t writable_bytes() const;
 
   /// Bytes accepted but not yet acknowledged by the peer (send backlog).
-  virtual std::size_t unacked_bytes() const = 0;
+  std::size_t unacked_bytes() const { return send_buf_.size(); }
 
-  virtual ConnState state() const = 0;
-  virtual const ConnStats& stats() const = 0;
+  ConnState state() const { return state_; }
+  const ConnStats& stats() const { return stats_; }
+  netsim::Port local_port() const { return local_port_; }
 
   /// Ordered delivery of received bytes.
-  virtual void set_on_data(DataFn fn) = 0;
+  void set_on_data(DataFn fn) { on_data_ = std::move(fn); }
   /// Invoked when a full send buffer regained space.
-  virtual void set_on_writable(PlainFn fn) = 0;
+  void set_on_writable(PlainFn fn) { on_writable_ = std::move(fn); }
   /// Invoked once on transition to kEstablished.
-  virtual void set_on_connected(PlainFn fn) = 0;
+  void set_on_connected(PlainFn fn) { on_connected_ = std::move(fn); }
   /// Invoked once on transition to kClosed (graceful or reset).
-  virtual void set_on_closed(PlainFn fn) = 0;
+  void set_on_closed(PlainFn fn) { on_closed_ = std::move(fn); }
 
   /// Initiates graceful close after pending data drains.
-  virtual void close() = 0;
+  void close();
   /// Immediate teardown; unsent data is discarded.
-  virtual void abort() = 0;
+  void abort();
+
+ protected:
+  /// `header_bytes` is the per-packet wire overhead added to each body's
+  /// payload size; `passive` marks the listener-side end.
+  StreamConnection(netsim::Host& host, netsim::HostId peer,
+                   netsim::Port peer_port, bool passive, netsim::IpProto proto,
+                   std::size_t header_bytes, std::size_t send_buffer_bytes,
+                   std::size_t recv_buffer_bytes);
+
+  // --- Hooks: what each protocol does its own way ---
+
+  /// A packet from the peer host arrived on the connection's port.
+  virtual void on_datagram(const netsim::Datagram& dg) = 0;
+  /// Data became sendable: written while established, or just established.
+  virtual void kick() = 0;
+  /// close() entered kClosing: finish closing once the written data is
+  /// acknowledged.
+  virtual void close_when_drained() = 0;
+  /// The packet telling the peer this end is gone (reset or shutdown).
+  virtual std::shared_ptr<const netsim::DatagramBody> shutdown_packet()
+      const = 0;
+  /// Cancels every protocol timer; runs on close and on destruction.
+  virtual void cancel_timers() = 0;
+
+  // --- Shared machinery ---
+
+  /// Binds an ephemeral port whose datagrams from the peer host reach
+  /// on_datagram while the connection lives. Run once, right after
+  /// construction, by connect and by the listener.
+  void bind();
+
+  sim::Simulator& simulator() { return host_.network_simulator(); }
+
+  /// Schedules `fn(self)` after `delay`; it does not run once the
+  /// connection is gone.
+  template <typename Self, typename Fn>
+  sim::EventHandle after(Duration delay, Fn fn) {
+    return simulator().schedule_after(delay, [weak = weak_from_this(), fn] {
+      if (auto c = weak.lock()) fn(static_cast<Self&>(*c));
+    });
+  }
+
+  /// Sends `body` to the peer; `payload_bytes` plus the protocol header is
+  /// its size on the wire.
+  void emit(std::shared_ptr<const netsim::DatagramBody> body,
+            std::size_t payload_bytes);
+  /// Emits a packet carrying `len` stream bytes and counts it as sent.
+  void emit_data(std::shared_ptr<const netsim::DatagramBody> body,
+                 std::size_t len, bool retransmit);
+
+  /// Advances snd_una_ to the cumulative ack `ack` (> snd_una_), releasing
+  /// the acknowledged bytes from the send buffer; returns the advance.
+  std::uint64_t release_acked(std::uint64_t ack);
+  /// Fires the writable callback if a write came up short and the send
+  /// buffer has room again.
+  void notify_writable();
+
+  /// Offers a received segment for in-order delivery to the data callback.
+  void deliver(std::uint64_t seq, std::span<const std::uint8_t> payload);
+  /// Flips one payload bit, chosen by `seq`: a bit error that escaped the
+  /// transport checksum, left for the wire-framing CRC to catch.
+  static void flip_payload_bit(std::uint64_t seq,
+                               std::vector<std::uint8_t>& payload);
+
+  /// kConnecting -> kEstablished: fires the connected callback, then kick().
+  void establish();
+  /// -> kClosed: cancels the timers and fires the closed callback.
+  void finish_close();
+
+  /// The acceptor answers from a port of its own; the active side learns it
+  /// from the handshake reply.
+  netsim::Port peer_port_;
+  const bool passive_;
+  ConnStats stats_;
+
+  // Send side: bytes [snd_una_, send_buf_.end()) are unacknowledged.
+  RingBuffer send_buf_;
+  std::uint64_t snd_una_ = 0;   ///< oldest unacknowledged byte
+  std::uint64_t next_seq_ = 0;  ///< next new byte to transmit
+
+  // Receive side.
+  ReassemblyBuffer reasm_;
+
+ private:
+  netsim::Host& host_;
+  netsim::HostId peer_;
+  netsim::Port local_port_ = 0;
+  netsim::IpProto proto_;
+  std::size_t header_bytes_;
+  ConnState state_ = ConnState::kConnecting;
+  bool want_writable_ = false;
+
+  DataFn on_data_;
+  PlainFn on_writable_;
+  PlainFn on_connected_;
+  PlainFn on_closed_;
 };
 
-class DatagramFlow {
+/// Passive opener for any stream engine: accepts connections on a port, one
+/// per peer (host, port). A repeated opening packet from a peer goes to its
+/// existing connection, which answers it again if its protocol allows
+/// (`Conn::reanswer_open`); otherwise a fresh connection replaces it.
+///
+/// `Conn` provides: `Config`, `kProto`, a constructor (host, peer,
+/// peer_port, config, passive), `static bool opens(const Datagram&)` and
+/// `void accept(const Datagram&)`, which starts the passive handshake.
+template <typename Conn>
+class StreamListener {
  public:
-  using MessageFn = std::function<void(std::vector<std::uint8_t>)>;
+  using AcceptFn = std::function<void(std::shared_ptr<Conn>)>;
 
-  virtual ~DatagramFlow() = default;
+  StreamListener(netsim::Host& host, netsim::Port port,
+                 typename Conn::Config config, AcceptFn on_accept)
+      : host_(host),
+        port_(port),
+        config_(config),
+        on_accept_(std::move(on_accept)) {
+    host_.bind(Conn::kProto, port_,
+               [this](const netsim::Datagram& dg) { on_datagram(dg); });
+  }
+  ~StreamListener() { host_.unbind(Conn::kProto, port_); }
+  StreamListener(const StreamListener&) = delete;
+  StreamListener& operator=(const StreamListener&) = delete;
 
-  /// Sends one message (fragmented to MTU as needed). At-most-once: the
-  /// message arrives whole or not at all; ordering is not preserved.
-  /// Returns false if the message was dropped locally (e.g. too large).
-  virtual bool send_message(std::vector<std::uint8_t> payload) = 0;
+  netsim::Port port() const { return port_; }
 
-  virtual void set_on_message(MessageFn fn) = 0;
-  virtual void close() = 0;
+ private:
+  void on_datagram(const netsim::Datagram& dg) {
+    if (!Conn::opens(dg)) return;
+    const auto key = std::make_pair(dg.src, dg.src_port);
+    if (auto it = pending_.find(key); it != pending_.end()) {
+      if (auto existing = it->second.lock();
+          existing && existing->reanswer_open()) {
+        return;
+      }
+      pending_.erase(it);
+    }
+    std::shared_ptr<Conn> conn(
+        new Conn(host_, dg.src, dg.src_port, config_, /*passive=*/true));
+    conn->bind();
+    conn->accept(dg);
+    pending_[key] = conn;
+    if (on_accept_) on_accept_(std::move(conn));
+  }
+
+  netsim::Host& host_;
+  netsim::Port port_;
+  typename Conn::Config config_;
+  AcceptFn on_accept_;
+  std::map<std::pair<netsim::HostId, netsim::Port>, std::weak_ptr<Conn>>
+      pending_;
 };
 
 }  // namespace kmsg::transport

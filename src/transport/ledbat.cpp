@@ -9,6 +9,18 @@ namespace kmsg::transport {
 
 namespace {
 constexpr std::size_t kLedbatHeaderBytes = 20;
+constexpr std::size_t kMss = netsim::kDefaultMtuPayload;
+/// Queueing-delay target (RFC 6817 TARGET). Lower = more deferential.
+constexpr Duration kTargetDelay = Duration::millis(25);
+/// GAIN: window gain per off-target unit for increases (RFC caps at 1).
+constexpr double kGain = 1.0;
+/// Gain applied when the queueing delay is above target. RFC 6817 allows a
+/// higher gain for decreases than for increases; a strong decrease is what
+/// guarantees the scavenger property against aggressive loss-based flows.
+constexpr double kDecreaseGain = 10.0;
+/// Base-delay history (RFC 6817 BASE_HISTORY): rolling minimum over this
+/// many buckets of kBucketLength.
+constexpr std::size_t kBaseHistoryBuckets = 10;
 constexpr Duration kBucketLength = Duration::seconds(10.0);
 }  // namespace
 
@@ -31,53 +43,50 @@ struct LedbatAck : netsim::DatagramBody {
 struct LedbatShutdown : netsim::DatagramBody {};
 
 LedbatConnection::LedbatConnection(netsim::Host& host, netsim::HostId peer,
-                                   netsim::Port peer_port, LedbatConfig config)
-    : host_(host),
-      peer_(peer),
-      peer_port_(peer_port),
+                                   netsim::Port peer_port, LedbatConfig config,
+                                   bool passive)
+    : StreamConnection(host, peer, peer_port, passive, kProto,
+                       netsim::kIpUdpHeaderBytes + kLedbatHeaderBytes,
+                       config.send_buffer_bytes, config.recv_buffer_bytes),
       config_(config),
-      send_buf_(config.send_buffer_bytes),
-      cwnd_(2.0 * static_cast<double>(config.mss)),
-      rto_(config.initial_rto),
-      reasm_(config.recv_buffer_bytes) {}
+      cwnd_(2.0 * static_cast<double>(kMss)),
+      rto_(config.initial_rto) {}
 
-LedbatConnection::LedbatConnection(Passive, netsim::Host& host,
-                                   netsim::HostId peer, netsim::Port peer_port,
-                                   LedbatConfig config)
-    : LedbatConnection(host, peer, peer_port, config) {
-  passive_ = true;
-}
-
-LedbatConnection::~LedbatConnection() {
-  rto_timer_.cancel();
-  hs_event_.cancel();
-  if (local_port_ != 0) host_.unbind(netsim::IpProto::kUdp, local_port_);
-}
+LedbatConnection::~LedbatConnection() { cancel_timers(); }
 
 std::shared_ptr<LedbatConnection> LedbatConnection::connect(
     netsim::Host& host, netsim::HostId dst, netsim::Port dst_port,
     LedbatConfig config) {
-  auto conn = std::shared_ptr<LedbatConnection>(
-      new LedbatConnection(host, dst, dst_port, config));
-  std::weak_ptr<LedbatConnection> weak = conn;
-  conn->local_port_ = host.bind_ephemeral(
-      netsim::IpProto::kUdp, [weak](const netsim::Datagram& dg) {
-        if (auto c = weak.lock()) c->on_datagram(dg);
-      });
+  std::shared_ptr<LedbatConnection> conn(
+      new LedbatConnection(host, dst, dst_port, config, /*passive=*/false));
+  conn->bind();
   conn->start_handshake();
   return conn;
 }
 
-void LedbatConnection::emit(std::shared_ptr<const netsim::DatagramBody> body,
-                            std::size_t payload_bytes) {
-  netsim::Datagram dg;
-  dg.dst = peer_;
-  dg.src_port = local_port_;
-  dg.dst_port = peer_port_;
-  dg.proto = netsim::IpProto::kUdp;
-  dg.wire_bytes = payload_bytes + netsim::kIpUdpHeaderBytes + kLedbatHeaderBytes;
-  dg.body = std::move(body);
-  host_.send(std::move(dg));
+bool LedbatConnection::opens(const netsim::Datagram& dg) {
+  const auto* hs = dynamic_cast<const LedbatHandshake*>(dg.body.get());
+  return hs && !hs->response;
+}
+
+void LedbatConnection::accept(const netsim::Datagram&) {
+  send_handshake(true);
+  enter_established();
+}
+
+bool LedbatConnection::reanswer_open() {
+  send_handshake(true);
+  return true;
+}
+
+void LedbatConnection::cancel_timers() {
+  rto_timer_.cancel();
+  hs_event_.cancel();
+}
+
+std::shared_ptr<const netsim::DatagramBody> LedbatConnection::shutdown_packet()
+    const {
+  return std::make_shared<LedbatShutdown>();
 }
 
 void LedbatConnection::send_handshake(bool response) {
@@ -88,51 +97,30 @@ void LedbatConnection::send_handshake(bool response) {
 
 void LedbatConnection::start_handshake() {
   send_handshake(false);
-  std::weak_ptr<LedbatConnection> weak = weak_from_this();
-  hs_event_ = simulator().schedule_after(config_.handshake_rto, [weak] {
-    auto c = weak.lock();
-    if (!c || c->state_ != ConnState::kConnecting) return;
-    if (++c->hs_retries_ > c->config_.handshake_retries) {
-      c->abort();
+  hs_event_ = after<LedbatConnection>(config_.handshake_rto, [](LedbatConnection& c) {
+    if (c.state() != ConnState::kConnecting) return;
+    if (++c.hs_retries_ > c.config_.handshake_retries) {
+      c.abort();
       return;
     }
-    c->start_handshake();
+    c.start_handshake();
   });
 }
 
 void LedbatConnection::enter_established() {
-  if (state_ != ConnState::kConnecting) return;
-  state_ = ConnState::kEstablished;
   hs_event_.cancel();
   bucket_started_ = simulator().now();
-  if (on_connected_) on_connected_();
-  pump();
+  establish();
 }
-
-std::size_t LedbatConnection::write(std::span<const std::uint8_t> data) {
-  if (state_ == ConnState::kClosed || state_ == ConnState::kClosing) return 0;
-  const std::size_t n = send_buf_.write(data);
-  stats_.bytes_written += n;
-  if (n < data.size()) want_writable_ = true;
-  if (state_ == ConnState::kEstablished) pump();
-  return n;
-}
-
-std::size_t LedbatConnection::writable_bytes() const {
-  if (state_ == ConnState::kClosed || state_ == ConnState::kClosing) return 0;
-  return send_buf_.free_space();
-}
-
-std::size_t LedbatConnection::unacked_bytes() const { return send_buf_.size(); }
 
 void LedbatConnection::pump() {
-  if (state_ != ConnState::kEstablished && state_ != ConnState::kClosing) return;
+  if (state() != ConnState::kEstablished && state() != ConnState::kClosing) return;
   while (next_seq_ < send_buf_.end()) {
     const auto inflight = static_cast<double>(next_seq_ - snd_una_);
     if (inflight >= cwnd_) break;
     const auto room = static_cast<std::size_t>(cwnd_ - inflight);
     const auto avail = static_cast<std::size_t>(send_buf_.end() - next_seq_);
-    const std::size_t len = std::min({config_.mss, avail, room});
+    const std::size_t len = std::min({kMss, avail, room});
     if (len == 0) break;
     send_segment(next_seq_, len, next_seq_ < retransmit_high_);
     next_seq_ += len;
@@ -147,23 +135,17 @@ void LedbatConnection::send_segment(std::uint64_t seq, std::size_t len,
   pkt->seq = seq;
   pkt->send_ts_ns = simulator().now().as_nanos();
   pkt->payload = send_buf_.read_at(seq, len);
-  emit(std::move(pkt), len);
-  ++stats_.segments_sent;
-  stats_.bytes_sent_wire += len;
-  if (retransmit) ++stats_.segments_retransmitted;
+  emit_data(std::move(pkt), len, retransmit);
 }
 
 void LedbatConnection::arm_rto() {
   rto_timer_.cancel();
   if (snd_una_ >= next_seq_) return;
-  std::weak_ptr<LedbatConnection> weak = weak_from_this();
-  rto_timer_ = simulator().schedule_after(rto_, [weak] {
-    if (auto c = weak.lock()) c->on_rto();
-  });
+  rto_timer_ = after<LedbatConnection>(rto_, [](LedbatConnection& c) { c.on_rto(); });
 }
 
 void LedbatConnection::on_rto() {
-  if (state_ == ConnState::kClosed || snd_una_ >= next_seq_) return;
+  if (state() == ConnState::kClosed || snd_una_ >= next_seq_) return;
   ++stats_.timeouts;
   ++cc_.losses;
   if (++backoff_ > config_.max_data_retries) {
@@ -173,11 +155,11 @@ void LedbatConnection::on_rto() {
   rto_ = std::min(rto_ * 2, config_.max_rto);
   // Loss: halve (RFC 6817 requires at least the standard multiplicative
   // decrease on loss) and go-back-N.
-  cwnd_ = std::max(cwnd_ / 2.0, 2.0 * static_cast<double>(config_.mss));
+  cwnd_ = std::max(cwnd_ / 2.0, 2.0 * static_cast<double>(kMss));
   retransmit_high_ = std::max(retransmit_high_, next_seq_);
   next_seq_ = snd_una_;
   const auto len = std::min<std::size_t>(
-      config_.mss, static_cast<std::size_t>(send_buf_.end() - snd_una_));
+      kMss, static_cast<std::size_t>(send_buf_.end() - snd_una_));
   if (len > 0) {
     send_segment(snd_una_, len, true);
     next_seq_ = snd_una_ + len;
@@ -193,7 +175,7 @@ void LedbatConnection::update_window(Duration delay_sample,
   if (base_buckets_.empty() || now - bucket_started_ >= kBucketLength) {
     base_buckets_.push_back(delay_sample);
     bucket_started_ = now;
-    while (static_cast<int>(base_buckets_.size()) > config_.base_history_buckets) {
+    while (base_buckets_.size() > kBaseHistoryBuckets) {
       base_buckets_.pop_front();
     }
   } else if (delay_sample < base_buckets_.back()) {
@@ -203,11 +185,11 @@ void LedbatConnection::update_window(Duration delay_sample,
   for (const auto& b : base_buckets_) base = std::min(base, b);
 
   const double queuing_ms = (delay_sample - base).as_millis();
-  const double target_ms = config_.target_delay.as_millis();
+  const double target_ms = kTargetDelay.as_millis();
   const double off_target = (target_ms - queuing_ms) / target_ms;
 
-  const auto mss = static_cast<double>(config_.mss);
-  const double gain = off_target >= 0.0 ? config_.gain : config_.decrease_gain;
+  const auto mss = static_cast<double>(kMss);
+  const double gain = off_target >= 0.0 ? kGain : kDecreaseGain;
   cwnd_ += gain * off_target * static_cast<double>(acked_bytes) * mss /
            std::max(cwnd_, mss);
   // Clamp: never below 2 MSS, never growing faster than slow start would.
@@ -220,30 +202,22 @@ void LedbatConnection::update_window(Duration delay_sample,
 
 void LedbatConnection::handle_ack(const LedbatAck& pkt) {
   if (pkt.ack_to > snd_una_) {
-    const std::uint64_t old_una = snd_una_;
-    const std::uint64_t acked = pkt.ack_to - old_una;
-    snd_una_ = pkt.ack_to;
+    const std::uint64_t acked = release_acked(pkt.ack_to);
+    // A late ack for data sent before an RTO rewind can overtake next_seq_.
     if (next_seq_ < snd_una_) next_seq_ = snd_una_;
-    const std::uint64_t de = std::min<std::uint64_t>(pkt.ack_to, send_buf_.end());
-    const std::uint64_t ds = std::min<std::uint64_t>(old_una, send_buf_.end());
-    stats_.bytes_acked += de - ds;
-    send_buf_.release_until(de);
     dup_acks_ = 0;
     backoff_ = 0;
     rto_ = std::clamp(rto_, config_.min_rto, config_.max_rto);
     update_window(Duration::nanos(pkt.delay_sample_ns), acked);
-    if (want_writable_ && send_buf_.free_space() > 0) {
-      want_writable_ = false;
-      if (on_writable_) on_writable_();
-    }
+    notify_writable();
     pump();
   } else if (pkt.ack_to == snd_una_ && next_seq_ > snd_una_) {
     if (++dup_acks_ == 3) {
       // Fast retransmit + window halving (loss signal).
       ++cc_.losses;
-      cwnd_ = std::max(cwnd_ / 2.0, 2.0 * static_cast<double>(config_.mss));
+      cwnd_ = std::max(cwnd_ / 2.0, 2.0 * static_cast<double>(kMss));
       const auto len = std::min<std::size_t>(
-          config_.mss, static_cast<std::size_t>(send_buf_.end() - snd_una_));
+          kMss, static_cast<std::size_t>(send_buf_.end() - snd_una_));
       if (len > 0) send_segment(snd_una_, len, true);
       arm_rto();
     }
@@ -254,11 +228,7 @@ void LedbatConnection::handle_ack(const LedbatAck& pkt) {
 void LedbatConnection::handle_data(const LedbatData& pkt) {
   const Duration one_way =
       simulator().now() - TimePoint::from_nanos(pkt.send_ts_ns);
-  reasm_.offer_span(pkt.seq, {pkt.payload.data(), pkt.payload.size()},
-                    [this](std::span<const std::uint8_t> run) {
-                      stats_.bytes_delivered += run.size();
-                      if (on_data_) on_data_(run);
-                    });
+  deliver(pkt.seq, pkt.payload);
   auto ack = std::make_shared<LedbatAck>();
   ack->ack_to = reasm_.expected();
   ack->window = static_cast<std::uint32_t>(
@@ -268,12 +238,11 @@ void LedbatConnection::handle_data(const LedbatData& pkt) {
 }
 
 void LedbatConnection::on_datagram(const netsim::Datagram& dg) {
-  if (dg.src != peer_) return;
   // LEDBAT runs over UDP whose checksum catches in-flight bit errors; the
   // loss is repaired by the retransmission machinery like any other drop.
   if (dg.corrupted) return;
   if (auto hs = std::dynamic_pointer_cast<const LedbatHandshake>(dg.body)) {
-    if (!passive_ && hs->response && state_ == ConnState::kConnecting) {
+    if (!passive_ && hs->response && state() == ConnState::kConnecting) {
       peer_port_ = dg.src_port;
       enter_established();
     } else if (passive_ && !hs->response) {
@@ -281,7 +250,7 @@ void LedbatConnection::on_datagram(const netsim::Datagram& dg) {
     }
     return;
   }
-  if (state_ == ConnState::kConnecting) return;
+  if (state() == ConnState::kConnecting) return;
   if (auto data = std::dynamic_pointer_cast<const LedbatData>(dg.body)) {
     handle_data(*data);
   } else if (auto ack = std::dynamic_pointer_cast<const LedbatAck>(dg.body)) {
@@ -291,71 +260,9 @@ void LedbatConnection::on_datagram(const netsim::Datagram& dg) {
   }
 }
 
-void LedbatConnection::close() {
-  if (state_ == ConnState::kClosed || state_ == ConnState::kClosing) return;
-  if (state_ == ConnState::kConnecting) {
-    abort();
-    return;
-  }
-  state_ = ConnState::kClosing;
-  close_requested_ = true;
-  maybe_finish_close();
-}
-
 void LedbatConnection::maybe_finish_close() {
-  if (!close_requested_ || state_ == ConnState::kClosed || shutdown_sent_) return;
-  if (snd_una_ < send_buf_.end()) return;
-  shutdown_sent_ = true;
-  emit(std::make_shared<LedbatShutdown>(), 0);
-  finish_close();
-}
-
-void LedbatConnection::abort() {
-  if (state_ == ConnState::kClosed) return;
-  emit(std::make_shared<LedbatShutdown>(), 0);
-  finish_close();
-}
-
-void LedbatConnection::finish_close() {
-  if (state_ == ConnState::kClosed) return;
-  state_ = ConnState::kClosed;
-  rto_timer_.cancel();
-  hs_event_.cancel();
-  auto cb = on_closed_;
-  if (cb) cb();
-}
-
-LedbatListener::LedbatListener(netsim::Host& host, netsim::Port port,
-                               LedbatConfig config, AcceptFn on_accept)
-    : host_(host), port_(port), config_(config), on_accept_(std::move(on_accept)) {
-  host_.bind(netsim::IpProto::kUdp, port_,
-             [this](const netsim::Datagram& dg) { on_datagram(dg); });
-}
-
-LedbatListener::~LedbatListener() { host_.unbind(netsim::IpProto::kUdp, port_); }
-
-void LedbatListener::on_datagram(const netsim::Datagram& dg) {
-  auto hs = std::dynamic_pointer_cast<const LedbatHandshake>(dg.body);
-  if (!hs || hs->response) return;
-  const auto key = std::make_pair(dg.src, dg.src_port);
-  if (auto it = pending_.find(key); it != pending_.end()) {
-    if (auto existing = it->second.lock()) {
-      existing->send_handshake(true);
-      return;
-    }
-    pending_.erase(it);
-  }
-  auto conn = std::shared_ptr<LedbatConnection>(new LedbatConnection(
-      LedbatConnection::Passive{}, host_, dg.src, dg.src_port, config_));
-  std::weak_ptr<LedbatConnection> weak = conn;
-  conn->local_port_ = host_.bind_ephemeral(
-      netsim::IpProto::kUdp, [weak](const netsim::Datagram& d) {
-        if (auto c = weak.lock()) c->on_datagram(d);
-      });
-  conn->send_handshake(true);
-  conn->enter_established();
-  pending_[key] = conn;
-  if (on_accept_) on_accept_(std::move(conn));
+  if (state() != ConnState::kClosing || snd_una_ < send_buf_.end()) return;
+  abort();  // all data acknowledged: send the shutdown and close, as abort does
 }
 
 }  // namespace kmsg::transport

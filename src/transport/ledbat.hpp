@@ -4,14 +4,14 @@
 // The paper motivates KompicsMessaging partly with an earlier LEDBAT
 // implementation on top of Kompics/Netty/UDP whose application-level timing
 // was too inconsistent; here LEDBAT is a first-class transport engine like
-// TCP and UDT. It is a window-based reliable stream over UDP whose
-// congestion controller targets a fixed amount of *extra one-way delay*
-// (default 100 ms short-horizon? — RFC target is 100 ms; we default 25 ms to
-// suit the simulated paths): the window grows while measured queueing delay
-// is below the target and shrinks proportionally when above, so LEDBAT flows
-// yield to any loss-based (TCP-like) traffic sharing the bottleneck — the
-// "scavenger" property, verified in the tests and the background-transport
-// ablation bench.
+// TCP and UDT, sharing their StreamConnection core. It is a window-based
+// reliable stream over UDP whose congestion controller targets a fixed amount
+// of *extra one-way delay* (25 ms here, to suit the simulated paths; RFC
+// 6817 caps the target at 100 ms): the window grows while measured queueing
+// delay is below the target and shrinks proportionally when above, so LEDBAT
+// flows yield to any loss-based (TCP-like) traffic sharing the bottleneck —
+// the "scavenger" property, verified in the tests and the
+// background-transport ablation bench.
 //
 // In the simulator both endpoints share one clock, so one-way delay
 // measurements are exact — the place where real deployments need base-delay
@@ -24,28 +24,13 @@
 #include <deque>
 #include <memory>
 
-#include "netsim/network.hpp"
 #include "transport/connection.hpp"
-#include "transport/reassembly.hpp"
-#include "transport/ring_buffer.hpp"
 
 namespace kmsg::transport {
 
 struct LedbatConfig {
-  std::size_t mss = netsim::kDefaultMtuPayload;
   std::size_t send_buffer_bytes = 4 * 1024 * 1024;
   std::size_t recv_buffer_bytes = 4 * 1024 * 1024;
-  /// Queueing-delay target (RFC 6817 TARGET). Lower = more deferential.
-  Duration target_delay = Duration::millis(25);
-  /// GAIN: window gain per off-target unit for increases (RFC caps at 1).
-  double gain = 1.0;
-  /// Decrease gain: applied when the queueing delay is above target. RFC
-  /// 6817 explicitly allows a higher gain for decreases ("MUST NOT be
-  /// larger... for increases"); a strong decrease is what guarantees the
-  /// scavenger property against aggressive loss-based flows.
-  double decrease_gain = 10.0;
-  /// Base-delay history: rolling minimum over this many 10 s buckets.
-  int base_history_buckets = 10;
   Duration min_rto = Duration::millis(200);
   Duration max_rto = Duration::seconds(60.0);
   Duration initial_rto = Duration::seconds(1.0);
@@ -61,80 +46,59 @@ struct LedbatCcStats {
   std::uint64_t losses = 0;
 };
 
-class LedbatConnection final
-    : public StreamConnection,
-      public std::enable_shared_from_this<LedbatConnection> {
+struct LedbatData;
+struct LedbatAck;
+
+class LedbatConnection final : public StreamConnection {
  public:
+  using Config = LedbatConfig;
+  static constexpr netsim::IpProto kProto = netsim::IpProto::kUdp;
+
   static std::shared_ptr<LedbatConnection> connect(netsim::Host& host,
                                                    netsim::HostId dst,
                                                    netsim::Port dst_port,
                                                    LedbatConfig config = {});
-
   ~LedbatConnection() override;
-  LedbatConnection(const LedbatConnection&) = delete;
-  LedbatConnection& operator=(const LedbatConnection&) = delete;
-
-  std::size_t write(std::span<const std::uint8_t> data) override;
-  std::size_t writable_bytes() const override;
-  std::size_t unacked_bytes() const override;
-  ConnState state() const override { return state_; }
-  const ConnStats& stats() const override { return stats_; }
-  void set_on_data(DataFn fn) override { on_data_ = std::move(fn); }
-  void set_on_writable(PlainFn fn) override { on_writable_ = std::move(fn); }
-  void set_on_connected(PlainFn fn) override { on_connected_ = std::move(fn); }
-  void set_on_closed(PlainFn fn) override { on_closed_ = std::move(fn); }
-  void close() override;
-  void abort() override;
 
   const LedbatCcStats& cc_stats() const { return cc_; }
-  netsim::Port local_port() const { return local_port_; }
 
  private:
-  friend class LedbatListener;
-  struct Passive {};
+  friend class StreamListener<LedbatConnection>;
 
   LedbatConnection(netsim::Host& host, netsim::HostId peer,
-                   netsim::Port peer_port, LedbatConfig config);
-  LedbatConnection(Passive, netsim::Host& host, netsim::HostId peer,
-                   netsim::Port peer_port, LedbatConfig config);
+                   netsim::Port peer_port, LedbatConfig config, bool passive);
+
+  // Listener side: a handshake request opens; a repeated one is always
+  // answered again.
+  static bool opens(const netsim::Datagram& dg);
+  void accept(const netsim::Datagram& request);
+  bool reanswer_open();
+
+  void on_datagram(const netsim::Datagram& dg) override;
+  void kick() override { pump(); }
+  void close_when_drained() override { maybe_finish_close(); }
+  std::shared_ptr<const netsim::DatagramBody> shutdown_packet() const override;
+  void cancel_timers() override;
 
   void start_handshake();
   void send_handshake(bool response);
   void enter_established();
-  void on_datagram(const netsim::Datagram& dg);
-  void handle_data(const struct LedbatData& pkt);
-  void handle_ack(const struct LedbatAck& pkt);
+  void handle_data(const LedbatData& pkt);
+  void handle_ack(const LedbatAck& pkt);
   void update_window(Duration delay_sample, std::uint64_t acked_bytes);
   void pump();
   void send_segment(std::uint64_t seq, std::size_t len, bool retransmit);
   void arm_rto();
   void on_rto();
   void maybe_finish_close();
-  void finish_close();
-  void emit(std::shared_ptr<const netsim::DatagramBody> body,
-            std::size_t payload_bytes);
-  sim::Simulator& simulator() { return host_.network_simulator(); }
 
-  netsim::Host& host_;
-  netsim::HostId peer_;
-  netsim::Port peer_port_;
-  netsim::Port local_port_ = 0;
   LedbatConfig config_;
-  ConnState state_ = ConnState::kConnecting;
-  ConnStats stats_;
   LedbatCcStats cc_;
-  bool passive_ = false;
 
   // Sender.
-  RingBuffer send_buf_;
-  std::uint64_t snd_una_ = 0;
-  std::uint64_t next_seq_ = 0;
   std::uint64_t retransmit_high_ = 0;
   double cwnd_ = 0.0;
   int dup_acks_ = 0;
-  bool want_writable_ = false;
-  bool close_requested_ = false;
-  bool shutdown_sent_ = false;
   sim::EventHandle rto_timer_;
   Duration rto_;
   int backoff_ = 0;
@@ -143,41 +107,12 @@ class LedbatConnection final
   std::deque<Duration> base_buckets_;
   TimePoint bucket_started_ = TimePoint::zero();
 
-  // Receiver.
-  ReassemblyBuffer reasm_;
-
   // Handshake.
   sim::EventHandle hs_event_;
   int hs_retries_ = 0;
-
-  DataFn on_data_;
-  PlainFn on_writable_;
-  PlainFn on_connected_;
-  PlainFn on_closed_;
 };
 
-class LedbatListener {
- public:
-  using AcceptFn = std::function<void(std::shared_ptr<LedbatConnection>)>;
-
-  LedbatListener(netsim::Host& host, netsim::Port port, LedbatConfig config,
-                 AcceptFn on_accept);
-  ~LedbatListener();
-  LedbatListener(const LedbatListener&) = delete;
-  LedbatListener& operator=(const LedbatListener&) = delete;
-
-  netsim::Port port() const { return port_; }
-
- private:
-  void on_datagram(const netsim::Datagram& dg);
-
-  netsim::Host& host_;
-  netsim::Port port_;
-  LedbatConfig config_;
-  AcceptFn on_accept_;
-  std::map<std::pair<netsim::HostId, netsim::Port>,
-           std::weak_ptr<LedbatConnection>>
-      pending_;
-};
+/// Passive opener: accepts LEDBAT connections on a UDP port.
+using LedbatListener = StreamListener<LedbatConnection>;
 
 }  // namespace kmsg::transport

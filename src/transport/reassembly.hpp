@@ -1,4 +1,5 @@
-// Receiver-side in-order reassembly, shared by the TCP and UDT engines.
+// Receiver-side in-order reassembly, the receive buffer of the
+// stream-connection core.
 //
 // Out-of-order byte segments are buffered (bounded by a configurable budget —
 // exceeding it drops the segment, which is exactly the receive-buffer overflow
@@ -74,18 +75,6 @@ class ReassemblyBuffer {
       return;
     }
     park(at, data, seg_end);
-  }
-
-  /// Vector-returning compatibility wrapper: concatenates whatever
-  /// offer_span would have surrendered.
-  std::vector<std::uint8_t> offer(std::uint64_t at,
-                                  std::vector<std::uint8_t> data) {
-    std::vector<std::uint8_t> out;
-    offer_span(at, {data.data(), data.size()},
-               [&out](std::span<const std::uint8_t> run) {
-                 out.insert(out.end(), run.begin(), run.end());
-               });
-    return out;
   }
 
  private:

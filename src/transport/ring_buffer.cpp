@@ -7,8 +7,9 @@
 
 namespace kmsg::transport {
 
-RingBuffer::RingBuffer(std::size_t capacity) : buf_(capacity) {
+RingBuffer::RingBuffer(std::size_t capacity) : capacity_(capacity) {
   if (capacity == 0) throw std::invalid_argument("RingBuffer capacity must be > 0");
+  buf_ = std::make_unique_for_overwrite<std::uint8_t[]>(capacity);
 }
 
 std::size_t RingBuffer::write(std::span<const std::uint8_t> data) {
@@ -17,7 +18,7 @@ std::size_t RingBuffer::write(std::span<const std::uint8_t> data) {
   while (written < n) {
     const std::size_t pos = static_cast<std::size_t>(end_ % capacity());
     const std::size_t chunk = std::min(n - written, capacity() - pos);
-    std::memcpy(buf_.data() + pos, data.data() + written, chunk);
+    std::memcpy(buf_.get() + pos, data.data() + written, chunk);
     written += chunk;
     end_ += chunk;
   }
@@ -33,7 +34,7 @@ std::vector<std::uint8_t> RingBuffer::read_at(std::uint64_t at, std::size_t len)
   while (read < len) {
     const std::size_t pos = static_cast<std::size_t>((at + read) % capacity());
     const std::size_t chunk = std::min(len - read, capacity() - pos);
-    std::memcpy(out.data() + read, buf_.data() + pos, chunk);
+    std::memcpy(out.data() + read, buf_.get() + pos, chunk);
     read += chunk;
   }
   return out;

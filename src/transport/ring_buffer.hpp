@@ -1,11 +1,15 @@
 // Fixed-capacity byte ring addressed by an absolute, monotonically growing
-// stream offset. This is the send-buffer representation shared by the TCP
-// and UDT engines: bytes are appended at the tail, read back at arbitrary
-// offsets for (re)transmission, and released from the head as they are
-// acknowledged.
+// stream offset. This is the send buffer of the stream-connection core: bytes
+// are appended at the tail, read back at arbitrary offsets for
+// (re)transmission, and released from the head as they are acknowledged.
+//
+// The storage is allocated uninitialised, so a connection's buffer costs
+// pages only as far as data has actually been written into it — opening a
+// connection with the paper's 100 MB UDT buffers does not fault them in.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -15,7 +19,7 @@ class RingBuffer {
  public:
   explicit RingBuffer(std::size_t capacity);
 
-  std::size_t capacity() const { return buf_.size(); }
+  std::size_t capacity() const { return capacity_; }
   /// Absolute offset of the first retained (unacknowledged) byte.
   std::uint64_t base() const { return base_; }
   /// Absolute offset one past the last appended byte.
@@ -35,7 +39,8 @@ class RingBuffer {
   void release_until(std::uint64_t to);
 
  private:
-  std::vector<std::uint8_t> buf_;
+  std::size_t capacity_;
+  std::unique_ptr<std::uint8_t[]> buf_;
   std::uint64_t base_ = 0;
   std::uint64_t end_ = 0;
 };

@@ -14,6 +14,12 @@ constexpr std::uint8_t kSyn = 1;
 constexpr std::uint8_t kAck = 2;
 constexpr std::uint8_t kFin = 4;
 constexpr std::uint8_t kRst = 8;
+constexpr std::size_t kMss = netsim::kDefaultMtuPayload;
+constexpr std::size_t kInitialCwndSegments = 10;  // RFC 6928
+/// ACKs carry the receiver's missing ranges (SACK) and the sender repairs
+/// every reported hole, paced per SRTT, instead of NewReno's one per RTT.
+constexpr std::size_t kMaxSackHoles = 8;
+constexpr int kMaxSackRexmitPerAck = 8;
 }  // namespace
 
 struct TcpSegment : netsim::DatagramBody {
@@ -27,135 +33,102 @@ struct TcpSegment : netsim::DatagramBody {
   std::vector<std::uint8_t> payload;
 };
 
-namespace {
-constexpr std::size_t kMaxSackHoles = 8;
-constexpr int kMaxSackRexmitPerAck = 8;
-}  // namespace
-
 TcpConnection::TcpConnection(netsim::Host& host, netsim::HostId peer,
-                             netsim::Port peer_port, TcpConfig config)
-    : host_(host),
-      peer_(peer),
-      peer_port_(peer_port),
+                             netsim::Port peer_port, TcpConfig config,
+                             bool passive)
+    : StreamConnection(host, peer, peer_port, passive, kProto,
+                       netsim::kIpTcpHeaderBytes, config.send_buffer_bytes,
+                       config.recv_buffer_bytes),
       config_(config),
-      send_buf_(config.send_buffer_bytes),
-      rto_(config.initial_rto),
-      reasm_(config.recv_buffer_bytes) {
-  cwnd_ = static_cast<double>(config_.initial_cwnd_segments * config_.mss);
-  ssthresh_ = config_.initial_ssthresh_bytes;
-}
+      cwnd_(static_cast<double>(kInitialCwndSegments * kMss)),
+      ssthresh_(config.initial_ssthresh_bytes),
+      rto_(config.initial_rto) {}
 
-TcpConnection::TcpConnection(Passive, netsim::Host& host, netsim::HostId peer,
-                             netsim::Port peer_port, TcpConfig config)
-    : TcpConnection(host, peer, peer_port, config) {
-  passive_ = true;
-}
-
-TcpConnection::~TcpConnection() {
-  rto_timer_.cancel();
-  syn_timer_.cancel();
-  if (local_port_ != 0) host_.unbind(netsim::IpProto::kTcp, local_port_);
-}
-
-sim::Simulator& TcpConnection::simulator() { return host_.network_simulator(); }
+TcpConnection::~TcpConnection() { cancel_timers(); }
 
 std::shared_ptr<TcpConnection> TcpConnection::connect(netsim::Host& host,
                                                       netsim::HostId dst,
                                                       netsim::Port dst_port,
                                                       TcpConfig config) {
-  auto conn = std::shared_ptr<TcpConnection>(
-      new TcpConnection(host, dst, dst_port, config));
-  std::weak_ptr<TcpConnection> weak = conn;
-  conn->local_port_ = host.bind_ephemeral(
-      netsim::IpProto::kTcp, [weak](const netsim::Datagram& dg) {
-        if (auto c = weak.lock()) c->on_datagram(dg);
-      });
-  conn->start_active_handshake();
+  std::shared_ptr<TcpConnection> conn(
+      new TcpConnection(host, dst, dst_port, config, /*passive=*/false));
+  conn->bind();
+  conn->announce();
   return conn;
 }
 
-void TcpConnection::start_active_handshake() {
-  send_control(kSyn, 0);
-  std::weak_ptr<TcpConnection> weak = weak_from_this();
-  syn_timer_ = simulator().schedule_after(rto_, [weak] {
-    auto c = weak.lock();
-    if (!c || c->state_ != ConnState::kConnecting) return;
-    if (++c->syn_retries_ > c->config_.max_syn_retries) {
-      c->abort();
-      return;
-    }
-    c->rto_ = std::min(c->rto_ * 2, c->config_.max_rto);
-    c->start_active_handshake();
-  });
+bool TcpConnection::opens(const netsim::Datagram& dg) {
+  const auto* seg = dynamic_cast<const TcpSegment*>(dg.body.get());
+  return seg && (seg->flags & kSyn) && !(seg->flags & kAck);
 }
 
-void TcpConnection::passive_reannounce() {
+void TcpConnection::accept(const netsim::Datagram& syn) {
+  peer_window_ = static_cast<const TcpSegment&>(*syn.body).window;
+  announce();
+}
+
+bool TcpConnection::reanswer_open() {
+  if (state() != ConnState::kConnecting) return false;
   send_control(kSyn | kAck, 0);
-  std::weak_ptr<TcpConnection> weak = weak_from_this();
-  syn_timer_ = simulator().schedule_after(rto_, [weak] {
-    auto c = weak.lock();
-    if (!c || c->state_ != ConnState::kConnecting) return;
-    if (++c->syn_retries_ > c->config_.max_syn_retries) {
-      c->abort();
+  return true;
+}
+
+void TcpConnection::cancel_timers() {
+  rto_timer_.cancel();
+  syn_timer_.cancel();
+}
+
+std::shared_ptr<const netsim::DatagramBody> TcpConnection::shutdown_packet()
+    const {
+  auto rst = std::make_shared<TcpSegment>();
+  rst->flags = kRst;
+  return rst;
+}
+
+void TcpConnection::announce() {
+  send_control(passive_ ? (kSyn | kAck) : kSyn, 0);
+  syn_timer_ = after<TcpConnection>(rto_, [](TcpConnection& c) {
+    if (c.state() != ConnState::kConnecting) return;
+    if (++c.syn_retries_ > c.config_.max_syn_retries) {
+      c.abort();
       return;
     }
-    c->rto_ = std::min(c->rto_ * 2, c->config_.max_rto);
-    c->passive_reannounce();
+    c.rto_ = std::min(c.rto_ * 2, c.config_.max_rto);
+    c.announce();
   });
 }
 
-void TcpConnection::emit(const TcpSegment& seg, std::size_t payload_bytes) {
-  netsim::Datagram dg;
-  dg.dst = peer_;
-  dg.src_port = local_port_;
-  dg.dst_port = peer_port_;
-  dg.proto = netsim::IpProto::kTcp;
-  dg.wire_bytes = payload_bytes + netsim::kIpTcpHeaderBytes;
-  dg.body = std::make_shared<TcpSegment>(seg);
-  host_.send(std::move(dg));
+std::shared_ptr<TcpSegment> TcpConnection::make_segment(std::uint8_t flags,
+                                                        std::uint64_t seq) {
+  auto seg = std::make_shared<TcpSegment>();
+  seg->flags = flags;
+  seg->seq = seq;
+  seg->ack = reasm_.expected();
+  seg->window = static_cast<std::uint32_t>(
+      std::min<std::size_t>(reasm_.available(), 0xffffffffu));
+  return seg;
 }
 
 void TcpConnection::send_control(std::uint8_t flags, std::uint64_t seq) {
-  TcpSegment seg;
-  seg.flags = flags;
-  seg.seq = seq;
-  seg.ack = reasm_.expected();
+  auto seg = make_segment(flags, seq);
   if (peer_fin_seen_ && reasm_.expected() >= peer_fin_seq_) {
-    seg.ack = peer_fin_seq_ + 1;
+    seg->ack = peer_fin_seq_ + 1;
   }
-  seg.window = static_cast<std::uint32_t>(
-      std::min<std::size_t>(reasm_.available(), 0xffffffffu));
-  if (config_.sack) seg.sack_holes = reasm_.missing_ranges(kMaxSackHoles);
-  emit(seg, 0);
+  seg->sack_holes = reasm_.missing_ranges(kMaxSackHoles);
+  emit(std::move(seg), 0);
 }
 
 void TcpConnection::send_ack() { send_control(kAck, next_seq_); }
 
-std::size_t TcpConnection::write(std::span<const std::uint8_t> data) {
-  if (state_ == ConnState::kClosed || state_ == ConnState::kClosing) return 0;
-  const std::size_t n = send_buf_.write(data);
-  stats_.bytes_written += n;
-  if (n < data.size()) want_writable_ = true;
-  if (state_ == ConnState::kEstablished) pump();
-  return n;
-}
-
-std::size_t TcpConnection::writable_bytes() const {
-  if (state_ == ConnState::kClosed || state_ == ConnState::kClosing) return 0;
-  return send_buf_.free_space();
-}
-
-std::size_t TcpConnection::unacked_bytes() const { return send_buf_.size(); }
-
 void TcpConnection::pump() {
-  if (state_ != ConnState::kEstablished && state_ != ConnState::kClosing) return;
+  if (state() != ConnState::kEstablished && state() != ConnState::kClosing) return;
   const double wnd = std::min(cwnd_, static_cast<double>(peer_window_));
   while (next_seq_ < send_buf_.end()) {
     const auto inflight = static_cast<double>(next_seq_ - snd_una_);
     if (inflight >= wnd) break;
     const auto room = static_cast<std::size_t>(wnd - inflight);
     const auto avail = static_cast<std::size_t>(send_buf_.end() - next_seq_);
-    const std::size_t len = std::min({config_.mss, avail, room});
+    const std::size_t len = std::min({kMss, avail, room});
     if (len == 0) break;
     const bool rexmit = next_seq_ < retransmit_high_;
     send_segment(next_seq_, len, rexmit);
@@ -167,22 +140,14 @@ void TcpConnection::pump() {
 
 void TcpConnection::send_segment(std::uint64_t seq, std::size_t len,
                                  bool retransmit) {
-  TcpSegment seg;
-  seg.flags = kAck;
-  seg.seq = seq;
-  seg.ack = reasm_.expected();
-  seg.window = static_cast<std::uint32_t>(
-      std::min<std::size_t>(reasm_.available(), 0xffffffffu));
-  seg.payload = send_buf_.read_at(seq, len);
-  emit(seg, len);
-  ++stats_.segments_sent;
-  stats_.bytes_sent_wire += len;
-  if (retransmit) ++stats_.segments_retransmitted;
+  auto seg = make_segment(kAck, seq);
+  seg->payload = send_buf_.read_at(seq, len);
+  emit_data(std::move(seg), len, retransmit);
   inflight_meta_.push_back(SegMeta{seq + len, simulator().now(), retransmit});
 }
 
 void TcpConnection::maybe_send_fin() {
-  if (!fin_queued_ || fin_sent_) return;
+  if (state() != ConnState::kClosing || fin_sent_) return;
   if (next_seq_ != send_buf_.end()) return;  // data still to transmit
   fin_seq_ = send_buf_.end();
   fin_sent_ = true;
@@ -193,14 +158,11 @@ void TcpConnection::maybe_send_fin() {
 void TcpConnection::arm_rto() {
   rto_timer_.cancel();
   if (snd_una_ >= next_seq_) return;  // nothing outstanding
-  std::weak_ptr<TcpConnection> weak = weak_from_this();
-  rto_timer_ = simulator().schedule_after(rto_, [weak] {
-    if (auto c = weak.lock()) c->on_rto();
-  });
+  rto_timer_ = after<TcpConnection>(rto_, [](TcpConnection& c) { c.on_rto(); });
 }
 
 void TcpConnection::on_rto() {
-  if (state_ == ConnState::kClosed) return;
+  if (state() == ConnState::kClosed) return;
   if (snd_una_ >= next_seq_) return;
   ++stats_.timeouts;
   ++backoff_;
@@ -210,7 +172,7 @@ void TcpConnection::on_rto() {
     return;
   }
   on_congestion_event();
-  cwnd_ = static_cast<double>(config_.mss);
+  cwnd_ = static_cast<double>(kMss);
   dup_acks_ = 0;
   in_recovery_ = false;
   rto_ = std::min(rto_ * 2, config_.max_rto);
@@ -230,7 +192,7 @@ void TcpConnection::on_rto() {
   // doubles as the zero-window persist probe (a closed window must not
   // silence the connection or it deadlocks).
   const auto len = std::min<std::size_t>(
-      config_.mss, static_cast<std::size_t>(send_buf_.end() - snd_una_));
+      kMss, static_cast<std::size_t>(send_buf_.end() - snd_una_));
   if (len > 0) {
     send_segment(snd_una_, len, true);
     next_seq_ = snd_una_ + len;
@@ -270,17 +232,11 @@ void TcpConnection::on_ack(std::uint64_t ack, std::uint32_t window) {
   const std::uint32_t old_window = peer_window_;
   peer_window_ = window;
   if (ack > snd_una_) {
-    const std::uint64_t old_una = snd_una_;
-    const std::uint64_t acked = ack - old_una;
-    snd_una_ = ack;
+    const std::uint64_t acked = release_acked(ack);
     // A late ACK for data sent before an RTO rewind can overtake the
     // transmit pointer; clamp or the inflight computation wraps negative.
     if (next_seq_ < snd_una_) next_seq_ = snd_una_;
-    const std::uint64_t de = std::min<std::uint64_t>(ack, send_buf_.end());
-    const std::uint64_t ds = std::min<std::uint64_t>(old_una, send_buf_.end());
-    stats_.bytes_acked += de - ds;
     sample_rtt(ack);
-    send_buf_.release_until(de);
     dup_acks_ = 0;
     backoff_ = 0;  // any forward progress resets the give-up ladder
     // Repaired holes below the cumulative ack are done; without this prune
@@ -296,7 +252,7 @@ void TcpConnection::on_ack(std::uint64_t ack, std::uint32_t window) {
       } else {
         // NewReno partial ACK: retransmit the next hole immediately.
         const auto len = std::min<std::size_t>(
-            config_.mss, static_cast<std::size_t>(send_buf_.end() - snd_una_));
+            kMss, static_cast<std::size_t>(send_buf_.end() - snd_una_));
         if (len > 0) send_segment(snd_una_, len, true);
       }
     } else {
@@ -306,17 +262,14 @@ void TcpConnection::on_ack(std::uint64_t ack, std::uint32_t window) {
       finish_close();
       return;
     }
-    if (want_writable_ && send_buf_.free_space() > 0) {
-      want_writable_ = false;
-      if (on_writable_) on_writable_();
-    }
+    notify_writable();
     pump();
   } else if (ack == snd_una_ && next_seq_ > snd_una_) {
     ++dup_acks_;
     if (dup_acks_ == 3 && !in_recovery_) {
       fast_retransmit();
     } else if (in_recovery_) {
-      cwnd_ += static_cast<double>(config_.mss);
+      cwnd_ += static_cast<double>(kMss);
       pump();
     }
   }
@@ -330,11 +283,11 @@ void TcpConnection::grow_cwnd(std::uint64_t acked_bytes) {
   // and Appropriate Byte Counting: a hole-filling cumulative ACK may cover
   // megabytes at once but is still one ACK's worth of congestion evidence.
   if (!sack_rexmit_after_.empty()) return;
-  acked_bytes = std::min<std::uint64_t>(acked_bytes, 2 * config_.mss);
-  const auto mss = static_cast<double>(config_.mss);
+  acked_bytes = std::min<std::uint64_t>(acked_bytes, 2 * kMss);
+  const auto mss = static_cast<double>(kMss);
   if (cwnd_ < ssthresh_) {
     // Slow start (both algorithms).
-    cwnd_ += static_cast<double>(std::min<std::uint64_t>(acked_bytes, config_.mss));
+    cwnd_ += static_cast<double>(std::min<std::uint64_t>(acked_bytes, kMss));
     return;
   }
   if (config_.congestion == TcpCongestion::kNewReno) {
@@ -371,7 +324,7 @@ void TcpConnection::grow_cwnd(std::uint64_t acked_bytes) {
 
 void TcpConnection::on_congestion_event() {
   const double inflight = static_cast<double>(next_seq_ - snd_una_);
-  const auto mss = static_cast<double>(config_.mss);
+  const auto mss = static_cast<double>(kMss);
   if (config_.congestion == TcpCongestion::kCubic) {
     constexpr double kBeta = 0.7;
     cubic_wmax_mss_ = cwnd_ / mss;
@@ -384,7 +337,7 @@ void TcpConnection::on_congestion_event() {
 
 void TcpConnection::handle_sack(
     const std::vector<std::pair<std::uint64_t, std::uint64_t>>& ranges) {
-  if (state_ == ConnState::kClosed) return;
+  if (state() == ConnState::kClosed) return;
   // Prune pacing state below the cumulative ack.
   while (!sack_rexmit_after_.empty() &&
          sack_rexmit_after_.begin()->first < snd_una_) {
@@ -397,7 +350,7 @@ void TcpConnection::handle_sack(
   for (auto [s0, e0] : ranges) max_end = std::max(max_end, std::min(e0, next_seq_));
   if (max_end > loss_epoch_end_) {
     on_congestion_event();
-    cwnd_ = std::max(ssthresh_, 2.0 * static_cast<double>(config_.mss));
+    cwnd_ = std::max(ssthresh_, 2.0 * static_cast<double>(kMss));
     loss_epoch_end_ = next_seq_;
   }
   const TimePoint now = simulator().now();
@@ -411,8 +364,7 @@ void TcpConnection::handle_sack(
     auto [it, inserted] = sack_rexmit_after_.try_emplace(s0, TimePoint::zero());
     if (!inserted && now < it->second) continue;  // recently retransmitted
     while (s < e && sent < kMaxSackRexmitPerAck) {
-      const auto len = std::min<std::size_t>(config_.mss,
-                                             static_cast<std::size_t>(e - s));
+      const auto len = std::min<std::size_t>(kMss, static_cast<std::size_t>(e - s));
       send_segment(s, len, true);
       s += len;
       ++sent;
@@ -424,27 +376,23 @@ void TcpConnection::handle_sack(
 
 void TcpConnection::fast_retransmit() {
   on_congestion_event();
-  cwnd_ = ssthresh_ + 3.0 * static_cast<double>(config_.mss);
+  cwnd_ = ssthresh_ + 3.0 * static_cast<double>(kMss);
   in_recovery_ = true;
   recovery_end_ = next_seq_;
   const auto len = std::min<std::size_t>(
-      config_.mss, static_cast<std::size_t>(send_buf_.end() - snd_una_));
+      kMss, static_cast<std::size_t>(send_buf_.end() - snd_una_));
   if (len > 0) send_segment(snd_una_, len, true);
   arm_rto();
 }
 
 void TcpConnection::enter_established() {
-  if (state_ != ConnState::kConnecting) return;
-  state_ = ConnState::kEstablished;
   syn_timer_.cancel();
-  if (on_connected_) on_connected_();
-  pump();
+  establish();
 }
 
 void TcpConnection::on_datagram(const netsim::Datagram& dg) {
   auto seg = std::dynamic_pointer_cast<const TcpSegment>(dg.body);
   if (!seg) return;
-  if (dg.src != peer_) return;
 
   if (dg.corrupted) {
     // Header-only segments damaged in flight are caught by the transport
@@ -453,9 +401,7 @@ void TcpConnection::on_datagram(const netsim::Datagram& dg) {
     // but a payload bit flips, leaving detection to the wire-framing CRC.
     if (seg->payload.empty()) return;
     auto mutated = std::make_shared<TcpSegment>(*seg);
-    auto& p = mutated->payload;
-    const std::size_t at = static_cast<std::size_t>(seg->seq) % p.size();
-    p[at] ^= static_cast<std::uint8_t>(1u << (seg->seq % 8));
+    flip_payload_bit(seg->seq, mutated->payload);
     seg = std::move(mutated);
   }
 
@@ -464,7 +410,7 @@ void TcpConnection::on_datagram(const netsim::Datagram& dg) {
     return;
   }
 
-  if (state_ == ConnState::kConnecting) {
+  if (state() == ConnState::kConnecting) {
     if (!passive_ && (seg->flags & kSyn) && (seg->flags & kAck)) {
       // SYNACK: learn the server connection's dedicated port.
       peer_port_ = dg.src_port;
@@ -490,20 +436,14 @@ void TcpConnection::on_datagram(const netsim::Datagram& dg) {
 }
 
 void TcpConnection::handle_established(const TcpSegment& seg) {
-  if (state_ == ConnState::kClosed) return;
+  if (state() == ConnState::kClosed) return;
 
   if (seg.flags & kAck) on_ack(seg.ack, seg.window);
-  if (state_ == ConnState::kClosed) return;  // FIN ack may have closed us
-  if (config_.sack && !seg.sack_holes.empty()) handle_sack(seg.sack_holes);
+  if (state() == ConnState::kClosed) return;  // FIN ack may have closed us
+  if (!seg.sack_holes.empty()) handle_sack(seg.sack_holes);
 
   if (!seg.payload.empty()) {
-    // In-order segments reach the application as spans of the segment's own
-    // payload — no reassembly copy on the common path.
-    reasm_.offer_span(seg.seq, {seg.payload.data(), seg.payload.size()},
-                      [this](std::span<const std::uint8_t> run) {
-                        stats_.bytes_delivered += run.size();
-                        if (on_data_) on_data_(run);
-                      });
+    deliver(seg.seq, seg.payload);
     // Acknowledge all data (also out-of-order: dup ACKs drive fast rexmit).
     send_ack();
   }
@@ -516,74 +456,6 @@ void TcpConnection::handle_established(const TcpSegment& seg) {
     send_control(kAck, next_seq_);
     finish_close();
   }
-}
-
-void TcpConnection::close() {
-  if (state_ == ConnState::kClosed || state_ == ConnState::kClosing) return;
-  if (state_ == ConnState::kConnecting) {
-    abort();
-    return;
-  }
-  state_ = ConnState::kClosing;
-  fin_queued_ = true;
-  pump();
-}
-
-void TcpConnection::abort() {
-  if (state_ == ConnState::kClosed) return;
-  TcpSegment seg;
-  seg.flags = kRst;
-  emit(seg, 0);
-  finish_close();
-}
-
-void TcpConnection::finish_close() {
-  if (state_ == ConnState::kClosed) return;
-  state_ = ConnState::kClosed;
-  rto_timer_.cancel();
-  syn_timer_.cancel();
-  // Local copy: the callback may drop external references to us; it must
-  // still not destroy the connection synchronously (defer to an event).
-  auto cb = on_closed_;
-  if (cb) cb();
-}
-
-TcpListener::TcpListener(netsim::Host& host, netsim::Port port, TcpConfig config,
-                         AcceptFn on_accept)
-    : host_(host), port_(port), config_(config), on_accept_(std::move(on_accept)) {
-  host_.bind(netsim::IpProto::kTcp, port_,
-             [this](const netsim::Datagram& dg) { on_datagram(dg); });
-}
-
-TcpListener::~TcpListener() { host_.unbind(netsim::IpProto::kTcp, port_); }
-
-void TcpListener::on_datagram(const netsim::Datagram& dg) {
-  auto seg = std::dynamic_pointer_cast<const TcpSegment>(dg.body);
-  if (!seg || !(seg->flags & kSyn) || (seg->flags & kAck)) return;
-
-  const auto key = std::make_pair(dg.src, dg.src_port);
-  if (auto it = pending_.find(key); it != pending_.end()) {
-    if (auto existing = it->second.lock()) {
-      if (existing->state() == ConnState::kConnecting) {
-        // Retransmitted SYN: the half-open connection re-announces itself.
-        existing->send_control(kSyn | kAck, 0);
-        return;
-      }
-    }
-    pending_.erase(it);
-  }
-
-  auto conn = std::shared_ptr<TcpConnection>(new TcpConnection(
-      TcpConnection::Passive{}, host_, dg.src, dg.src_port, config_));
-  std::weak_ptr<TcpConnection> weak = conn;
-  conn->local_port_ = host_.bind_ephemeral(
-      netsim::IpProto::kTcp, [weak](const netsim::Datagram& d) {
-        if (auto c = weak.lock()) c->on_datagram(d);
-      });
-  conn->peer_window_ = seg->window;
-  conn->passive_reannounce();
-  pending_[key] = conn;
-  if (on_accept_) on_accept_(std::move(conn));
 }
 
 }  // namespace kmsg::transport

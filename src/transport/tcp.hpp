@@ -2,8 +2,10 @@
 //
 // A NewReno-style engine: three-way handshake, cumulative ACKs, sliding
 // window bounded by min(cwnd, peer receive window), slow start / congestion
-// avoidance, fast retransmit on three duplicate ACKs, RTO with exponential
-// backoff and Karn-compliant RTT sampling, graceful FIN close.
+// avoidance, fast retransmit on three duplicate ACKs, SACK-driven repair of
+// reported holes, RTO with exponential backoff and Karn-compliant RTT
+// sampling, graceful FIN close. The socket plumbing (send and receive
+// buffers, callbacks, close/abort) is the shared StreamConnection core.
 //
 // The default receive buffer (advertised window cap) of 512 KiB reproduces
 // the effective windows the paper's JVM/Netty stack ran with on Ubuntu 14.04:
@@ -13,12 +15,10 @@
 
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <memory>
 
-#include "netsim/network.hpp"
 #include "transport/connection.hpp"
-#include "transport/reassembly.hpp"
-#include "transport/ring_buffer.hpp"
 
 namespace kmsg::transport {
 
@@ -28,16 +28,12 @@ namespace kmsg::transport {
 /// paper's timeframe and recovers high-BDP throughput faster.
 enum class TcpCongestion : std::uint8_t { kNewReno, kCubic };
 
+struct TcpSegment;
+
 struct TcpConfig {
-  std::size_t mss = netsim::kDefaultMtuPayload;
   TcpCongestion congestion = TcpCongestion::kNewReno;
   std::size_t send_buffer_bytes = 4 * 1024 * 1024;
   std::size_t recv_buffer_bytes = 512 * 1024;
-  /// Selective acknowledgements: ACKs carry the receiver's missing ranges
-  /// and the sender retransmits all reported holes (paced per SRTT) instead
-  /// of NewReno's one hole per RTT. On by default, as in any modern stack.
-  bool sack = true;
-  std::size_t initial_cwnd_segments = 10;  // RFC 6928
   /// Initial slow-start threshold; effectively unbounded by default. Tests
   /// and benches set it near the path BDP to skip the first overshoot.
   double initial_ssthresh_bytes = 1e18;
@@ -51,31 +47,18 @@ struct TcpConfig {
   int max_data_retries = 10;
 };
 
-class TcpConnection final : public StreamConnection,
-                            public std::enable_shared_from_this<TcpConnection> {
+class TcpConnection final : public StreamConnection {
  public:
+  using Config = TcpConfig;
+  static constexpr netsim::IpProto kProto = netsim::IpProto::kTcp;
+
   /// Actively opens a connection to (dst, dst_port). The returned connection
   /// is in kConnecting state; set_on_connected fires on establishment.
   static std::shared_ptr<TcpConnection> connect(netsim::Host& host,
                                                 netsim::HostId dst,
                                                 netsim::Port dst_port,
                                                 TcpConfig config = {});
-
   ~TcpConnection() override;
-  TcpConnection(const TcpConnection&) = delete;
-  TcpConnection& operator=(const TcpConnection&) = delete;
-
-  std::size_t write(std::span<const std::uint8_t> data) override;
-  std::size_t writable_bytes() const override;
-  std::size_t unacked_bytes() const override;
-  ConnState state() const override { return state_; }
-  const ConnStats& stats() const override { return stats_; }
-  void set_on_data(DataFn fn) override { on_data_ = std::move(fn); }
-  void set_on_writable(PlainFn fn) override { on_writable_ = std::move(fn); }
-  void set_on_connected(PlainFn fn) override { on_connected_ = std::move(fn); }
-  void set_on_closed(PlainFn fn) override { on_closed_ = std::move(fn); }
-  void close() override;
-  void abort() override;
 
   // Introspection for tests and benches.
   double cwnd_bytes() const { return cwnd_; }
@@ -83,24 +66,33 @@ class TcpConnection final : public StreamConnection,
   std::size_t inflight_bytes() const {
     return static_cast<std::size_t>(next_seq_ - snd_una_);
   }
-  netsim::Port local_port() const { return local_port_; }
 
  private:
-  friend class TcpListener;
-  struct Passive {};  // tag for listener-side construction
+  friend class StreamListener<TcpConnection>;
 
   TcpConnection(netsim::Host& host, netsim::HostId peer, netsim::Port peer_port,
-                TcpConfig config);
-  TcpConnection(Passive, netsim::Host& host, netsim::HostId peer,
-                netsim::Port peer_port, TcpConfig config);
+                TcpConfig config, bool passive);
 
-  void start_active_handshake();
-  void passive_reannounce();
-  void on_datagram(const netsim::Datagram& dg);
-  void handle_established(const struct TcpSegment& seg);
-  void on_ack(std::uint64_t ack, std::uint32_t window);
+  // Listener side: a SYN opens; a repeated SYN is answered again only while
+  // the half-open connection is still connecting.
+  static bool opens(const netsim::Datagram& dg);
+  void accept(const netsim::Datagram& syn);
+  bool reanswer_open();
+
+  void on_datagram(const netsim::Datagram& dg) override;
+  void kick() override { pump(); }
+  void close_when_drained() override { pump(); }  // sends the FIN once drained
+  std::shared_ptr<const netsim::DatagramBody> shutdown_packet() const override;
+  void cancel_timers() override;
+
+  /// Sends SYN (active) or SYNACK (passive), resent with a doubling RTO
+  /// until established.
+  void announce();
   void enter_established();
+  void handle_established(const TcpSegment& seg);
+  void on_ack(std::uint64_t ack, std::uint32_t window);
   void pump();
+  std::shared_ptr<TcpSegment> make_segment(std::uint8_t flags, std::uint64_t seq);
   void send_segment(std::uint64_t seq, std::size_t len, bool retransmit);
   void send_control(std::uint8_t flags, std::uint64_t seq);
   void send_ack();
@@ -112,29 +104,14 @@ class TcpConnection final : public StreamConnection,
   void grow_cwnd(std::uint64_t acked_bytes);
   void on_congestion_event();
   void maybe_send_fin();
-  void finish_close();
-  void emit(const struct TcpSegment& seg, std::size_t payload_bytes);
-  sim::Simulator& simulator();
 
-  netsim::Host& host_;
-  netsim::HostId peer_;
-  netsim::Port peer_port_;
-  netsim::Port local_port_ = 0;
   TcpConfig config_;
-  ConnState state_ = ConnState::kConnecting;
-  ConnStats stats_;
-  bool passive_ = false;
 
   // Send side.
-  RingBuffer send_buf_;
-  std::uint64_t snd_una_ = 0;   // oldest unacknowledged byte
-  std::uint64_t next_seq_ = 0;  // next byte to transmit
   double cwnd_ = 0.0;
   double ssthresh_ = 1e18;
   std::uint32_t peer_window_ = 0;
   int dup_acks_ = 0;
-  bool want_writable_ = false;
-  bool fin_queued_ = false;
   bool fin_sent_ = false;
   std::uint64_t fin_seq_ = 0;
   bool in_recovery_ = false;
@@ -174,39 +151,11 @@ class TcpConnection final : public StreamConnection,
   int syn_retries_ = 0;
 
   // Receive side.
-  ReassemblyBuffer reasm_;
   bool peer_fin_seen_ = false;
   std::uint64_t peer_fin_seq_ = 0;
-
-  DataFn on_data_;
-  PlainFn on_writable_;
-  PlainFn on_connected_;
-  PlainFn on_closed_;
 };
 
-/// Passive opener: accepts connections on a port.
-class TcpListener {
- public:
-  using AcceptFn = std::function<void(std::shared_ptr<TcpConnection>)>;
-
-  TcpListener(netsim::Host& host, netsim::Port port, TcpConfig config,
-              AcceptFn on_accept);
-  ~TcpListener();
-  TcpListener(const TcpListener&) = delete;
-  TcpListener& operator=(const TcpListener&) = delete;
-
-  netsim::Port port() const { return port_; }
-
- private:
-  void on_datagram(const netsim::Datagram& dg);
-
-  netsim::Host& host_;
-  netsim::Port port_;
-  TcpConfig config_;
-  AcceptFn on_accept_;
-  // Half-open dedupe: a retransmitted SYN re-triggers the stored SYNACK
-  // instead of spawning a second connection.
-  std::map<std::pair<netsim::HostId, netsim::Port>, std::weak_ptr<TcpConnection>> pending_;
-};
+/// Passive opener: accepts TCP connections on a port.
+using TcpListener = StreamListener<TcpConnection>;
 
 }  // namespace kmsg::transport

@@ -35,64 +35,69 @@ struct UdtShutdown : netsim::DatagramBody {};
 
 namespace {
 constexpr std::size_t kUdtHeaderBytes = 16;  // UDT header on top of IP/UDP
+constexpr std::size_t kMss = netsim::kDefaultMtuPayload;
+/// UDT's fixed rate-control period ("SYN interval").
+constexpr Duration kSynInterval = Duration::millis(10);
+constexpr double kInitialRateBytesPerSec = 2e6;
+/// If no feedback arrives for this long while data is outstanding, the
+/// sender assumes everything in flight was lost (EXP event).
+constexpr Duration kExpTimeout = Duration::millis(500);
 constexpr std::uint64_t kProbeEvery = 16;    // packet-pair probing cadence
 constexpr std::size_t kMaxNakRanges = 16;
 constexpr double kRateDecreaseFactor = 1.125;  // UDT's 1/9 rate cut
 }  // namespace
 
 UdtConnection::UdtConnection(netsim::Host& host, netsim::HostId peer,
-                             netsim::Port peer_port, UdtConfig config)
-    : host_(host),
-      peer_(peer),
-      peer_port_(peer_port),
+                             netsim::Port peer_port, UdtConfig config,
+                             bool passive)
+    : StreamConnection(host, peer, peer_port, passive, kProto,
+                       netsim::kIpUdpHeaderBytes + kUdtHeaderBytes,
+                       config.send_buffer_bytes, config.recv_buffer_bytes),
       config_(config),
-      send_buf_(config.send_buffer_bytes),
-      reasm_(config.recv_buffer_bytes) {
-  inter_pkt_interval_s_ =
-      static_cast<double>(config_.mss) / config_.initial_rate_bytes_per_sec;
-  ss_window_ = 16 * config_.mss;
-}
+      inter_pkt_interval_s_(static_cast<double>(kMss) / kInitialRateBytesPerSec),
+      ss_window_(16 * kMss) {}
 
-UdtConnection::UdtConnection(Passive, netsim::Host& host, netsim::HostId peer,
-                             netsim::Port peer_port, UdtConfig config)
-    : UdtConnection(host, peer, peer_port, config) {
-  passive_ = true;
-}
-
-UdtConnection::~UdtConnection() {
-  pacer_event_.cancel();
-  rate_event_.cancel();
-  exp_event_.cancel();
-  ack_event_.cancel();
-  hs_event_.cancel();
-  if (local_port_ != 0) host_.unbind(netsim::IpProto::kUdp, local_port_);
-}
+UdtConnection::~UdtConnection() { cancel_timers(); }
 
 std::shared_ptr<UdtConnection> UdtConnection::connect(netsim::Host& host,
                                                       netsim::HostId dst,
                                                       netsim::Port dst_port,
                                                       UdtConfig config) {
-  auto conn = std::shared_ptr<UdtConnection>(
-      new UdtConnection(host, dst, dst_port, config));
-  std::weak_ptr<UdtConnection> weak = conn;
-  conn->local_port_ = host.bind_ephemeral(
-      netsim::IpProto::kUdp, [weak](const netsim::Datagram& dg) {
-        if (auto c = weak.lock()) c->on_datagram(dg);
-      });
+  std::shared_ptr<UdtConnection> conn(
+      new UdtConnection(host, dst, dst_port, config, /*passive=*/false));
+  conn->bind();
   conn->start_handshake();
   return conn;
 }
 
-void UdtConnection::emit(std::shared_ptr<const netsim::DatagramBody> body,
-                         std::size_t payload_bytes) {
-  netsim::Datagram dg;
-  dg.dst = peer_;
-  dg.src_port = local_port_;
-  dg.dst_port = peer_port_;
-  dg.proto = netsim::IpProto::kUdp;
-  dg.wire_bytes = payload_bytes + netsim::kIpUdpHeaderBytes + kUdtHeaderBytes;
-  dg.body = std::move(body);
-  host_.send(std::move(dg));
+bool UdtConnection::opens(const netsim::Datagram& dg) {
+  const auto* hs = dynamic_cast<const UdtHandshake*>(dg.body.get());
+  return hs && !hs->response;
+}
+
+void UdtConnection::accept(const netsim::Datagram& request) {
+  const auto& hs = static_cast<const UdtHandshake&>(*request.body);
+  flow_window_bytes_ = std::max<std::uint64_t>(hs.avail, kMss);
+  send_handshake(true);
+  enter_established();
+}
+
+bool UdtConnection::reanswer_open() {
+  send_handshake(true);
+  return true;
+}
+
+void UdtConnection::cancel_timers() {
+  pacer_event_.cancel();
+  rate_event_.cancel();
+  exp_event_.cancel();
+  ack_event_.cancel();
+  hs_event_.cancel();
+}
+
+std::shared_ptr<const netsim::DatagramBody> UdtConnection::shutdown_packet()
+    const {
+  return std::make_shared<UdtShutdown>();
 }
 
 void UdtConnection::send_handshake(bool response) {
@@ -104,73 +109,46 @@ void UdtConnection::send_handshake(bool response) {
 
 void UdtConnection::start_handshake() {
   send_handshake(false);
-  std::weak_ptr<UdtConnection> weak = weak_from_this();
-  hs_event_ = simulator().schedule_after(config_.handshake_rto, [weak] {
-    auto c = weak.lock();
-    if (!c || c->state_ != ConnState::kConnecting) return;
-    if (++c->hs_retries_ > c->config_.handshake_retries) {
-      c->abort();
+  hs_event_ = after<UdtConnection>(config_.handshake_rto, [](UdtConnection& c) {
+    if (c.state() != ConnState::kConnecting) return;
+    if (++c.hs_retries_ > c.config_.handshake_retries) {
+      c.abort();
       return;
     }
-    c->start_handshake();
+    c.start_handshake();
   });
 }
 
 void UdtConnection::enter_established() {
-  if (state_ != ConnState::kConnecting) return;
-  state_ = ConnState::kEstablished;
   hs_event_.cancel();
   last_progress_ = simulator().now();
   recv_rate_mark_ = simulator().now();
 
   // Recurring SYN-interval jobs: sender rate control and receiver ACKs.
-  std::weak_ptr<UdtConnection> weak = weak_from_this();
-  rate_event_ = simulator().schedule_after(config_.syn_interval, [weak] {
-    if (auto c = weak.lock())
-      if (c->state_ != ConnState::kClosed) c->rate_control_tick_and_rearm();
+  rate_event_ = after<UdtConnection>(kSynInterval, [](UdtConnection& c) {
+    if (c.state() != ConnState::kClosed) c.rate_control_tick_and_rearm();
   });
-  ack_event_ = simulator().schedule_after(config_.syn_interval, [weak] {
-    if (auto c = weak.lock())
-      if (c->state_ != ConnState::kClosed) c->ack_timer_fire();
+  ack_event_ = after<UdtConnection>(kSynInterval, [](UdtConnection& c) {
+    if (c.state() != ConnState::kClosed) c.ack_timer_fire();
   });
   arm_exp_timer();
-
-  if (on_connected_) on_connected_();
-  schedule_pacer();
+  establish();
 }
-
-std::size_t UdtConnection::write(std::span<const std::uint8_t> data) {
-  if (state_ == ConnState::kClosed || state_ == ConnState::kClosing) return 0;
-  const std::size_t n = send_buf_.write(data);
-  stats_.bytes_written += n;
-  if (n < data.size()) want_writable_ = true;
-  if (state_ == ConnState::kEstablished) schedule_pacer();
-  return n;
-}
-
-std::size_t UdtConnection::writable_bytes() const {
-  if (state_ == ConnState::kClosed || state_ == ConnState::kClosing) return 0;
-  return send_buf_.free_space();
-}
-
-std::size_t UdtConnection::unacked_bytes() const { return send_buf_.size(); }
 
 void UdtConnection::schedule_pacer() {
   if (pacer_armed_) return;
-  if (state_ != ConnState::kEstablished && state_ != ConnState::kClosing) return;
+  if (state() != ConnState::kEstablished && state() != ConnState::kClosing) return;
   if (loss_list_.empty() && next_seq_ >= send_buf_.end()) return;
   pacer_armed_ = true;
   const TimePoint now = simulator().now();
   if (next_send_at_ < now) next_send_at_ = now;
-  std::weak_ptr<UdtConnection> weak = weak_from_this();
-  pacer_event_ = simulator().schedule_at(next_send_at_, [weak] {
-    if (auto c = weak.lock()) c->pacer_fire();
-  });
+  pacer_event_ = after<UdtConnection>(next_send_at_ - now,
+                                      [](UdtConnection& c) { c.pacer_fire(); });
 }
 
 void UdtConnection::pacer_fire() {
   pacer_armed_ = false;
-  if (state_ != ConnState::kEstablished && state_ != ConnState::kClosing) return;
+  if (state() != ConnState::kEstablished && state() != ConnState::kClosing) return;
 
   ++pkts_since_probe_;
   const bool probe = (pkts_since_probe_ >= kProbeEvery);
@@ -199,8 +177,7 @@ std::size_t UdtConnection::send_one(bool probe_head, bool probe_tail) {
       loss_list_.erase(it);
       continue;
     }
-    const auto len = std::min<std::size_t>(config_.mss,
-                                           static_cast<std::size_t>(e - s));
+    const auto len = std::min<std::size_t>(kMss, static_cast<std::size_t>(e - s));
     loss_list_.erase(it);
     if (s + len < e) loss_list_.emplace(s + len, e);
     send_data_packet(s, len, true, probe_head, probe_tail);
@@ -215,7 +192,7 @@ std::size_t UdtConnection::send_one(bool probe_head, bool probe_tail) {
     return 0;
   }
   const auto len = std::min<std::size_t>(
-      {config_.mss, static_cast<std::size_t>(send_buf_.end() - next_seq_),
+      {kMss, static_cast<std::size_t>(send_buf_.end() - next_seq_),
        static_cast<std::size_t>(window - inflight)});
   if (len == 0) return 0;
   send_data_packet(next_seq_, len, false, probe_head, probe_tail);
@@ -231,16 +208,13 @@ void UdtConnection::send_data_packet(std::uint64_t seq, std::size_t len,
   pkt->probe_head = probe_head;
   pkt->probe_tail = probe_tail;
   pkt->payload = send_buf_.read_at(seq, len);
-  emit(std::move(pkt), len);
-  ++stats_.segments_sent;
-  stats_.bytes_sent_wire += len;
-  if (retransmit) ++stats_.segments_retransmitted;
+  emit_data(std::move(pkt), len, retransmit);
 }
 
 void UdtConnection::rate_control_tick() {
-  if (state_ != ConnState::kEstablished && state_ != ConnState::kClosing) return;
-  const double ps = static_cast<double>(config_.mss);
-  const double syn_s = config_.syn_interval.as_seconds();
+  if (state() != ConnState::kEstablished && state() != ConnState::kClosing) return;
+  const double ps = static_cast<double>(kMss);
+  const double syn_s = kSynInterval.as_seconds();
   double rate = ps / inter_pkt_interval_s_;  // bytes/s
 
   if (!slow_start_done_) {
@@ -280,26 +254,21 @@ void UdtConnection::rate_control_tick() {
 
 void UdtConnection::rate_control_tick_and_rearm() {
   rate_control_tick();
-  std::weak_ptr<UdtConnection> weak = weak_from_this();
-  rate_event_ = simulator().schedule_after(config_.syn_interval, [weak] {
-    if (auto c = weak.lock())
-      if (c->state_ != ConnState::kClosed) c->rate_control_tick_and_rearm();
+  rate_event_ = after<UdtConnection>(kSynInterval, [](UdtConnection& c) {
+    if (c.state() != ConnState::kClosed) c.rate_control_tick_and_rearm();
   });
 }
 
 void UdtConnection::arm_exp_timer() {
   exp_event_.cancel();
-  if (state_ == ConnState::kClosed) return;
-  std::weak_ptr<UdtConnection> weak = weak_from_this();
-  exp_event_ = simulator().schedule_after(config_.exp_timeout, [weak] {
-    if (auto c = weak.lock()) c->on_exp_timeout();
-  });
+  if (state() == ConnState::kClosed) return;
+  exp_event_ = after<UdtConnection>(kExpTimeout,
+                                    [](UdtConnection& c) { c.on_exp_timeout(); });
 }
 
 void UdtConnection::on_exp_timeout() {
-  if (state_ == ConnState::kClosed) return;
-  const bool stalled =
-      simulator().now() - last_progress_ >= config_.exp_timeout;
+  if (state() == ConnState::kClosed) return;
+  const bool stalled = simulator().now() - last_progress_ >= kExpTimeout;
   if (stalled && next_seq_ > snd_una_) {
     // Feedback starved with data in flight: declare everything lost.
     ++cc_.exp_events;
@@ -316,29 +285,25 @@ void UdtConnection::on_exp_timeout() {
 }
 
 void UdtConnection::handle_ack(const UdtAck& pkt) {
-  flow_window_bytes_ = std::max<std::uint64_t>(pkt.avail, config_.mss);
+  flow_window_bytes_ = std::max<std::uint64_t>(pkt.avail, kMss);
   if (pkt.est_bandwidth > 0.0) cc_.est_link_bandwidth = pkt.est_bandwidth;
   if (pkt.recv_rate > 0.0) peer_recv_rate_ = pkt.recv_rate;
   if (pkt.ack_to > snd_una_) {
     last_progress_ = simulator().now();
     consecutive_exp_ = 0;
+    const std::uint64_t acked = release_acked(pkt.ack_to);
     if (!slow_start_done_) {
-      ss_window_ += pkt.ack_to - snd_una_;
+      ss_window_ += acked;
       if (ss_window_ >= flow_window_bytes_) {
         // Window saturated without loss: leave slow start at the receiver's
         // measured delivery rate (or keep the ceiling if none reported yet).
         slow_start_done_ = true;
         if (peer_recv_rate_ > 0.0) {
           inter_pkt_interval_s_ =
-              static_cast<double>(config_.mss) / std::max(peer_recv_rate_, 1e4);
+              static_cast<double>(kMss) / std::max(peer_recv_rate_, 1e4);
         }
       }
     }
-    const std::uint64_t de = std::min<std::uint64_t>(pkt.ack_to, send_buf_.end());
-    const std::uint64_t ds = std::min<std::uint64_t>(snd_una_, send_buf_.end());
-    stats_.bytes_acked += de - ds;
-    snd_una_ = pkt.ack_to;
-    send_buf_.release_until(de);
     // Loss ranges below the cumulative ack are obsolete.
     while (!loss_list_.empty() && loss_list_.begin()->second <= snd_una_) {
       loss_list_.erase(loss_list_.begin());
@@ -348,10 +313,7 @@ void UdtConnection::handle_ack(const UdtAck& pkt) {
       node.key() = snd_una_;
       loss_list_.insert(std::move(node));
     }
-    if (want_writable_ && send_buf_.free_space() > 0) {
-      want_writable_ = false;
-      if (on_writable_) on_writable_();
-    }
+    notify_writable();
     maybe_finish_close();
   }
   schedule_pacer();
@@ -380,14 +342,13 @@ void UdtConnection::handle_nak(const UdtNak& pkt) {
       // bootstrap overshoot in one step instead of many 1/1.125 cuts.
       slow_start_done_ = true;
       inter_pkt_interval_s_ =
-          static_cast<double>(config_.mss) / std::max(peer_recv_rate_, 1e4);
+          static_cast<double>(kMss) / std::max(peer_recv_rate_, 1e4);
     }
     inter_pkt_interval_s_ *= kRateDecreaseFactor;
     const double min_interval =
-        static_cast<double>(config_.mss) / config_.max_rate_bytes_per_sec;
+        static_cast<double>(kMss) / config_.max_rate_bytes_per_sec;
     inter_pkt_interval_s_ = std::max(inter_pkt_interval_s_, min_interval);
-    cc_.rate_bytes_per_sec =
-        static_cast<double>(config_.mss) / inter_pkt_interval_s_;
+    cc_.rate_bytes_per_sec = static_cast<double>(kMss) / inter_pkt_interval_s_;
     ++cc_.rate_decreases;
     last_dec_seq_ = next_seq_;
   }
@@ -415,12 +376,7 @@ void UdtConnection::estimate_bandwidth(const UdtData& pkt) {
 void UdtConnection::handle_data(const UdtData& pkt) {
   estimate_bandwidth(pkt);
   const std::uint64_t prev_highest = reasm_.highest_seen();
-  reasm_.offer_span(pkt.seq, {pkt.payload.data(), pkt.payload.size()},
-                    [this](std::span<const std::uint8_t> run) {
-                      stats_.bytes_delivered += run.size();
-                      recv_bytes_interval_ += run.size();
-                      if (on_data_) on_data_(run);
-                    });
+  deliver(pkt.seq, pkt.payload);
   // Immediate NAK on first gap detection (UDT sends NAK as soon as a
   // sequence discontinuity is observed). Register the hole for paced
   // re-NAKs.
@@ -428,21 +384,22 @@ void UdtConnection::handle_data(const UdtData& pkt) {
     auto nak = std::make_shared<UdtNak>();
     nak->ranges.emplace_back(prev_highest, pkt.seq);
     emit(std::move(nak), 8);
-    const Duration base = config_.syn_interval * 4;
+    const Duration base = kSynInterval * 4;
     nak_backoff_[prev_highest] =
         NakBackoff{simulator().now() + base, base};
   }
 }
 
 void UdtConnection::ack_timer_fire() {
-  if (state_ == ConnState::kClosed) return;
+  if (state() == ConnState::kClosed) return;
   const TimePoint now = simulator().now();
   const double dt = (now - recv_rate_mark_).as_seconds();
   if (dt > 0.0) {
-    const double inst = static_cast<double>(recv_bytes_interval_) / dt;
+    const double inst =
+        static_cast<double>(stats_.bytes_delivered - recv_bytes_mark_) / dt;
     recv_rate_ = recv_rate_ * 0.875 + inst * 0.125;
   }
-  recv_bytes_interval_ = 0;
+  recv_bytes_mark_ = stats_.bytes_delivered;
   recv_rate_mark_ = now;
 
   auto ack = std::make_shared<UdtAck>();
@@ -455,10 +412,8 @@ void UdtConnection::ack_timer_fire() {
   // Periodic re-NAK of persistent holes.
   if (++nak_tick_ % 4 == 0) send_nak_now();
 
-  std::weak_ptr<UdtConnection> weak = weak_from_this();
-  ack_event_ = simulator().schedule_after(config_.syn_interval, [weak] {
-    if (auto c = weak.lock())
-      if (c->state_ != ConnState::kClosed) c->ack_timer_fire();
+  ack_event_ = after<UdtConnection>(kSynInterval, [](UdtConnection& c) {
+    if (c.state() != ConnState::kClosed) c.ack_timer_fire();
   });
 }
 
@@ -475,7 +430,7 @@ void UdtConnection::send_nak_now() {
   // before its retransmission can possibly have arrived just multiplies
   // duplicate retransmissions (ruinous on high-RTT paths).
   const TimePoint now = simulator().now();
-  const Duration base = config_.syn_interval * 4;
+  const Duration base = kSynInterval * 4;
   auto nak = std::make_shared<UdtNak>();
   for (const auto& range : ranges) {
     auto [it, inserted] =
@@ -493,35 +448,31 @@ void UdtConnection::send_nak_now() {
 }
 
 void UdtConnection::on_datagram(const netsim::Datagram& dg) {
-  if (dg.src != peer_) return;
-
   if (dg.corrupted) {
     // Same model as TCP: corrupted control packets are caught by the UDP
     // checksum and dropped; corrupted data packets model checksum-escaping
     // bit errors — flip one payload bit and let the framing CRC catch it.
     auto data = std::dynamic_pointer_cast<const UdtData>(dg.body);
-    if (!data || data->payload.empty() || state_ == ConnState::kConnecting) {
+    if (!data || data->payload.empty() || state() == ConnState::kConnecting) {
       return;
     }
     auto mutated = std::make_shared<UdtData>(*data);
-    auto& p = mutated->payload;
-    const std::size_t at = static_cast<std::size_t>(data->seq) % p.size();
-    p[at] ^= static_cast<std::uint8_t>(1u << (data->seq % 8));
+    flip_payload_bit(data->seq, mutated->payload);
     handle_data(*mutated);
     return;
   }
 
   if (auto hs = std::dynamic_pointer_cast<const UdtHandshake>(dg.body)) {
-    if (!passive_ && hs->response && state_ == ConnState::kConnecting) {
+    if (!passive_ && hs->response && state() == ConnState::kConnecting) {
       peer_port_ = dg.src_port;
-      flow_window_bytes_ = std::max<std::uint64_t>(hs->avail, config_.mss);
+      flow_window_bytes_ = std::max<std::uint64_t>(hs->avail, kMss);
       enter_established();
     } else if (passive_ && !hs->response) {
       send_handshake(true);  // our response was lost; re-announce
     }
     return;
   }
-  if (state_ == ConnState::kConnecting) return;
+  if (state() == ConnState::kConnecting) return;
 
   if (auto data = std::dynamic_pointer_cast<const UdtData>(dg.body)) {
     handle_data(*data);
@@ -534,76 +485,10 @@ void UdtConnection::on_datagram(const netsim::Datagram& dg) {
   }
 }
 
-void UdtConnection::close() {
-  if (state_ == ConnState::kClosed || state_ == ConnState::kClosing) return;
-  if (state_ == ConnState::kConnecting) {
-    abort();
-    return;
-  }
-  state_ = ConnState::kClosing;
-  close_requested_ = true;
-  maybe_finish_close();
-}
-
 void UdtConnection::maybe_finish_close() {
-  if (!close_requested_ || state_ == ConnState::kClosed) return;
+  if (state() != ConnState::kClosing) return;
   if (snd_una_ < send_buf_.end() || !loss_list_.empty()) return;
-  emit(std::make_shared<UdtShutdown>(), 0);
-  finish_close();
-}
-
-void UdtConnection::abort() {
-  if (state_ == ConnState::kClosed) return;
-  emit(std::make_shared<UdtShutdown>(), 0);
-  finish_close();
-}
-
-void UdtConnection::finish_close() {
-  if (state_ == ConnState::kClosed) return;
-  state_ = ConnState::kClosed;
-  pacer_event_.cancel();
-  rate_event_.cancel();
-  exp_event_.cancel();
-  ack_event_.cancel();
-  hs_event_.cancel();
-  auto cb = on_closed_;
-  if (cb) cb();
-}
-
-UdtListener::UdtListener(netsim::Host& host, netsim::Port port, UdtConfig config,
-                         AcceptFn on_accept)
-    : host_(host), port_(port), config_(config), on_accept_(std::move(on_accept)) {
-  host_.bind(netsim::IpProto::kUdp, port_,
-             [this](const netsim::Datagram& dg) { on_datagram(dg); });
-}
-
-UdtListener::~UdtListener() { host_.unbind(netsim::IpProto::kUdp, port_); }
-
-void UdtListener::on_datagram(const netsim::Datagram& dg) {
-  auto hs = std::dynamic_pointer_cast<const UdtHandshake>(dg.body);
-  if (!hs || hs->response) return;
-
-  const auto key = std::make_pair(dg.src, dg.src_port);
-  if (auto it = pending_.find(key); it != pending_.end()) {
-    if (auto existing = it->second.lock()) {
-      existing->send_handshake(true);
-      return;
-    }
-    pending_.erase(it);
-  }
-
-  auto conn = std::shared_ptr<UdtConnection>(new UdtConnection(
-      UdtConnection::Passive{}, host_, dg.src, dg.src_port, config_));
-  std::weak_ptr<UdtConnection> weak = conn;
-  conn->local_port_ = host_.bind_ephemeral(
-      netsim::IpProto::kUdp, [weak](const netsim::Datagram& d) {
-        if (auto c = weak.lock()) c->on_datagram(d);
-      });
-  conn->flow_window_bytes_ = std::max<std::uint64_t>(hs->avail, config_.mss);
-  conn->send_handshake(true);
-  conn->enter_established();
-  pending_[key] = conn;
-  if (on_accept_) on_accept_(std::move(conn));
+  abort();  // all data acknowledged: send the shutdown and close, as abort does
 }
 
 }  // namespace kmsg::transport

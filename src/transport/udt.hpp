@@ -12,6 +12,9 @@
 //    and acknowledges cumulatively every SYN interval, advertising its
 //    available buffer as the flow window.
 //
+// The socket plumbing (send and receive buffers, callbacks, close/abort) is
+// the shared StreamConnection core.
+//
 // Because progress depends on the sending *rate* rather than on a
 // window-per-RTT clock, throughput is largely insensitive to RTT — the
 // property the paper exploits on high-BDP paths. The protocol buffers default
@@ -21,31 +24,21 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
-#include <set>
 
-#include "netsim/network.hpp"
 #include "transport/connection.hpp"
-#include "transport/reassembly.hpp"
-#include "transport/ring_buffer.hpp"
 
 namespace kmsg::transport {
 
 struct UdtConfig {
-  std::size_t mss = netsim::kDefaultMtuPayload;
   /// Protocol buffer sizes; stock UDT defaults to 12 MB. The paper's modified
   /// Netty raised both to 100 MB for the WAN experiments.
   std::size_t send_buffer_bytes = 12 * 1024 * 1024;
   std::size_t recv_buffer_bytes = 12 * 1024 * 1024;
-  /// UDT's fixed rate-control period ("SYN interval").
-  Duration syn_interval = Duration::millis(10);
   /// Ceiling on the sending rate. Models the user-space processing bound
   /// that capped UDT at a few tens of MB/s even on loopback in the paper.
   double max_rate_bytes_per_sec = 45e6;
-  double initial_rate_bytes_per_sec = 2e6;
-  /// If no feedback arrives for this long while data is outstanding, the
-  /// sender assumes everything in flight was lost (EXP event).
-  Duration exp_timeout = Duration::millis(500);
   int handshake_retries = 8;
   Duration handshake_rto = Duration::millis(250);
   /// Consecutive EXP (feedback-starvation) events before the connection is
@@ -61,48 +54,46 @@ struct UdtCcStats {
   std::uint64_t exp_events = 0;
 };
 
-class UdtConnection final : public StreamConnection,
-                            public std::enable_shared_from_this<UdtConnection> {
+struct UdtData;
+struct UdtAck;
+struct UdtNak;
+
+class UdtConnection final : public StreamConnection {
  public:
+  using Config = UdtConfig;
+  static constexpr netsim::IpProto kProto = netsim::IpProto::kUdp;
+
   static std::shared_ptr<UdtConnection> connect(netsim::Host& host,
                                                 netsim::HostId dst,
                                                 netsim::Port dst_port,
                                                 UdtConfig config = {});
-
   ~UdtConnection() override;
-  UdtConnection(const UdtConnection&) = delete;
-  UdtConnection& operator=(const UdtConnection&) = delete;
-
-  std::size_t write(std::span<const std::uint8_t> data) override;
-  std::size_t writable_bytes() const override;
-  std::size_t unacked_bytes() const override;
-  ConnState state() const override { return state_; }
-  const ConnStats& stats() const override { return stats_; }
-  void set_on_data(DataFn fn) override { on_data_ = std::move(fn); }
-  void set_on_writable(PlainFn fn) override { on_writable_ = std::move(fn); }
-  void set_on_connected(PlainFn fn) override { on_connected_ = std::move(fn); }
-  void set_on_closed(PlainFn fn) override { on_closed_ = std::move(fn); }
-  void close() override;
-  void abort() override;
 
   const UdtCcStats& cc_stats() const { return cc_; }
-  netsim::Port local_port() const { return local_port_; }
 
  private:
-  friend class UdtListener;
-  struct Passive {};
+  friend class StreamListener<UdtConnection>;
 
   UdtConnection(netsim::Host& host, netsim::HostId peer, netsim::Port peer_port,
-                UdtConfig config);
-  UdtConnection(Passive, netsim::Host& host, netsim::HostId peer,
-                netsim::Port peer_port, UdtConfig config);
+                UdtConfig config, bool passive);
+
+  // Listener side: a handshake request opens; a repeated one is always
+  // answered again.
+  static bool opens(const netsim::Datagram& dg);
+  void accept(const netsim::Datagram& request);
+  bool reanswer_open();
+
+  void on_datagram(const netsim::Datagram& dg) override;
+  void kick() override { schedule_pacer(); }
+  void close_when_drained() override { maybe_finish_close(); }
+  std::shared_ptr<const netsim::DatagramBody> shutdown_packet() const override;
+  void cancel_timers() override;
 
   void start_handshake();
-  void on_datagram(const netsim::Datagram& dg);
   void enter_established();
-  void handle_data(const struct UdtData& pkt);
-  void handle_ack(const struct UdtAck& pkt);
-  void handle_nak(const struct UdtNak& pkt);
+  void handle_data(const UdtData& pkt);
+  void handle_ack(const UdtAck& pkt);
+  void handle_nak(const UdtNak& pkt);
 
   // Sender machinery.
   void schedule_pacer();
@@ -117,32 +108,17 @@ class UdtConnection final : public StreamConnection,
   void arm_exp_timer();
   void on_exp_timeout();
   void maybe_finish_close();
-  void finish_close();
   void send_handshake(bool response);
 
   // Receiver machinery.
   void ack_timer_fire();
   void send_nak_now();
-  void estimate_bandwidth(const struct UdtData& pkt);
+  void estimate_bandwidth(const UdtData& pkt);
 
-  void emit(std::shared_ptr<const netsim::DatagramBody> body,
-            std::size_t payload_bytes);
-  sim::Simulator& simulator() { return host_.network_simulator(); }
-
-  netsim::Host& host_;
-  netsim::HostId peer_;
-  netsim::Port peer_port_;
-  netsim::Port local_port_ = 0;
   UdtConfig config_;
-  ConnState state_ = ConnState::kConnecting;
-  ConnStats stats_;
   UdtCcStats cc_;
-  bool passive_ = false;
 
   // --- Sender state ---
-  RingBuffer send_buf_;
-  std::uint64_t snd_una_ = 0;
-  std::uint64_t next_seq_ = 0;
   /// Byte ranges reported lost, awaiting retransmission (sorted, disjoint).
   std::map<std::uint64_t, std::uint64_t> loss_list_;  // start -> end
   double inter_pkt_interval_s_ = 0.0;                 // pacing gap, seconds
@@ -155,8 +131,6 @@ class UdtConnection final : public StreamConnection,
   bool nak_this_syn_ = false;
   std::uint64_t last_dec_seq_ = 0;  // congestion-epoch marker
   std::uint64_t pkts_since_probe_ = 0;
-  bool want_writable_ = false;
-  bool close_requested_ = false;
   /// Last *progress* (cumulative-ack advance or NAK): plain keep-alive ACKs
   /// do not count, or tail loss would never trigger the EXP path.
   TimePoint last_progress_ = TimePoint::zero();
@@ -169,7 +143,6 @@ class UdtConnection final : public StreamConnection,
   double peer_recv_rate_ = 0.0;  ///< receive rate reported in ACKs
 
   // --- Receiver state ---
-  ReassemblyBuffer reasm_;
   /// Per-hole NAK pacing: a hole (keyed by its start offset) is re-NAKed
   /// with exponential backoff so a retransmission gets a chance to arrive
   /// before the range is requested again (approximates UDT's RTT-paced
@@ -184,40 +157,16 @@ class UdtConnection final : public StreamConnection,
   bool expect_probe_tail_ = false;
   double est_bandwidth_ = 0.0;   // packet-pair EWMA, bytes/s
   double recv_rate_ = 0.0;       // delivered bytes/s EWMA
-  std::uint64_t recv_bytes_interval_ = 0;
+  std::uint64_t recv_bytes_mark_ = 0;  // bytes_delivered at recv_rate_mark_
   TimePoint recv_rate_mark_ = TimePoint::zero();
   std::uint64_t nak_tick_ = 0;
 
   // Handshake.
   sim::EventHandle hs_event_;
   int hs_retries_ = 0;
-
-  DataFn on_data_;
-  PlainFn on_writable_;
-  PlainFn on_connected_;
-  PlainFn on_closed_;
 };
 
-class UdtListener {
- public:
-  using AcceptFn = std::function<void(std::shared_ptr<UdtConnection>)>;
-
-  UdtListener(netsim::Host& host, netsim::Port port, UdtConfig config,
-              AcceptFn on_accept);
-  ~UdtListener();
-  UdtListener(const UdtListener&) = delete;
-  UdtListener& operator=(const UdtListener&) = delete;
-
-  netsim::Port port() const { return port_; }
-
- private:
-  void on_datagram(const netsim::Datagram& dg);
-
-  netsim::Host& host_;
-  netsim::Port port_;
-  UdtConfig config_;
-  AcceptFn on_accept_;
-  std::map<std::pair<netsim::HostId, netsim::Port>, std::weak_ptr<UdtConnection>> pending_;
-};
+/// Passive opener: accepts UDT connections on a UDP port.
+using UdtListener = StreamListener<UdtConnection>;
 
 }  // namespace kmsg::transport

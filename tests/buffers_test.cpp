@@ -90,12 +90,23 @@ TEST(RingBufferTest, ZeroCapacityRejected) {
 
 // --- ReassemblyBuffer ---
 
+/// Offers [at, at + data.size()) and collects every run the buffer
+/// surrenders, in order.
+std::vector<std::uint8_t> offer(ReassemblyBuffer& rb, std::uint64_t at,
+                                const std::vector<std::uint8_t>& data) {
+  std::vector<std::uint8_t> out;
+  rb.offer_span(at, data, [&out](std::span<const std::uint8_t> run) {
+    out.insert(out.end(), run.begin(), run.end());
+  });
+  return out;
+}
+
 TEST(ReassemblyTest, InOrderFastPath) {
   ReassemblyBuffer rb(1024);
-  auto out = rb.offer(0, bytes({1, 2, 3}));
+  auto out = offer(rb, 0, bytes({1, 2, 3}));
   EXPECT_EQ(out, bytes({1, 2, 3}));
   EXPECT_EQ(rb.expected(), 3u);
-  out = rb.offer(3, bytes({4, 5}));
+  out = offer(rb, 3, bytes({4, 5}));
   EXPECT_EQ(out, bytes({4, 5}));
   EXPECT_EQ(rb.expected(), 5u);
   EXPECT_EQ(rb.buffered_bytes(), 0u);
@@ -103,9 +114,9 @@ TEST(ReassemblyTest, InOrderFastPath) {
 
 TEST(ReassemblyTest, OutOfOrderHoldsThenReleases) {
   ReassemblyBuffer rb(1024);
-  EXPECT_TRUE(rb.offer(3, bytes({4, 5})).empty());
+  EXPECT_TRUE(offer(rb, 3, bytes({4, 5})).empty());
   EXPECT_EQ(rb.buffered_bytes(), 2u);
-  auto out = rb.offer(0, bytes({1, 2, 3}));
+  auto out = offer(rb, 0, bytes({1, 2, 3}));
   EXPECT_EQ(out, bytes({1, 2, 3, 4, 5}));
   EXPECT_EQ(rb.expected(), 5u);
   EXPECT_EQ(rb.buffered_bytes(), 0u);
@@ -113,29 +124,29 @@ TEST(ReassemblyTest, OutOfOrderHoldsThenReleases) {
 
 TEST(ReassemblyTest, DuplicatesTrimmed) {
   ReassemblyBuffer rb(1024);
-  rb.offer(0, bytes({1, 2, 3}));
-  EXPECT_TRUE(rb.offer(0, bytes({1, 2, 3})).empty());  // full duplicate
-  auto out = rb.offer(1, bytes({2, 3, 4}));            // overlap + new byte
+  offer(rb, 0, bytes({1, 2, 3}));
+  EXPECT_TRUE(offer(rb, 0, bytes({1, 2, 3})).empty());  // full duplicate
+  auto out = offer(rb, 1, bytes({2, 3, 4}));            // overlap + new byte
   EXPECT_EQ(out, bytes({4}));
   EXPECT_EQ(rb.expected(), 4u);
 }
 
 TEST(ReassemblyTest, OverlappingOutOfOrderSegments) {
   ReassemblyBuffer rb(1024);
-  EXPECT_TRUE(rb.offer(5, bytes({6, 7})).empty());
-  EXPECT_TRUE(rb.offer(4, bytes({5, 6, 7, 8})).empty());  // overlaps parked
+  EXPECT_TRUE(offer(rb, 5, bytes({6, 7})).empty());
+  EXPECT_TRUE(offer(rb, 4, bytes({5, 6, 7, 8})).empty());  // overlaps parked
   // The closing segment returns everything newly contiguous: itself plus the
   // absorbed parked bytes.
-  auto out = rb.offer(0, bytes({1, 2, 3, 4}));
+  auto out = offer(rb, 0, bytes({1, 2, 3, 4}));
   EXPECT_EQ(out, bytes({1, 2, 3, 4, 5, 6, 7, 8}));
   EXPECT_EQ(rb.expected(), 8u);
 }
 
 TEST(ReassemblyTest, CapacityOverflowDrops) {
   ReassemblyBuffer rb(4);
-  EXPECT_TRUE(rb.offer(10, bytes({1, 2, 3})).empty());
+  EXPECT_TRUE(offer(rb, 10, bytes({1, 2, 3})).empty());
   EXPECT_EQ(rb.drops(), 0u);
-  EXPECT_TRUE(rb.offer(20, bytes({4, 5})).empty());  // would exceed 4 bytes
+  EXPECT_TRUE(offer(rb, 20, bytes({4, 5})).empty());  // would exceed 4 bytes
   EXPECT_EQ(rb.drops(), 1u);
   EXPECT_EQ(rb.buffered_bytes(), 3u);
 }
@@ -143,14 +154,14 @@ TEST(ReassemblyTest, CapacityOverflowDrops) {
 TEST(ReassemblyTest, AvailableShrinksWithParkedBytes) {
   ReassemblyBuffer rb(10);
   EXPECT_EQ(rb.available(), 10u);
-  rb.offer(5, bytes({1, 2, 3}));
+  offer(rb, 5, bytes({1, 2, 3}));
   EXPECT_EQ(rb.available(), 7u);
 }
 
 TEST(ReassemblyTest, MissingRangesEnumeration) {
   ReassemblyBuffer rb(1024);
-  rb.offer(10, bytes({1, 2}));   // [10,12)
-  rb.offer(20, bytes({3}));      // [20,21)
+  offer(rb, 10, bytes({1, 2}));   // [10,12)
+  offer(rb, 20, bytes({3}));      // [20,21)
   auto ranges = rb.missing_ranges(10);
   ASSERT_EQ(ranges.size(), 2u);
   EXPECT_EQ(ranges[0], std::make_pair(std::uint64_t{0}, std::uint64_t{10}));
@@ -161,7 +172,7 @@ TEST(ReassemblyTest, MissingRangesEnumeration) {
 
 TEST(ReassemblyTest, MissingRangesIncludesDroppedBytes) {
   ReassemblyBuffer rb(2);
-  rb.offer(10, bytes({1, 2, 3}));  // dropped (over capacity)
+  offer(rb, 10, bytes({1, 2, 3}));  // dropped (over capacity)
   EXPECT_EQ(rb.drops(), 1u);
   auto ranges = rb.missing_ranges(4);
   ASSERT_EQ(ranges.size(), 1u);
@@ -200,7 +211,7 @@ TEST(ReassemblyTest, RandomizedStreamReconstruction) {
     ReassemblyBuffer rb(1 << 20);
     std::vector<std::uint8_t> got;
     for (auto& [at, seg] : segs) {
-      auto out = rb.offer(at, seg);
+      auto out = offer(rb, at, seg);
       got.insert(got.end(), out.begin(), out.end());
     }
     EXPECT_EQ(got, stream) << "trial " << trial;

@@ -15,11 +15,13 @@ The committed file is the curated trajectory format ({"benchmarks": {name:
 ({"benchmarks": [{"name": ..., "real_time": ...}]}). Both shapes are accepted
 on either side so the script also works for raw-vs-raw comparisons.
 
-The gate is only a hard failure for plain Release builds: under sanitizers or
-any non-Release build type the timings are not comparable to the committed
-Release numbers, so regressions are reported as warnings (exit 0). Benchmarks
-present on only one side are reported but never fatal — new benchmarks have no
-baseline yet and retired ones have no current number.
+The timing gate is only a hard failure for plain Release builds on the host
+class the baseline was stamped on. Under sanitizers, any non-Release build
+type, or a CPU count (the fresh context.num_cpus) other than the baseline's
+machine.num_cpus, the timings are not comparable to the committed numbers, so
+the diff is printed and regressions are reported as warnings (exit 0).
+Benchmarks present on only one side are reported but never fatal — new
+benchmarks have no baseline yet and retired ones have no current number.
 """
 import argparse
 import json
@@ -91,13 +93,28 @@ def bytes_per_msg(doc):
     return out
 
 
-def is_soft(doc):
-    """True when timings are not comparable to the committed Release numbers."""
-    ctx = doc.get("context", {})
-    return (
-        ctx.get("kmsg_sanitized") == "yes"
-        or ctx.get("kmsg_build_type", "Release") != "Release"
-    )
+def num_cpus(doc):
+    """The CPU count a run was stamped with: context.num_cpus in raw
+    google-benchmark output, machine.num_cpus in the curated trajectory."""
+    for section in ("context", "machine"):
+        n = doc.get(section, {}).get("num_cpus")
+        if isinstance(n, int):
+            return n
+    return None
+
+
+def soft_reason(fresh_doc, base_doc):
+    """Why the fresh timings are not comparable to the baseline's, or None."""
+    ctx = fresh_doc.get("context", {})
+    if ctx.get("kmsg_sanitized") == "yes":
+        return "sanitized build"
+    build_type = ctx.get("kmsg_build_type", "Release")
+    if build_type != "Release":
+        return f"{build_type} build"
+    fresh_cpus, base_cpus = num_cpus(fresh_doc), num_cpus(base_doc)
+    if fresh_cpus != base_cpus:
+        return f"{fresh_cpus}-CPU host vs a {base_cpus}-CPU baseline"
+    return None
 
 
 def main():
@@ -123,7 +140,8 @@ def main():
               file=sys.stderr)
         sys.exit(1)
 
-    soft = is_soft(fresh_doc)
+    reason = soft_reason(fresh_doc, base_doc)
+    soft = reason is not None
     regressions = []
     for name in sorted(set(fresh) & set(base)):
         # The baseline entry picks the gated metric (default wall-clock).
@@ -167,8 +185,8 @@ def main():
     if regressions:
         summary = ", ".join(f"{n} +{d:.1f}%" for n, d in regressions)
         if soft:
-            print(f"bench regression WARNING (non-Release/sanitized build, "
-                  f"not enforced): {summary}", file=sys.stderr)
+            print(f"bench regression WARNING ({reason}, not enforced): "
+                  f"{summary}", file=sys.stderr)
             sys.exit(0)
         print(f"bench regression FAILURE (>{args.threshold:.0f}% ns/op): "
               f"{summary}", file=sys.stderr)

@@ -1,7 +1,6 @@
 // Node crash-recovery tests: the netsim process fault domain (crash-stop /
 // crash-recovery with incarnation bumps), supervision-tree restart policies,
-// incarnation-fenced sessions with dead-letter replay to the reborn peer,
-// and the decorrelated-jitter backoff primitive.
+// and incarnation-fenced sessions with dead-letter replay to the reborn peer.
 //
 // "No leaked arena events" across crash/restart cycles is asserted by the
 // ASan/LSan CI job running this binary — a kill that dropped mailbox events
@@ -10,7 +9,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,62 +17,12 @@
 #include "apps/filetransfer.hpp"
 #include "apps/gossip.hpp"
 #include "apps/messages.hpp"
-#include "common/backoff.hpp"
 #include "messaging/reliable.hpp"
 #include "netsim/chaos.hpp"
 #include "chaos_repro.hpp"
 
 namespace kmsg {
 namespace {
-
-// =====================================================================
-// Decorrelated jitter (satellite: reconnect/retransmit backoff spread)
-// =====================================================================
-
-TEST(DecorrelatedJitterTest, DrawsStayBoundedAndChainGrowsWithSpread) {
-  Rng rng(42);
-  const Duration base = Duration::millis(100);
-  const Duration cap = Duration::seconds(8.0);
-
-  Duration prev = Duration::zero();
-  std::set<std::int64_t> distinct;
-  Duration max_seen = Duration::zero();
-  for (int i = 0; i < 200; ++i) {
-    const Duration d = decorrelated_backoff(rng, base, cap, prev);
-    ASSERT_GE(d, base);
-    ASSERT_LE(d, cap);
-    distinct.insert(d.as_nanos());
-    max_seen = std::max(max_seen, d);
-    prev = d;
-  }
-  // The first draw is exactly `base`; after that the draws must actually
-  // jitter (spread) and the chain must be able to grow well past the base.
-  EXPECT_GT(distinct.size(), 100u);
-  EXPECT_GT(max_seen, Duration::seconds(1.0));
-}
-
-TEST(DecorrelatedJitterTest, DistinctSeedsDecorrelate) {
-  const Duration base = Duration::millis(100);
-  const Duration cap = Duration::seconds(8.0);
-  Rng r1(1), r2(2);
-  Duration p1 = Duration::zero(), p2 = Duration::zero();
-  bool diverged = false;
-  for (int i = 0; i < 8; ++i) {
-    p1 = decorrelated_backoff(r1, base, cap, p1);
-    p2 = decorrelated_backoff(r2, base, cap, p2);
-    if (p1 != p2) diverged = true;
-  }
-  EXPECT_TRUE(diverged) << "two nodes with distinct seeds retried in lockstep";
-}
-
-TEST(DecorrelatedJitterTest, JitterKnobsDefaultOff) {
-  // Jitter changes retry timing, so it must be opt-in: deterministic replay
-  // suites that pin exact timelines stay byte-identical by default.
-  messaging::NetworkConfig nc;
-  EXPECT_FALSE(nc.session_reconnect_jitter);
-  messaging::ReliableConfig rc;
-  EXPECT_FALSE(rc.retransmit_jitter);
-}
 
 // =====================================================================
 // Netsim process fault domain

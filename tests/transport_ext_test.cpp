@@ -291,11 +291,10 @@ TEST(LedbatTest, YieldsToCompetingTcpFlow) {
 }
 
 TEST(LedbatTest, QueuingDelayStaysNearTarget) {
-  // Solo LEDBAT should stabilise queueing delay around its target instead of
-  // filling the buffer like loss-based CC does.
+  // Solo LEDBAT should stabilise queueing delay around its 25 ms target
+  // instead of filling the buffer like loss-based CC does.
   World w(bottleneck(20e6, Duration::millis(20)));
   LedbatConfig cfg;
-  cfg.target_delay = Duration::millis(25);
   std::shared_ptr<LedbatConnection> server;
   LedbatListener listener(*w.b, 70, cfg, [&](auto conn) {
     server = conn;
