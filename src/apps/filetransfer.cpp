@@ -24,9 +24,16 @@ void DataSource::setup() {
       pump();
       return;
     }
-    KMSG_WARN("data-source") << "chunk send failed via " << to_string(resp.via)
-                             << " (" << to_string(resp.status)
-                             << "), will retransmit offset " << failed.offset;
+    // Failed is a local rejection — mostly the session-queue cap, which
+    // queue_overflow already counts — so only PeerFailed/TimedOut warn.
+    const LogLevel level = resp.status == messaging::DeliveryStatus::kFailed
+                               ? LogLevel::kDebug
+                               : LogLevel::kWarn;
+    KMSG_LOG(level, "data-source") << "chunk send failed via "
+                                   << to_string(resp.via) << " ("
+                                   << to_string(resp.status)
+                                   << "), will retransmit offset "
+                                   << failed.offset;
     // The chunk never reached the wire; schedule it for retransmission so a
     // fixed-size transfer still completes (queue overflow / peer death drop
     // frames, and nothing below this layer resends them).

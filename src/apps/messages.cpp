@@ -15,12 +15,6 @@ std::uint8_t payload_byte(std::uint64_t pos) {
 
 }  // namespace
 
-std::vector<std::uint8_t> make_payload(std::uint64_t offset, std::size_t len) {
-  std::vector<std::uint8_t> out(len);
-  for (std::size_t i = 0; i < len; ++i) out[i] = payload_byte(offset + i);
-  return out;
-}
-
 wire::BufSlice make_payload_slice(std::uint64_t offset, std::size_t len) {
   wire::ByteBuf buf{len};
   auto span = buf.write_span(len);

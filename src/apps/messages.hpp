@@ -34,13 +34,6 @@ class DataChunkMsg final : public messaging::Msg, public messaging::DataMsg {
         offset_(offset),
         bytes_(std::move(bytes)),
         last_(last) {}
-  /// Compatibility: copies the vector into a pooled slab.
-  DataChunkMsg(messaging::DataHeader header, std::uint64_t transfer_id,
-               std::uint64_t offset, const std::vector<std::uint8_t>& bytes,
-               bool last)
-      : DataChunkMsg(header, transfer_id, offset,
-                     wire::BufSlice::copy_of({bytes.data(), bytes.size()}),
-                     last) {}
 
   const messaging::Header& header() const override { return header_; }
   std::uint32_t type_id() const override { return kDataChunkTypeId; }
@@ -173,12 +166,10 @@ void register_app_serializers(messaging::SerializerRegistry& registry);
 /// systems that enable NetworkConfig::enable_delta.
 void register_app_delta_schemas(messaging::SerializerRegistry& registry);
 
-/// Deterministic, effectively incompressible payload: byte i of a chunk at
-/// absolute `offset` depends only on the global position, so any receiver
-/// can verify content without sharing state with the sender.
-std::vector<std::uint8_t> make_payload(std::uint64_t offset, std::size_t len);
-/// Generates the payload directly into a pooled slab — the "initial write"
-/// of the zero-copy pipeline (no intermediate vector).
+/// Deterministic, effectively incompressible payload generated straight
+/// into a pooled slab (the "initial write" of the zero-copy pipeline): byte
+/// i of a chunk at absolute `offset` depends only on the global position,
+/// so any receiver can verify content without sharing state with the sender.
 wire::BufSlice make_payload_slice(std::uint64_t offset, std::size_t len);
 bool verify_payload(std::uint64_t offset, std::span<const std::uint8_t> data);
 

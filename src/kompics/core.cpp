@@ -145,7 +145,6 @@ void Channel::forward_indication(EventPtr ev) {
 
 void Channel::forward_request(EventPtr ev) {
   if (provided_side_ == nullptr) return;
-  if (req_sel_ && !req_sel_(*ev)) return;
   provided_side_->deliver(std::move(ev));
 }
 

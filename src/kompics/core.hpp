@@ -229,7 +229,7 @@ class PortInstance {
 
 // --- Channels ---
 
-/// Per-direction event filter; an empty selector passes everything.
+/// Indication filter; an empty selector passes everything.
 using ChannelSelector = std::function<bool(const KompicsEvent&)>;
 
 class Channel {
@@ -240,7 +240,6 @@ class Channel {
   Channel& operator=(const Channel&) = delete;
 
   void set_indication_selector(ChannelSelector sel) { ind_sel_ = std::move(sel); }
-  void set_request_selector(ChannelSelector sel) { req_sel_ = std::move(sel); }
 
   /// provided -> required direction.
   void forward_indication(EventPtr ev);
@@ -257,7 +256,6 @@ class Channel {
   PortInstance* provided_side_;
   PortInstance* required_side_;
   ChannelSelector ind_sel_;
-  ChannelSelector req_sel_;
 };
 
 // --- Component definition (user-facing base class) ---

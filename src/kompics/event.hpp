@@ -316,8 +316,6 @@ EventRef<To> event_cast(const EventRef<From>& from) noexcept {
 struct Start final : KompicsEvent {};
 struct Stop final : KompicsEvent {};
 struct Kill final : KompicsEvent {};
-struct Started final : KompicsEvent {};
-struct Stopped final : KompicsEvent {};
 /// Published on a component's control port once its whole subtree has been
 /// torn down (post-order) and its mailboxes reclaimed — the terminal
 /// lifecycle notification. A killed component never executes again.

@@ -115,8 +115,6 @@ struct ControlPort : PortType {
     request<Start>();
     request<Stop>();
     request<Kill>();
-    indication<Started>();
-    indication<Stopped>();
     indication<Killed>();
   }
 };

@@ -1,27 +1,9 @@
 #include "kompics/system.hpp"
 
-#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
 namespace kmsg::kompics {
-
-std::string Config::get_string(const std::string& key, std::string fallback) const {
-  auto it = values_.find(key);
-  return it == values_.end() ? std::move(fallback) : it->second;
-}
-
-double Config::get_double(const std::string& key, double fallback) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
-}
-
-std::int64_t Config::get_int(const std::string& key, std::int64_t fallback) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
-}
 
 KompicsSystem::KompicsSystem(sim::Simulator& sim, SystemSettings settings)
     : settings_(settings),
@@ -90,8 +72,7 @@ void KompicsSystem::pin_home(ComponentDefinition& def, std::uint32_t worker) {
 }
 
 Channel& KompicsSystem::connect(PortInstance& provided, PortInstance& required,
-                                ChannelSelector indication_selector,
-                                ChannelSelector request_selector) {
+                                ChannelSelector indication_selector) {
   if (!provided.provided() || required.provided()) {
     throw std::logic_error(
         "connect: expected (provided, required) port pair for type " +
@@ -107,7 +88,6 @@ Channel& KompicsSystem::connect(PortInstance& provided, PortInstance& required,
   link_cores_(provided.owner(), required.owner());
   auto channel = std::make_unique<Channel>(&provided, &required);
   if (indication_selector) channel->set_indication_selector(std::move(indication_selector));
-  if (request_selector) channel->set_request_selector(std::move(request_selector));
   channels_.push_back(std::move(channel));
   return *channels_.back();
 }

@@ -1,4 +1,4 @@
-// KompicsSystem: owns components, channels, the scheduler and configuration.
+// KompicsSystem: owns components, channels and the scheduler.
 //
 // The system is the composition root: create components, connect their
 // ports, start them, and (in simulation mode) drive the simulator.
@@ -7,35 +7,12 @@
 #include <memory>
 #include <string>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 #include "kompics/core.hpp"
 #include "kompics/scheduler.hpp"
 
 namespace kmsg::kompics {
-
-/// Simple string-keyed configuration store with typed accessors; components
-/// read tunables from here (the Kompics config analogue).
-class Config {
- public:
-  void set(const std::string& key, std::string value) {
-    values_[key] = std::move(value);
-  }
-  void set(const std::string& key, double value) {
-    values_[key] = std::to_string(value);
-  }
-  void set(const std::string& key, std::int64_t value) {
-    values_[key] = std::to_string(value);
-  }
-  std::string get_string(const std::string& key, std::string fallback = "") const;
-  double get_double(const std::string& key, double fallback = 0.0) const;
-  std::int64_t get_int(const std::string& key, std::int64_t fallback = 0) const;
-  bool contains(const std::string& key) const { return values_.count(key) > 0; }
-
- private:
-  std::unordered_map<std::string, std::string> values_;
-};
 
 struct SystemSettings {
   /// Max queued events a component handles per scheduling — the paper's
@@ -71,10 +48,9 @@ class KompicsSystem {
   }
 
   /// Connects a provided port to a required port of the same port type.
-  /// Optional per-direction selectors filter events (ChannelSelector model).
+  /// An optional selector filters indications (ChannelSelector model).
   Channel& connect(PortInstance& provided, PortInstance& required,
-                   ChannelSelector indication_selector = {},
-                   ChannelSelector request_selector = {});
+                   ChannelSelector indication_selector = {});
   void disconnect(Channel& channel);
 
   /// Triggers Start on the component's control port.
@@ -99,7 +75,6 @@ class KompicsSystem {
 
   Scheduler& scheduler() { return *scheduler_; }
   const Clock& clock() const { return scheduler_->clock(); }
-  Config& config() { return config_; }
   std::size_t max_events_per_scheduling() const {
     return settings_.max_events_per_scheduling;
   }
@@ -142,7 +117,6 @@ class KompicsSystem {
   std::uint32_t next_home_ = 0;
   std::vector<std::unique_ptr<ComponentCore>> cores_;
   std::vector<std::unique_ptr<Channel>> channels_;
-  Config config_;
 };
 
 // Out-of-line: needs the complete KompicsSystem.

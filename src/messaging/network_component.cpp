@@ -17,6 +17,39 @@ NotifyId next_notify_id() {
 
 namespace {
 
+// Session policy that every deployment shares.
+/// Cadence of NetworkStatus indications (reward signal for the learner).
+constexpr Duration kStatusInterval = Duration::millis(100);
+/// Heartbeat cadence on idle established sessions (busy sessions derive
+/// liveness evidence from acknowledgement progress instead).
+constexpr Duration kHeartbeatInterval = Duration::millis(100);
+/// Suspicion score at which a peer transitions Healthy -> Suspected.
+constexpr double kPhiSuspect = 1.0;
+/// Suspicion score at which a Suspected peer is declared Dead.
+constexpr double kPhiDead = 8.0;
+/// Latency budget a message may wait for coalescing frame-mates.
+constexpr Duration kCoalesceDelay = Duration::micros(500);
+/// Byte ceiling on the serialised payload of one coalesced frame.
+constexpr std::size_t kCoalesceMaxBytes = 8 * 1024;
+
+/// Prepends the length/CRC frame header. Debug builds audit the headroom:
+/// whenever the payload solely owns its slab with room for the header, the
+/// header must land in place — a copy here means some layer's headroom
+/// budget is wrong.
+wire::BufSlice frame(wire::BufSlice payload) {
+#ifndef NDEBUG
+  const std::uint8_t* payload_before = payload.data();
+  const bool must_prepend_in_place =
+      payload.unique() && payload.headroom() >= wire::kFrameHeaderBytes;
+#endif
+  wire::BufSlice bytes = wire::encode_frame_slice(std::move(payload));
+#ifndef NDEBUG
+  assert(!must_prepend_in_place ||
+         bytes.data() + wire::kFrameHeaderBytes == payload_before);
+#endif
+  return bytes;
+}
+
 /// Calls fn(engine, port, engine_config) for stream transport `t` dialled or
 /// listened to on the announced `port`: the engine type as a
 /// std::type_identity, the engine's own wire port, and its config.
@@ -85,7 +118,7 @@ void NetworkComponent::setup() {
     started_ = true;
     start_listeners();
     status_tick();
-    if (config_.supervision_enabled) supervision_tick();
+    supervision_tick();
   });
   // A stopped or killed process must release the simulated host's resources
   // (port bindings, timers, connections) so a restarted incarnation can
@@ -102,25 +135,11 @@ void NetworkComponent::teardown() {
   // Same discipline as declare_dead: empty the maps first, abort after, so
   // each connection's deferred on_closed teardown finds nothing to re-erase.
   std::vector<std::shared_ptr<transport::StreamConnection>> doomed;
-  for (auto& [key, s] : sessions_) {
-    s->reconnect_timer.cancel();
-    s->coalesce_timer.cancel();
-    auto drop = [&](const PendingMsg& m) {
-      if (m.heartbeat) return;
-      ++stats_.msgs_dropped;
-      if (m.notify) {
-        notify_result(*m.notify, DeliveryStatus::kFailed, s->transport,
-                      m.payload_bytes);
-      }
-    };
-    if (s->wire) {
-      for (const auto& m : s->wire->msgs) drop(m);
-    }
-    for (const auto& m : s->queue) drop(m);
-    ++stats_.sessions_closed;
-    if (s->conn) doomed.push_back(s->conn);
+  while (!sessions_.empty()) {
+    const auto it = sessions_.begin();
+    dispose_queue(*it->second, DeliveryStatus::kFailed, nullptr);
+    if (auto conn = close_session(it)) doomed.push_back(std::move(conn));
   }
-  sessions_.clear();
   for (auto& [addr, ps] : peers_) {
     ps->probe_timer.cancel();
     if (ps->probe_conn) {
@@ -129,7 +148,7 @@ void NetworkComponent::teardown() {
     }
   }
   for (auto& in : inbound_) {
-    if (in->conn && !in->closed) doomed.push_back(in->conn);
+    if (in->conn) doomed.push_back(in->conn);
   }
   listeners_.clear();
   udp_.reset();
@@ -141,13 +160,9 @@ void NetworkComponent::teardown() {
 
 void NetworkComponent::start_listeners() {
   const auto self = config_.self;
-  const std::pair<Transport, bool> streams[] = {
-      {Transport::kTcp, config_.listen_tcp},
-      {Transport::kUdt, config_.listen_udt},
-      {Transport::kLedbat, config_.listen_ledbat}};
-  for (const auto& [t, on] : streams) {
-    if (!on) continue;
-    const auto accept = [this, t = t](std::shared_ptr<transport::StreamConnection> conn) {
+  for (const Transport t :
+       {Transport::kTcp, Transport::kUdt, Transport::kLedbat}) {
+    const auto accept = [this, t](std::shared_ptr<transport::StreamConnection> conn) {
       ++stats_.sessions_accepted;
       attach_inbound(std::move(conn), t);
     };
@@ -160,16 +175,14 @@ void NetworkComponent::start_listeners() {
               host_, port, engine_config, accept);
         });
   }
-  if (config_.listen_udp) {
-    udp_ = transport::UdpEndpoint::open(host_, self.port, config_.udp);
-    if (udp_) {
-      udp_->set_on_message(
-          [this](netsim::HostId, netsim::Port, wire::BufSlice payload) {
-            deliver_udp(std::move(payload));
-          });
-    } else {
-      KMSG_ERROR("network") << "UDP bind failed on port " << self.port;
-    }
+  udp_ = transport::UdpEndpoint::open(host_, self.port, config_.udp);
+  if (udp_) {
+    udp_->set_on_message(
+        [this](netsim::HostId, netsim::Port, wire::BufSlice payload) {
+          deliver_udp(std::move(payload));
+        });
+  } else {
+    KMSG_ERROR("network") << "UDP bind failed on port " << self.port;
   }
 }
 
@@ -187,10 +200,7 @@ void NetworkComponent::status_tick() {
         // close() triggers on_closed asynchronously, which erases the
         // session; remove it from the map first so the callback's deferred
         // erase finds nothing and the connection drains out gracefully.
-        auto conn = s.conn;
-        ++stats_.sessions_closed;
-        it = sessions_.erase(it);
-        conn->close();
+        close_session(it++)->close();
       } else {
         ++it;
       }
@@ -214,7 +224,7 @@ void NetworkComponent::status_tick() {
   }
   trigger(kompics::make_event<NetworkStatus>(std::move(statuses)), *net_port_);
   status_cancel_ = system().scheduler().schedule_delayed(
-      config_.status_interval, [this] { status_tick(); });
+      kStatusInterval, [this] { status_tick(); });
 }
 
 void NetworkComponent::notify_result(NotifyId id, DeliveryStatus status,
@@ -277,22 +287,20 @@ void NetworkComponent::handle_outgoing(MsgPtr msg, std::optional<NotifyId> notif
   // connection the message ends up on.
 
   const Address peer = h.destination().with_vnode(0);
-  if (config_.supervision_enabled) {
-    if (auto it = peers_.find(peer);
-        it != peers_.end() && it->second->health == PeerHealth::kDead) {
-      // The supervisor has declared this peer Dead: fail notifies
-      // immediately rather than letting them age in a queue, and park
-      // fire-and-forget messages for replay if the peer recovers in time.
-      if (notify) {
-        ++stats_.msgs_dropped;
-        notify_result(*notify, DeliveryStatus::kPeerFailed, proto,
-                      payload_bytes);
-      } else {
-        park_dead_letter(*it->second, std::move(*serialized), msg->type_id(),
-                         proto, payload_bytes);
-      }
-      return;
+  if (auto it = peers_.find(peer);
+      it != peers_.end() && it->second->health == PeerHealth::kDead) {
+    // The supervisor has declared this peer Dead: fail notifies immediately
+    // rather than letting them age in a queue, and park fire-and-forget
+    // messages for replay if the peer recovers in time.
+    if (notify) {
+      ++stats_.msgs_dropped;
+      notify_result(*notify, DeliveryStatus::kPeerFailed, proto,
+                    payload_bytes);
+    } else {
+      park_dead_letter(*it->second, std::move(*serialized), msg->type_id(),
+                       proto, payload_bytes);
     }
+    return;
   }
 
   Session& s = session_for(peer, proto);
@@ -355,7 +363,7 @@ NetworkComponent::Session& NetworkComponent::session_for(const Address& peer,
   Session& ref = *s;
   sessions_.emplace(key, std::move(s));
   ++stats_.sessions_opened;
-  if (config_.supervision_enabled) peer_state(peer);
+  peer_state(peer);
   open_session(ref);
   return ref;
 }
@@ -381,20 +389,18 @@ void NetworkComponent::open_session(Session& s) {
   conn->set_on_connected([this, peer, t] {
     auto it = sessions_.find({peer, t});
     if (it == sessions_.end()) return;
-    it->second->connected = true;
-    it->second->reconnect_attempts = 0;
-    it->second->acked_snapshot = 0;
-    send_hello(*it->second);
-    if (config_.supervision_enabled) {
-      if (it->second->channel_health != PeerHealth::kHealthy) {
-        emit_channel_status(peer, t, it->second->channel_health,
-                            PeerHealth::kHealthy, HealthReason::kConnected,
-                            0.0);
-        it->second->channel_health = PeerHealth::kHealthy;
-      }
-      record_alive(peer, HealthReason::kConnected);
+    Session& s = *it->second;
+    s.connected = true;
+    s.reconnect_attempts = 0;
+    s.acked_snapshot = 0;
+    send_hello(s);
+    if (s.channel_health != PeerHealth::kHealthy) {
+      emit_channel_status(peer, t, s.channel_health, PeerHealth::kHealthy,
+                          HealthReason::kConnected, 0.0);
+      s.channel_health = PeerHealth::kHealthy;
     }
-    drain(*it->second);
+    record_alive(peer, HealthReason::kConnected);
+    drain(s);
   });
   conn->set_on_writable([this, peer, t] {
     auto it = sessions_.find({peer, t});
@@ -406,14 +412,15 @@ void NetworkComponent::open_session(Session& s) {
   attach_inbound(conn, t, /*manage_close=*/false);
   auto* raw_conn = conn.get();
   conn->set_on_closed([this, peer, t, raw_conn] {
-    // Defer teardown to a fresh event: destroying the connection while one
-    // of its own frames is still on the stack would be use-after-free.
-    host_.network_simulator().schedule_after(Duration::zero(),
-                                             [this, peer, t, raw_conn] {
-                                               remove_inbound(raw_conn);
-                                               on_session_closed(peer, t);
-                                             });
+    defer([this, peer, t, raw_conn] {
+      remove_inbound(raw_conn);
+      on_session_closed(peer, t);
+    });
   });
+}
+
+void NetworkComponent::defer(SmallFn fn) {
+  host_.network_simulator().schedule_after(Duration::zero(), std::move(fn));
 }
 
 void NetworkComponent::drain(Session& s) {
@@ -431,7 +438,7 @@ void NetworkComponent::drain(Session& s) {
     if (w.offset < w.bytes.size()) return;  // transport backpressure
     stats_.wire_bytes_sent += w.bytes.size();
     for (PendingMsg& m : w.msgs) {
-      if (!m.heartbeat) {
+      if (!m.internal) {
         ++stats_.msgs_sent;
         stats_.bytes_sent += m.payload_bytes;
       }
@@ -447,20 +454,20 @@ void NetworkComponent::drain(Session& s) {
 
 bool NetworkComponent::should_build(Session& s) {
   if (!config_.enable_coalescing || s.flush_now) return true;
-  // Build immediately when an urgent message would otherwise wait, or the
+  // Build immediately when an internal message would otherwise wait, or the
   // queue already fills the frame's byte ceiling; otherwise hold the queue
   // open for frame-mates until the latency budget expires.
   std::size_t bytes = 0;
   for (const PendingMsg& m : s.queue) {
-    if (m.urgent) return true;
+    if (m.internal) return true;
     bytes += m.serialized.size();
-    if (bytes >= config_.coalesce_max_bytes) return true;
+    if (bytes >= kCoalesceMaxBytes) return true;
   }
   if (!s.coalesce_timer) {
     const Address peer = s.peer;
     const Transport t = s.transport;
     s.coalesce_timer = system().scheduler().schedule_delayed(
-        config_.coalesce_delay, [this, peer, t] {
+        kCoalesceDelay, [this, peer, t] {
           auto it = sessions_.find({peer, t});
           if (it == sessions_.end()) return;
           Session& ss = *it->second;
@@ -475,119 +482,94 @@ bool NetworkComponent::should_build(Session& s) {
 
 void NetworkComponent::build_wire_frame(Session& s) {
   s.coalesce_timer.cancel();
-  s.coalesce_timer = {};
   std::vector<PendingMsg> msgs;
   msgs.push_back(std::move(s.queue.front()));
   s.queue.pop_front();
   if (config_.enable_coalescing) {
     std::size_t bytes = msgs.front().serialized.size();
-    while (!s.queue.empty() && bytes + s.queue.front().serialized.size() <=
-                                   config_.coalesce_max_bytes) {
+    while (!s.queue.empty() &&
+           bytes + s.queue.front().serialized.size() <= kCoalesceMaxBytes) {
       bytes += s.queue.front().serialized.size();
       msgs.push_back(std::move(s.queue.front()));
       s.queue.pop_front();
     }
   }
 
-  wire::BufSlice payload;
+  WireFrame w;
   if (msgs.size() > 1) {
     std::vector<wire::BufSlice> subs;
     subs.reserve(msgs.size());
-    for (PendingMsg& m : msgs) subs.push_back(encode_submsg(s, m));
-    payload = wire::encode_wire_coalesced(subs);
+    for (PendingMsg& m : msgs) subs.push_back(encode_submsg(s.delta.get(), m));
+    w.bytes = frame(wire::encode_wire_coalesced(subs));
     ++stats_.coalesced_frames_sent;
     stats_.coalesced_msgs_sent += msgs.size();
-  } else if (config_.wire_v2()) {
-    payload = wire::encode_wire_single(encode_submsg(s, msgs.front()));
   } else {
-    payload = encode_submsg(s, msgs.front());
+    w.bytes = frame_single(s.delta.get(), msgs.front());
   }
-
-#ifndef NDEBUG
-  // Headroom audit: whenever the payload slice solely owns its slab with
-  // room for the frame header, encode_frame_slice must prepend in place —
-  // a copy here means some layer's headroom budget is wrong.
-  const std::uint8_t* payload_before = payload.data();
-  const bool must_prepend_in_place =
-      payload.unique() && payload.headroom() >= wire::kFrameHeaderBytes;
-#endif
-  WireFrame w;
-  w.bytes = wire::encode_frame_slice(std::move(payload));
-#ifndef NDEBUG
-  assert(!must_prepend_in_place ||
-         w.bytes.data() + wire::kFrameHeaderBytes == payload_before);
-#endif
   w.msgs = std::move(msgs);
   s.wire.emplace(std::move(w));
 }
 
-wire::BufSlice NetworkComponent::encode_submsg(Session& s, PendingMsg& m) {
+wire::BufSlice NetworkComponent::encode_submsg(DeltaEncoder* delta,
+                                               PendingMsg& m) {
   wire::BufSlice bytes;
-  if (config_.enable_delta && s.delta) {
+  if (delta != nullptr) {
     // Pass a shared copy and keep m.serialized: if this connection dies
     // before the frame completes, the reconnect path re-encodes the message
     // against the replacement connection's fresh encoder state. Keyframes
     // pay one small counted copy for the tag prepend (the slice is shared);
     // diffs build fresh buffers anyway.
-    const std::uint64_t deltas0 = s.delta->deltas_sent();
-    const std::uint64_t keys0 = s.delta->keyframes_sent();
-    const std::uint64_t saved0 = s.delta->bytes_saved();
-    bytes = s.delta->encode(m.type_id, m.serialized);
-    stats_.deltas_sent += s.delta->deltas_sent() - deltas0;
-    stats_.delta_keyframes_sent += s.delta->keyframes_sent() - keys0;
-    stats_.delta_bytes_saved += s.delta->bytes_saved() - saved0;
+    const std::uint64_t deltas0 = delta->deltas_sent();
+    const std::uint64_t keys0 = delta->keyframes_sent();
+    const std::uint64_t saved0 = delta->bytes_saved();
+    bytes = delta->encode(m.type_id, m.serialized);
+    stats_.deltas_sent += delta->deltas_sent() - deltas0;
+    stats_.delta_keyframes_sent += delta->keyframes_sent() - keys0;
+    stats_.delta_bytes_saved += delta->bytes_saved() - saved0;
   } else {
     // No re-encode possible or needed: move the serialised bytes out so the
     // downstream prepends (pipeline tag, wire tag, frame header) land in the
     // serialise slab's headroom — the zero-copy path.
     bytes = std::move(m.serialized);
+    // Delta on but no session encoder (an echo): a stateless keyframe.
+    if (config_.enable_delta) bytes = DeltaEncoder::encode_full(std::move(bytes));
   }
   return pipeline_.process_outbound(std::move(bytes));
 }
 
-wire::BufSlice NetworkComponent::encode_oneoff_frame(wire::BufSlice serialized) {
-  wire::BufSlice bytes = std::move(serialized);
-  if (config_.enable_delta) bytes = DeltaEncoder::encode_full(std::move(bytes));
-  bytes = pipeline_.process_outbound(std::move(bytes));
-  if (config_.wire_v2()) bytes = wire::encode_wire_single(std::move(bytes));
-  return wire::encode_frame_slice(std::move(bytes));
-}
-
-NetworkComponent::PendingMsg NetworkComponent::make_internal_msg(const Msg& msg) {
-  PendingMsg m;
-  m.type_id = msg.type_id();
-  m.heartbeat = true;
-  m.urgent = true;
-  if (auto serialized = registry_->serialize(msg)) {
-    m.serialized = std::move(*serialized);
-    m.acct_bytes = m.serialized.size();
-  }
-  return m;
+wire::BufSlice NetworkComponent::frame_single(DeltaEncoder* delta,
+                                              PendingMsg& m) {
+  wire::BufSlice payload = encode_submsg(delta, m);
+  if (config_.wire_v2()) payload = wire::encode_wire_single(std::move(payload));
+  return frame(std::move(payload));
 }
 
 void NetworkComponent::on_session_closed(const Address& peer, Transport t) {
   auto it = sessions_.find({peer, t});
   if (it == sessions_.end()) return;
   Session& s = *it->second;
-  ++stats_.sessions_closed;
+  PeerState& ps = peer_state(peer);
 
-  if (config_.supervision_enabled && !s.connected) {
+  if (!s.connected) {
     // The channel never established: no heartbeat stream exists for the phi
     // statistics to observe, so the failed connect feeds suspicion directly.
-    peer_state(peer).phi.penalize(config_.phi_connect_fail_penalty);
+    ps.phi.penalize(config_.phi_connect_fail_penalty);
+  }
+  if (s.queue.empty() && !s.wire) {
+    close_session(it);
+    return;
   }
 
-  // Session re-establishment: if messages are still queued (the connection
-  // was aborted by a poisoned frame stream, or collapsed mid-partition) retry
-  // with backoff rather than dropping them.
-  if ((!s.queue.empty() || s.wire) &&
-      s.reconnect_attempts < config_.session_reconnect_attempts) {
+  // Session re-establishment: messages are still queued (the connection was
+  // aborted by a poisoned frame stream, or collapsed mid-partition), so
+  // retry with backoff rather than dropping them.
+  if (s.reconnect_attempts < config_.session_reconnect_attempts) {
+    ++stats_.sessions_closed;
     ++s.reconnect_attempts;
     ++stats_.session_reconnects;
     s.connected = false;
     s.conn = nullptr;
     s.coalesce_timer.cancel();
-    s.coalesce_timer = {};
     if (s.wire) {
       if (config_.enable_delta) {
         // The in-flight frame was encoded against the dead connection's
@@ -610,12 +592,11 @@ void NetworkComponent::on_session_closed(const Address& peer, Transport t) {
         s.wire->offset = 0;
       }
     }
-    if (config_.supervision_enabled &&
-        s.channel_health == PeerHealth::kHealthy) {
+    if (s.channel_health == PeerHealth::kHealthy) {
       s.channel_health = PeerHealth::kSuspected;
       emit_channel_status(peer, t, PeerHealth::kHealthy,
                           PeerHealth::kSuspected, HealthReason::kSuspicion,
-                          peer_state(peer).phi.phi(system().clock().now()));
+                          ps.phi.phi(system().clock().now()));
     }
     const Duration delay = Duration::nanos(
         config_.session_reconnect_backoff.as_nanos() << (s.reconnect_attempts - 1));
@@ -632,65 +613,56 @@ void NetworkComponent::on_session_closed(const Address& peer, Transport t) {
     return;
   }
 
-  if (config_.supervision_enabled && (!s.queue.empty() || s.wire)) {
-    // Reconnects exhausted with messages still queued: the channel is dead.
-    // Notify-requested messages get a definitive PeerFailed; fire-and-forget
-    // messages are parked as dead letters for a possible recovery flush.
-    PeerState& ps = peer_state(peer);
-    const double score = ps.phi.phi(system().clock().now());
-    auto sweep = [&](PendingMsg& m) {
-      if (m.heartbeat) return;
-      if (m.notify) {
-        ++stats_.msgs_dropped;
-        notify_result(*m.notify, DeliveryStatus::kPeerFailed, t,
-                      m.payload_bytes);
-      } else if (!m.serialized.empty()) {
-        park_dead_letter(ps, std::move(m.serialized), m.type_id, t,
-                         m.payload_bytes);
-      } else {
-        // Already encoded into the in-flight frame with its serialised form
-        // moved out (delta off): nothing replayable remains.
-        ++stats_.msgs_dropped;
-      }
-    };
-    if (s.wire) {
-      for (auto& m : s.wire->msgs) sweep(m);
-    }
-    for (auto& m : s.queue) sweep(m);
-    emit_channel_status(peer, t, s.channel_health, PeerHealth::kDead,
-                        HealthReason::kReconnectExhausted, score);
-    s.reconnect_timer.cancel();
-    s.coalesce_timer.cancel();
-    sessions_.erase(it);
-    // If no other channel to the peer is alive, the peer itself is Dead —
-    // declare it so remaining (still-connecting) sessions are torn down and
-    // the probe cycle starts.
-    bool any_connected = false;
-    for (const auto& [key, other] : sessions_) {
-      if (key.first == peer && other->connected) { any_connected = true; break; }
-    }
-    if (!any_connected) {
-      declare_dead(peer, HealthReason::kReconnectExhausted,
-                   DeliveryStatus::kPeerFailed);
-    }
-    return;
+  // Reconnects exhausted with messages still queued: the channel is dead.
+  // Notify-requested messages get a definitive PeerFailed; fire-and-forget
+  // messages are parked as dead letters for a possible recovery flush.
+  const double score = ps.phi.phi(system().clock().now());
+  dispose_queue(s, DeliveryStatus::kPeerFailed, &ps);
+  emit_channel_status(peer, t, s.channel_health, PeerHealth::kDead,
+                      HealthReason::kReconnectExhausted, score);
+  close_session(it);
+  // If no other channel to the peer is alive, the peer itself is Dead —
+  // declare it so remaining (still-connecting) sessions are torn down and
+  // the probe cycle starts.
+  bool any_connected = false;
+  for (const auto& [key, other] : sessions_) {
+    if (key.first == peer && other->connected) { any_connected = true; break; }
   }
+  if (!any_connected) {
+    declare_dead(peer, HealthReason::kReconnectExhausted,
+                 DeliveryStatus::kPeerFailed);
+  }
+}
 
-  // At-most-once semantics: queued messages are lost; fail their notifies.
-  auto drop = [&](const PendingMsg& m) {
-    if (m.heartbeat) return;
-    ++stats_.msgs_dropped;
-    if (m.notify) {
-      notify_result(*m.notify, DeliveryStatus::kFailed, t, m.payload_bytes);
-    }
-  };
-  if (s.wire) {
-    for (const auto& m : s.wire->msgs) drop(m);
-  }
-  for (const auto& m : s.queue) drop(m);
+std::shared_ptr<transport::StreamConnection> NetworkComponent::close_session(
+    SessionMap::iterator it) {
+  Session& s = *it->second;
   s.reconnect_timer.cancel();
   s.coalesce_timer.cancel();
+  ++stats_.sessions_closed;
+  auto conn = std::move(s.conn);
   sessions_.erase(it);
+  return conn;
+}
+
+void NetworkComponent::dispose_queue(Session& s, DeliveryStatus status,
+                                     PeerState* letters) {
+  auto dispose = [&](PendingMsg& m) {
+    if (m.internal) return;
+    // A message already encoded into the in-flight frame with its
+    // serialised form moved out (delta off) has nothing left to replay.
+    if (letters != nullptr && !m.notify && !m.serialized.empty()) {
+      park_dead_letter(*letters, std::move(m.serialized), m.type_id,
+                       s.transport, m.payload_bytes);
+      return;
+    }
+    ++stats_.msgs_dropped;
+    if (m.notify) notify_result(*m.notify, status, s.transport, m.payload_bytes);
+  };
+  if (s.wire) {
+    for (auto& m : s.wire->msgs) dispose(m);
+  }
+  for (auto& m : s.queue) dispose(m);
 }
 
 void NetworkComponent::attach_inbound(
@@ -715,12 +687,10 @@ void NetworkComponent::attach_inbound(
     }
   });
   if (manage_close) {
-    // Accepted (passive) connections have no Session record; reap on close
-    // (deferred — see open_session for why).
+    // Accepted (passive) connections have no Session record; reap on close.
     auto* raw_conn = conn.get();
     conn->set_on_closed([this, raw_conn] {
-      host_.network_simulator().schedule_after(
-          Duration::zero(), [this, raw_conn] { remove_inbound(raw_conn); });
+      defer([this, raw_conn] { remove_inbound(raw_conn); });
     });
   }
   inbound_.push_back(std::move(in));
@@ -789,15 +759,13 @@ void NetworkComponent::deliver_frame(wire::BufSlice frame, Inbound* from) {
     return;
   }
   if (msg->type_id() == kDeltaResetTypeId) {
-    handle_delta_reset(static_cast<const DeltaResetMsg&>(*msg), from);
+    handle_delta_reset(static_cast<const DeltaResetMsg&>(*msg));
     return;
   }
   ++stats_.msgs_received;
   stats_.bytes_received += inbound_bytes;
-  if (config_.supervision_enabled) {
-    // Any inbound message proves the sender alive.
-    record_alive(msg->header().source().with_vnode(0), HealthReason::kEvidence);
-  }
+  // Any inbound message proves the sender alive.
+  record_alive(msg->header().source().with_vnode(0), HealthReason::kEvidence);
   trigger(msg, *net_port_);
 }
 
@@ -868,37 +836,31 @@ void NetworkComponent::supervision_tick() {
     }
     if (!has_session) continue;
     const double score = ps->phi.phi(now);
-    if (ps->health == PeerHealth::kSuspected && score >= config_.phi_dead) {
+    if (ps->health == PeerHealth::kSuspected && score >= kPhiDead) {
       declare_dead(addr, HealthReason::kSuspicionExpired,
                    DeliveryStatus::kTimedOut);
-    } else if (ps->health != PeerHealth::kSuspected &&
-               score >= config_.phi_suspect) {
+    } else if (ps->health != PeerHealth::kSuspected && score >= kPhiSuspect) {
       set_peer_health(addr, *ps, PeerHealth::kSuspected,
                       HealthReason::kSuspicion);
     }
   }
 
   supervision_cancel_ = system().scheduler().schedule_delayed(
-      config_.heartbeat_interval, [this] { supervision_tick(); });
+      kHeartbeatInterval, [this] { supervision_tick(); });
 }
 
 void NetworkComponent::send_heartbeat(Session& s, PeerState& ps) {
   HeartbeatMsg hb(BasicHeader(config_.self, s.peer, s.transport),
                   /*request=*/true, ps.hb_seq++);
-  PendingMsg m = make_internal_msg(hb);
-  if (m.serialized.empty()) return;
-  s.queued_bytes += m.acct_bytes;
-  s.queue.push_back(std::move(m));
+  if (!enqueue_internal(s, hb)) return;
   ++stats_.heartbeats_sent;
   drain(s);
 }
 
 void NetworkComponent::handle_heartbeat(const HeartbeatMsg& hb, Inbound* from) {
   ++stats_.heartbeats_received;
-  if (config_.supervision_enabled) {
-    record_alive(hb.header().source().with_vnode(0), HealthReason::kEvidence,
-                 /*interval_sample=*/true);
-  }
+  record_alive(hb.header().source().with_vnode(0), HealthReason::kEvidence,
+               /*interval_sample=*/true);
   if (!hb.request()) return;
 
   // Echo the heartbeat. Prefer an existing outbound session (keeps FIFO with
@@ -911,21 +873,23 @@ void NetworkComponent::handle_heartbeat(const HeartbeatMsg& hb, Inbound* from) {
   if (auto it = sessions_.find({src, t});
       it != sessions_.end() && it->second->connected) {
     Session& s = *it->second;
-    PendingMsg m = make_internal_msg(echo);
-    if (m.serialized.empty()) return;
-    s.queued_bytes += m.acct_bytes;
-    s.queue.push_back(std::move(m));
+    if (!enqueue_internal(s, echo)) return;
     ++stats_.heartbeats_sent;
     drain(s);
-  } else if (from && from->conn && !from->closed) {
+  } else if (from && from->conn) {
     // Accepted connections are otherwise never written to; a heartbeat echo
-    // is the one exception. The one-off encode mirrors what a session drain
-    // would produce (delta keyframe tag, wire-v2 tag) so the peer's decoder
-    // for this direction parses it like any other frame. Partial writes are
-    // dropped — echoes are cheap and the next ping retries.
+    // is the one exception. It is framed as a session drain would frame it
+    // (delta keyframe tag, wire-v2 tag) so the peer's decoder for this
+    // direction parses it like any other frame. It is written whole or not
+    // at all: a short write would leave a frame prefix on the stream for
+    // the next frame to be misread against. Echoes are cheap and the next
+    // ping retries.
     auto serialized = registry_->serialize(echo);
     if (!serialized) return;
-    auto framed = encode_oneoff_frame(std::move(*serialized));
+    PendingMsg m;
+    m.serialized = std::move(*serialized);
+    const wire::BufSlice framed = frame_single(nullptr, m);
+    if (from->conn->writable_bytes() < framed.size()) return;
     from->conn->write(framed.span());
     ++stats_.heartbeats_sent;
   }
@@ -934,15 +898,27 @@ void NetworkComponent::handle_heartbeat(const HeartbeatMsg& hb, Inbound* from) {
 void NetworkComponent::send_hello(Session& s) {
   SessionHelloMsg hello(BasicHeader(config_.self, s.peer, s.transport),
                         host_.incarnation());
-  PendingMsg m = make_internal_msg(hello);
-  if (m.serialized.empty()) return;
-  s.queued_bytes += m.acct_bytes;
   // Front of the queue: the receiver must learn our incarnation before any
   // payload, or a frame raced ahead of the hello could not be classified.
-  // The heartbeat flag exempts it from caps, stats and dead-lettering; the
-  // urgent flag keeps the coalescer from delaying the handshake.
-  s.queue.push_front(std::move(m));
-  ++stats_.hellos_sent;
+  if (enqueue_internal(s, hello, /*front=*/true)) ++stats_.hellos_sent;
+}
+
+bool NetworkComponent::enqueue_internal(Session& s, const Msg& msg,
+                                        bool front) {
+  auto serialized = registry_->serialize(msg);
+  if (!serialized) return false;
+  PendingMsg m;
+  m.type_id = msg.type_id();
+  m.internal = true;
+  m.acct_bytes = serialized->size();
+  m.serialized = std::move(*serialized);
+  s.queued_bytes += m.acct_bytes;
+  if (front) {
+    s.queue.push_front(std::move(m));
+  } else {
+    s.queue.push_back(std::move(m));
+  }
+  return true;
 }
 
 void NetworkComponent::handle_hello(const SessionHelloMsg& hello,
@@ -957,8 +933,6 @@ void NetworkComponent::handle_hello(const SessionHelloMsg& hello,
     from->peer = src;
     from->has_peer = true;
   }
-  // Incarnation tracking is correctness, not supervision — it runs even with
-  // the supervision layer disabled (only the health FSM reactions are gated).
   PeerState& ps = peer_state(src);
   if (hello.incarnation() < ps.remote_incarnation) {
     // A zombie connection introducing its pre-crash incarnation; every frame
@@ -977,12 +951,10 @@ void NetworkComponent::handle_hello(const SessionHelloMsg& hello,
     ps.phi.reset(system().clock().now());
     trigger(kompics::make_event<PeerRestarted>(src, prev, hello.incarnation()),
             *net_port_);
-    if (config_.supervision_enabled) {
-      // Drives Dead -> Recovering and replays the dead-letter buffer to the
-      // new incarnation (record_alive's health transitions flush it).
-      record_alive(src, HealthReason::kPeerRestarted);
-    }
-  } else if (config_.supervision_enabled) {
+    // Drives Dead -> Recovering and replays the dead-letter buffer to the
+    // new incarnation (record_alive's health transitions flush it).
+    record_alive(src, HealthReason::kPeerRestarted);
+  } else {
     record_alive(src, HealthReason::kEvidence);
   }
 }
@@ -993,18 +965,13 @@ void NetworkComponent::send_delta_reset(Inbound* from, std::uint32_t type_id) {
   if (from == nullptr || !from->has_peer) return;
   DeltaResetMsg reset(BasicHeader(config_.self, from->peer, from->transport),
                       type_id);
-  PendingMsg m = make_internal_msg(reset);
-  if (m.serialized.empty()) return;
   Session& s = session_for(from->peer, from->transport);
-  s.queued_bytes += m.acct_bytes;
-  s.queue.push_back(std::move(m));
+  if (!enqueue_internal(s, reset)) return;
   ++stats_.delta_resets_sent;
-  if (s.connected) drain(s);
+  drain(s);
 }
 
-void NetworkComponent::handle_delta_reset(const DeltaResetMsg& reset,
-                                          Inbound* from) {
-  (void)from;
+void NetworkComponent::handle_delta_reset(const DeltaResetMsg& reset) {
   ++stats_.delta_resets_received;
   const Address src = reset.header().source().with_vnode(0);
   // The requester's decoder lost its bases; every one of our encoders
@@ -1014,14 +981,11 @@ void NetworkComponent::handle_delta_reset(const DeltaResetMsg& reset,
       s->delta->reset(reset.reset_type_id());
     }
   }
-  if (config_.supervision_enabled) {
-    record_alive(src, HealthReason::kEvidence);
-  }
+  record_alive(src, HealthReason::kEvidence);
 }
 
 void NetworkComponent::record_alive(const Address& peer, HealthReason reason,
                                     bool interval_sample) {
-  if (!config_.supervision_enabled) return;
   PeerState& ps = peer_state(peer);
   const TimePoint now = system().clock().now();
   if (interval_sample) {
@@ -1096,33 +1060,12 @@ void NetworkComponent::declare_dead(const Address& peer, HealthReason reason,
       continue;
     }
     Session& s = *it->second;
-    auto sweep = [&](PendingMsg& m) {
-      if (m.heartbeat) return;
-      if (m.notify) {
-        ++stats_.msgs_dropped;
-        notify_result(*m.notify, status, s.transport, m.payload_bytes);
-      } else if (!m.serialized.empty()) {
-        park_dead_letter(ps, std::move(m.serialized), m.type_id, s.transport,
-                         m.payload_bytes);
-      } else {
-        // Serialised form consumed by the in-flight frame (delta off):
-        // nothing replayable remains.
-        ++stats_.msgs_dropped;
-      }
-    };
-    if (s.wire) {
-      for (auto& m : s.wire->msgs) sweep(m);
-    }
-    for (auto& m : s.queue) sweep(m);
-    s.reconnect_timer.cancel();
-    s.coalesce_timer.cancel();
+    dispose_queue(s, status, &ps);
     if (s.channel_health != PeerHealth::kDead) {
       emit_channel_status(peer, s.transport, s.channel_health,
                           PeerHealth::kDead, reason, score);
     }
-    if (s.conn) doomed.push_back(s.conn);
-    ++stats_.sessions_closed;
-    it = sessions_.erase(it);
+    if (auto conn = close_session(it++)) doomed.push_back(std::move(conn));
   }
   for (auto& conn : doomed) conn->abort();
 
@@ -1146,7 +1089,7 @@ void NetworkComponent::probe_dead_peer(const Address& peer) {
   auto* raw = conn.get();
   conn->set_on_connected([this, peer, raw] {
     record_alive(peer, HealthReason::kProbeSucceeded);
-    host_.network_simulator().schedule_after(Duration::zero(), [this, peer, raw] {
+    defer([this, peer, raw] {
       auto pit = peers_.find(peer);
       if (pit != peers_.end() && pit->second->probe_conn.get() == raw) {
         auto doomed = pit->second->probe_conn;
@@ -1156,7 +1099,7 @@ void NetworkComponent::probe_dead_peer(const Address& peer) {
     });
   });
   conn->set_on_closed([this, peer, raw] {
-    host_.network_simulator().schedule_after(Duration::zero(), [this, peer, raw] {
+    defer([this, peer, raw] {
       auto pit = peers_.find(peer);
       if (pit == peers_.end() || pit->second->probe_conn.get() != raw) return;
       PeerState& state = *pit->second;

@@ -13,13 +13,15 @@
 // virtual-network package routes such messages to the right vnode via
 // channel selectors (see virtual_network.hpp).
 //
-// Delivery semantics: at-most-once (a dropped session loses queued
-// messages); FIFO per (destination, transport) over TCP/UDT, unordered over
-// UDP — exactly the semantics table of paper §III-B.
+// Delivery semantics: at-most-once (frames already handed to a connection
+// that dies are lost; queued ones ride a re-established connection or, once
+// reconnects run out, are answered PeerFailed or parked as dead letters);
+// FIFO per (destination, transport) over TCP/UDT, unordered over UDP —
+// exactly the semantics table of paper §III-B.
 //
 // Wire-level port convention: TCP listens on (tcp, port); plain UDP on
 // (udp, port); UDT on (udp, port + 1) and LEDBAT on (udp, port + 2) so the
-// UDP consumers do not clash.
+// UDP consumers do not clash. Every component listens on all four.
 #pragma once
 
 #include <deque>
@@ -28,6 +30,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/small_fn.hpp"
 #include "kompics/system.hpp"
 #include "messaging/network_port.hpp"
 #include "messaging/serialization.hpp"
@@ -43,17 +46,13 @@ namespace kmsg::messaging {
 
 struct NetworkConfig {
   Address self;
-  bool listen_tcp = true;
-  bool listen_udp = true;
-  bool listen_udt = true;
-  bool listen_ledbat = true;
   transport::TcpConfig tcp;
   transport::UdtConfig udt;
   transport::UdpConfig udp;
   transport::LedbatConfig ledbat;
   /// Installs the snappy-like compression handler in the pipeline (the
   /// paper's Netty default). Off by default here because the reference
-  /// workloads are incompressible; the quickstart shows enabling it.
+  /// workloads are incompressible; sweep_test turns it on.
   bool enable_compression = false;
 
   // --- Wire efficiency (delta encoding + frame coalescing) ---
@@ -69,18 +68,13 @@ struct NetworkConfig {
   /// bounds how long a receiver that lost its base stays dark.
   std::uint32_t delta_keyframe_interval = 64;
   /// Nagle-style frame coalescing: consecutive queued messages are packed
-  /// into one frame under a single length/CRC header, up to
-  /// coalesce_max_bytes, flushing when coalesce_delay expires or an urgent
-  /// message (heartbeat, hello, keyframe request) enters the queue.
+  /// into one frame under a single length/CRC header, up to 8 KiB of
+  /// serialised payload, flushing after a 500 us latency budget or as soon
+  /// as an internal message (heartbeat, hello, keyframe request) enters the
+  /// queue.
   bool enable_coalescing = false;
-  /// Latency budget a message may wait for frame-mates.
-  Duration coalesce_delay = Duration::micros(500);
-  /// Byte ceiling on the serialised payload of one coalesced frame.
-  std::size_t coalesce_max_bytes = 8 * 1024;
   /// True when stream sessions speak wire format v2 (tagged frame payloads).
   bool wire_v2() const { return enable_delta || enable_coalescing; }
-  /// Cadence of NetworkStatus indications (reward signal for the learner).
-  Duration status_interval = Duration::millis(100);
   /// Per-session cap on queued-but-unwritten frame bytes; messages beyond
   /// it are dropped (at-most-once), counted as queue_overflow, and notified
   /// as failed. 4 MiB: enough for ~64 of the paper's 65 kB chunks — a
@@ -94,26 +88,21 @@ struct NetworkConfig {
   Duration idle_session_timeout = Duration::seconds(600.0);
   /// When a session dies with frames still queued (e.g. the connection was
   /// aborted by a poisoned frame stream or collapsed during a partition),
-  /// the component re-establishes it up to this many times before failing
-  /// the queued messages. 0 restores drop-on-close behaviour.
+  /// the component re-establishes it up to this many times. After that (or
+  /// at once, with 0) the channel is Dead: queued notifies are answered
+  /// PeerFailed and fire-and-forget messages parked as dead letters.
   int session_reconnect_attempts = 3;
   /// Base delay before a reconnect attempt; doubles per consecutive failure.
   Duration session_reconnect_backoff = Duration::millis(200);
 
   // --- Channel supervision (peer-health FSM, heartbeats, dead letters) ---
-  /// Master switch for the supervision layer: heartbeat exchange, phi
-  /// accrual, ConnectionStatus indications, and dead-letter handling.
-  bool supervision_enabled = true;
-  /// Heartbeat cadence on idle established sessions (busy sessions derive
-  /// liveness evidence from acknowledgement progress instead).
-  Duration heartbeat_interval = Duration::millis(100);
+  // Always on: idle established sessions exchange heartbeats every 100 ms
+  // (busy ones count acknowledgement progress instead); a peer whose phi
+  // reaches 1.0 is Suspected, and a Suspected peer reaching 8.0 is Dead —
+  // its sessions are torn down, queued notifies answered TimedOut and
+  // fire-and-forget messages dead-lettered.
   /// Phi-accrual detector parameters (window, std floor, acceptable pause).
   PhiConfig phi;
-  /// Suspicion score at which a peer transitions Healthy -> Suspected.
-  double phi_suspect = 1.0;
-  /// Suspicion score at which a Suspected peer is declared Dead: sessions
-  /// are torn down, queued notifies answered TimedOut, frames dead-lettered.
-  double phi_dead = 8.0;
   /// Suspicion added per failed connect attempt (a channel that cannot
   /// establish produces no heartbeats for the statistics to observe).
   double phi_connect_fail_penalty = 2.0;
@@ -203,9 +192,9 @@ class NetworkComponent final : public kompics::ComponentDefinition {
     std::optional<NotifyId> notify;
     std::size_t payload_bytes = 0;  // pre-framing size, for the notify
     std::size_t acct_bytes = 0;     // queued_bytes contribution
-    bool heartbeat = false;  // internal probe: exempt from caps and letters
-    bool urgent = false;     // explicit-flush marker: never held back by
-                             // the coalescer (heartbeats, hellos, probes)
+    bool internal = false;  // hello, heartbeat, echo or keyframe request:
+                            // exempt from stats, caps and dead letters, and
+                            // never held back by the coalescer
   };
 
   /// The frame currently being written to the transport, with the messages
@@ -242,7 +231,6 @@ class NetworkComponent final : public kompics::ComponentDefinition {
     std::unique_ptr<wire::FrameDecoder> decoder;
     std::unique_ptr<DeltaDecoder> delta;  // non-null when enable_delta
     Transport transport = Transport::kTcp;
-    bool closed = false;
     /// Sender incarnation announced by this connection's session hello;
     /// 0 until a hello arrives (legacy/UDP traffic is never fenced).
     std::uint64_t incarnation = 0;
@@ -281,6 +269,9 @@ class NetworkComponent final : public kompics::ComponentDefinition {
     explicit PeerState(PhiConfig cfg) : phi(cfg) {}
   };
 
+  using SessionMap =
+      std::map<std::pair<Address, Transport>, std::unique_ptr<Session>>;
+
   void handle_outgoing(MsgPtr msg, std::optional<NotifyId> notify);
   void reflect_local(MsgPtr msg, std::optional<NotifyId> notify);
   void send_udp(const Msg& msg, std::optional<NotifyId> notify);
@@ -288,6 +279,20 @@ class NetworkComponent final : public kompics::ComponentDefinition {
   void open_session(Session& s);
   void drain(Session& s);
   void on_session_closed(const Address& peer, Transport t);
+  /// Cancels the session's timers, counts it closed and erases it. Returns
+  /// its connection (possibly null) for the caller to close or abort once
+  /// the map no longer holds the session.
+  std::shared_ptr<transport::StreamConnection> close_session(
+      SessionMap::iterator it);
+  /// Answers or parks everything a dying session still holds (in-flight
+  /// frame first, then the queue), skipping internal frames: a notify gets
+  /// `status`; with `letters`, a fire-and-forget message whose serialised
+  /// form survives is parked there; anything else is dropped.
+  void dispose_queue(Session& s, DeliveryStatus status, PeerState* letters);
+  /// Runs `fn` in a fresh simulator event. Connection callbacks use it to
+  /// tear down: destroying a connection while one of its own frames is
+  /// still on the stack would be use-after-free.
+  void defer(SmallFn fn);
   void attach_inbound(std::shared_ptr<transport::StreamConnection> conn,
                       Transport t, bool manage_close = true);
   void remove_inbound(transport::StreamConnection* conn);
@@ -305,6 +310,10 @@ class NetworkComponent final : public kompics::ComponentDefinition {
   /// Queues the incarnation handshake at the *front* of the session's queue
   /// so it is the first frame on the wire for a fresh connection.
   void send_hello(Session& s);
+  /// Serialises an internal control message (hello, heartbeat, echo,
+  /// keyframe request) and queues it on `s` — at the front for the hello,
+  /// at the back otherwise. False when the registry cannot serialise it.
+  bool enqueue_internal(Session& s, const Msg& msg, bool front = false);
   void handle_hello(const SessionHelloMsg& hello, Inbound* from);
 
   // --- Wire efficiency (drain-time encoding) ---
@@ -316,24 +325,21 @@ class NetworkComponent final : public kompics::ComponentDefinition {
   /// into s.wire: per-message delta + pipeline, then the v2 payload tag (or
   /// raw v1 bytes), then the length/CRC frame header.
   void build_wire_frame(Session& s);
-  /// Delta (when enabled) + pipeline for one message on this session. With
-  /// delta on, m.serialized is kept (a reconnect re-encodes it); with delta
-  /// off it is moved out, preserving the zero-copy prepend chain.
-  wire::BufSlice encode_submsg(Session& s, PendingMsg& m);
-  /// Stateless one-shot encode for writes outside any session (heartbeat
-  /// echo down an inbound connection): delta keyframe tag + pipeline + v2
-  /// tag + frame header, mirroring what a session drain would produce.
-  wire::BufSlice encode_oneoff_frame(wire::BufSlice serialized);
+  /// Delta + pipeline for one message. With a session's encoder, m.serialized
+  /// is kept (a reconnect re-encodes it); otherwise it is moved out,
+  /// preserving the zero-copy prepend chain — and with delta on but no
+  /// session (an echo down an accepted connection) it goes out as a keyframe.
+  wire::BufSlice encode_submsg(DeltaEncoder* delta, PendingMsg& m);
+  /// The complete frame for one message: encode_submsg, the v2 single tag
+  /// when the wire speaks v2, and the length/CRC header.
+  wire::BufSlice frame_single(DeltaEncoder* delta, PendingMsg& m);
   /// Sends DeltaResetMsg(type_id) to the peer behind `from`, asking for a
   /// keyframe; silently dropped when the hello has not yet told us who the
   /// peer is.
   void send_delta_reset(Inbound* from, std::uint32_t type_id);
   /// Honours a keyframe request: resets the delta encoders of every session
   /// to the requesting peer.
-  void handle_delta_reset(const DeltaResetMsg& reset, Inbound* from);
-  /// Serialises an internal control message (hello/heartbeat/delta-reset)
-  /// into an urgent PendingMsg; empty serialized on registry failure.
-  PendingMsg make_internal_msg(const Msg& msg);
+  void handle_delta_reset(const DeltaResetMsg& reset);
 
   // --- Supervision ---
   PeerState& peer_state(const Address& peer);
@@ -375,7 +381,7 @@ class NetworkComponent final : public kompics::ComponentDefinition {
   std::map<Transport, std::shared_ptr<void>> listeners_;
   std::shared_ptr<transport::UdpEndpoint> udp_;
 
-  std::map<std::pair<Address, Transport>, std::unique_ptr<Session>> sessions_;
+  SessionMap sessions_;
   std::vector<std::unique_ptr<Inbound>> inbound_;
   std::map<Address, std::unique_ptr<PeerState>> peers_;
 

@@ -88,13 +88,6 @@ MsgPtr SerializerRegistry::deserialize(wire::BufSlice bytes) const {
   }
 }
 
-MsgPtr SerializerRegistry::deserialize(std::span<const std::uint8_t> bytes) const {
-  // Promote the borrowed bytes into a pooled slab so this overload exercises
-  // the same zero-copy deserialise path as the wire (message payloads become
-  // sub-slices of the wrapping slab instead of per-blob vector copies).
-  return deserialize(wire::BufSlice::copy_of(bytes));
-}
-
 void SerializerRegistry::register_delta_schema(std::uint32_t type_id,
                                                DeltaSchema schema) {
   if (schema.fields.size() > kDeltaSchemaMaxFields) {

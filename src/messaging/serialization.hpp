@@ -93,9 +93,6 @@ class SerializerRegistry {
   /// source/destination/protocol).
   MsgPtr deserialize(wire::BufSlice bytes) const;
 
-  /// Compatibility overload for borrowed bytes (payloads are copied out).
-  MsgPtr deserialize(std::span<const std::uint8_t> bytes) const;
-
   std::uint64_t messages_serialized() const { return serialized_; }
   std::uint64_t messages_deserialized() const { return deserialized_; }
   std::uint64_t unknown_type_errors() const { return unknown_; }

@@ -66,12 +66,6 @@ class UdpEndpoint final : public std::enable_shared_from_this<UdpEndpoint> {
   /// Borrowed slices are promoted to owned (one copy) since fragments
   /// outlive the call.
   bool send(netsim::HostId dst, netsim::Port dst_port, wire::BufSlice payload);
-  /// Compatibility overload: copies the vector into a pooled slab.
-  bool send(netsim::HostId dst, netsim::Port dst_port,
-            std::vector<std::uint8_t> payload) {
-    return send(dst, dst_port,
-                wire::BufSlice::copy_of({payload.data(), payload.size()}));
-  }
 
   void close();
 

@@ -14,15 +14,6 @@ ByteBuf::ByteBuf(std::size_t reserve_bytes, std::size_t headroom)
   wslab_ = SlabPool::instance().acquire(headroom_ + reserve_bytes);
 }
 
-ByteBuf::ByteBuf(std::vector<std::uint8_t> data) {
-  if (!data.empty()) {
-    wslab_ = SlabPool::instance().acquire(data.size());
-    std::memcpy(wslab_->bytes(), data.data(), data.size());
-    SlabPool::instance().count_payload_copy(data.size());
-    wsize_ = data.size();
-  }
-}
-
 ByteBuf ByteBuf::wrap(BufSlice bytes) {
   ByteBuf buf;
   buf.view_ = std::move(bytes);

@@ -30,8 +30,6 @@ class ByteBuf {
   /// Writing buffer with `reserve_bytes` of payload capacity pre-acquired
   /// and `headroom` spare bytes before the payload (for in-place framing).
   explicit ByteBuf(std::size_t reserve_bytes, std::size_t headroom = 0);
-  /// Compatibility: copies `data` into an owned slab, readable from zero.
-  explicit ByteBuf(std::vector<std::uint8_t> data);
 
   ByteBuf(ByteBuf&& other) noexcept { move_from(other); }
   ByteBuf& operator=(ByteBuf&& other) noexcept {

@@ -40,17 +40,24 @@ inline std::string self_exe() {
 }
 
 class ReproListener final : public ::testing::EmptyTestEventListener {
+  // The test's name is taken when it starts: gtest reports a failure while
+  // holding the lock that UnitTest::current_test_info() takes, so asking for
+  // it from OnTestPartResult would deadlock.
+  void OnTestStart(const ::testing::TestInfo& info) override {
+    filter_ = std::string(info.test_suite_name()) + "." + info.name();
+  }
+  void OnTestEnd(const ::testing::TestInfo&) override { filter_.clear(); }
   void OnTestPartResult(const ::testing::TestPartResult& result) override {
-    if (!result.failed()) return;
-    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    if (info == nullptr) return;
-    std::fprintf(stderr, "[  REPRO  ] %s --gtest_filter='%s.%s'\n",
-                 self_exe().c_str(), info->test_suite_name(), info->name());
+    if (!result.failed() || filter_.empty()) return;
+    std::fprintf(stderr, "[  REPRO  ] %s --gtest_filter='%s'\n",
+                 self_exe().c_str(), filter_.c_str());
     if (repro_seed() != 0) {
       std::fprintf(stderr, "[  REPRO  ] scenario seed: %llu\n",
                    static_cast<unsigned long long>(repro_seed()));
     }
   }
+
+  std::string filter_;
 };
 
 inline const bool repro_listener_installed = [] {

@@ -65,9 +65,8 @@ struct InterceptorFixture : ::testing::Test {
 
   MsgPtr data_chunk(std::uint64_t offset, std::size_t len = 1000) {
     DataHeader h{exp->addr_a(), exp->addr_b()};
-    return kompics::make_event<DataChunkMsg>(h, 1, offset,
-                                             apps::make_payload(offset, len),
-                                             false);
+    return kompics::make_event<DataChunkMsg>(
+        h, 1, offset, apps::make_payload_slice(offset, len), false);
   }
 };
 
@@ -121,7 +120,7 @@ TEST_F(InterceptorFixture, AlreadyResolvedDataPassesThrough) {
   build(PrpKind::kStatic, 1.0);  // would resolve to UDT if intercepted
   DataHeader resolved{exp->addr_a(), exp->addr_b(), Transport::kTcp};
   probe_a->send(kompics::make_event<DataChunkMsg>(
-      resolved, 1, 0, apps::make_payload(0, 100), false));
+      resolved, 1, 0, apps::make_payload_slice(0, 100), false));
   exp->run_for(Duration::seconds(1.0));
   ASSERT_EQ(probe_b->messages.size(), 1u);
   EXPECT_EQ(probe_b->messages[0]->header().protocol(), Transport::kTcp);
@@ -173,7 +172,7 @@ TEST_F(InterceptorFixture, PacingBoundsInflightBytes) {
     DataHeader h{exp->addr_a(), exp->addr_b()};
     probe_a->send(kompics::make_event<DataChunkMsg>(
         h, 1, static_cast<std::uint64_t>(i) * 65000,
-        apps::make_payload(0, 65000), false));
+        apps::make_payload_slice(0, 65000), false));
   }
   exp->run_for(Duration::seconds(1.0));
   auto flows = exp->interceptor()->flows();

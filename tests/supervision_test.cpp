@@ -107,9 +107,8 @@ struct SupervisionFixture : ::testing::Test {
     DataHeader h = (proto == Transport::kData)
                        ? DataHeader{exp->addr_a(), exp->addr_b()}
                        : DataHeader{exp->addr_a(), exp->addr_b(), proto};
-    return kompics::make_event<DataChunkMsg>(h, 1, offset,
-                                             apps::make_payload(offset, len),
-                                             false);
+    return kompics::make_event<DataChunkMsg>(
+        h, 1, offset, apps::make_payload_slice(offset, len), false);
   }
   MsgPtr ping(std::uint64_t seq,
               Transport proto = Transport::kTcp) {
@@ -389,7 +388,6 @@ TEST_F(SupervisionFixture, DeadLetterFlushReparksWhenChannelStaysDown) {
 TEST_F(SupervisionFixture, QueueOverflowFailsNotifyAndCounts) {
   apps::ExperimentConfig cfg;
   cfg.setup = netsim::Setup::kEuVpc;
-  cfg.net.supervision_enabled = false;  // isolate the queue-cap behaviour
   cfg.net.session_queue_limit_bytes = 64 * 1024;
   build(cfg);
 
@@ -409,6 +407,34 @@ TEST_F(SupervisionFixture, QueueOverflowFailsNotifyAndCounts) {
   EXPECT_GE(probe_a->count_status(DeliveryStatus::kFailed), 5u);
   EXPECT_GE(net_a.net_stats().queue_overflow, 5u);
   EXPECT_LE(net_a.queued_bytes_total(), 64u * 1024u);
+}
+
+// A heartbeat echo written down an accepted connection is all or nothing. B
+// has no session back to A, so it answers A's pings on the connection A
+// opened. With a 101-byte send buffer and B->A TCP blocked, the echoes pile
+// up unacked; a short write would leave a frame prefix on the stream, and
+// A's decoder would read the next frame as its rest once the link reopens.
+TEST_F(SupervisionFixture, HeartbeatEchoNeverLeavesHalfAFrame) {
+  apps::ExperimentConfig cfg;
+  cfg.setup = netsim::Setup::kEuVpc;
+  cfg.net.tcp.send_buffer_bytes = 101;
+  build(cfg);
+
+  probe_a->send(ping(1));
+  exp->run_for(Duration::seconds(1.0));
+  netsim::Link* b_to_a =
+      exp->network().link(exp->addr_b().host, exp->addr_a().host);
+  ASSERT_NE(b_to_a, nullptr);
+  b_to_a->set_block_tcp(true);
+  exp->run_for(Duration::millis(500));
+  b_to_a->set_block_tcp(false);
+  exp->run_for(Duration::seconds(2.0));
+
+  const auto& st = exp->network_a().net_stats();
+  EXPECT_GT(exp->network_b().net_stats().heartbeats_sent, 0u);
+  EXPECT_EQ(st.frames_corrupt, 0u) << "an echo left half a frame on the stream";
+  EXPECT_EQ(st.sessions_closed, 0u);
+  EXPECT_EQ(exp->network_a().session_count(), 1u);
 }
 
 // Satellite (b): serialisation failures and nonsense transports answer the
@@ -570,7 +596,8 @@ class AcceptanceScenario {
       probe_a.send_notified(
           kompics::make_event<DataChunkMsg>(
               h, 1, 1000u * static_cast<std::uint64_t>(i),
-              apps::make_payload(1000u * static_cast<std::uint64_t>(i), 1000),
+              apps::make_payload_slice(1000u * static_cast<std::uint64_t>(i),
+                                       1000),
               false),
           id);
       exp.run_for(Duration::millis(100));

@@ -41,7 +41,7 @@ TEST_F(UdpFixture, SingleDatagramDelivery) {
     src_port = p;
     got = to_vec(m);
   });
-  EXPECT_TRUE(ea->send(b->id(), 200, payload(100)));
+  EXPECT_TRUE(ea->send(b->id(), 200, wire::BufSlice::copy_of(payload(100))));
   sim.run();
   EXPECT_EQ(got, payload(100));
   EXPECT_EQ(src_host, a->id());
@@ -60,7 +60,7 @@ TEST_F(UdpFixture, FragmentationRoundTrip) {
   std::vector<std::uint8_t> msg(65000);
   Rng rng(5);
   for (auto& c : msg) c = static_cast<std::uint8_t>(rng.next());
-  EXPECT_TRUE(ea->send(b->id(), 200, msg));
+  EXPECT_TRUE(ea->send(b->id(), 200, wire::BufSlice::copy_of(msg)));
   sim.run();
   EXPECT_EQ(got, msg);
   EXPECT_EQ(ea->stats().fragments_sent, 8u);
@@ -82,7 +82,7 @@ TEST_F(UdpFixture, LostFragmentLosesWholeMessage) {
   const int n = 200;
   for (int i = 0; i < n; ++i) {
     sim.schedule_after(Duration::millis(i * 5), [&] {
-      ea->send(b->id(), 200, payload(60000));
+      ea->send(b->id(), 200, wire::BufSlice::copy_of(payload(60000)));
     });
   }
   sim.run();
@@ -94,7 +94,7 @@ TEST_F(UdpFixture, LostFragmentLosesWholeMessage) {
 TEST_F(UdpFixture, OversizeMessageRejected) {
   build({});
   auto ea = UdpEndpoint::open(*a, 100);
-  EXPECT_FALSE(ea->send(b->id(), 200, payload(300 * 1024)));
+  EXPECT_FALSE(ea->send(b->id(), 200, wire::BufSlice::copy_of(payload(300 * 1024))));
   EXPECT_EQ(ea->stats().oversize_rejected, 1u);
 }
 
@@ -109,8 +109,8 @@ TEST_F(UdpFixture, NoOrderingGuarantee) {
   eb->set_on_message([&](netsim::HostId, netsim::Port, wire::BufSlice m) {
     sizes.push_back(m.size());
   });
-  ea->send(b->id(), 200, payload(60000));
-  ea->send(b->id(), 200, payload(10));
+  ea->send(b->id(), 200, wire::BufSlice::copy_of(payload(60000)));
+  ea->send(b->id(), 200, wire::BufSlice::copy_of(payload(10)));
   sim.run();
   ASSERT_EQ(sizes.size(), 2u);
 }
@@ -148,7 +148,7 @@ TEST_F(UdpFixture, ReassemblyTimeoutExpiresPartials) {
   eb->set_on_message([](netsim::HostId, netsim::Port, wire::BufSlice) {});
   for (int i = 0; i < 50; ++i) {
     sim.schedule_after(Duration::millis(i * 20), [&] {
-      ea->send(b->id(), 200, payload(60000));
+      ea->send(b->id(), 200, wire::BufSlice::copy_of(payload(60000)));
     });
   }
   sim.run();

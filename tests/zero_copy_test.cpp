@@ -93,7 +93,7 @@ TEST(GoldenWireTest, DataChunkEnvelopeBytesUnchanged) {
   auto reg = make_registry();
   apps::DataChunkMsg chunk{
       DataHeader{Address{1, 100}, Address{2, 200}, Transport::kUdt}, 3, 128,
-      apps::make_payload(128, 16), true};
+      apps::make_payload_slice(128, 16), true};
   auto bytes = reg.serialize(chunk);
   ASSERT_TRUE(bytes);
   EXPECT_EQ(to_hex(bytes->span()), kGoldenChunk);
