@@ -26,8 +26,8 @@
 #include "rl/sarsa.hpp"
 #include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
+#include "wire/codec.hpp"
 #include "wire/framing.hpp"
-#include "wire/pipeline.hpp"
 #include "wire/snappy.hpp"
 
 // --- Counting allocator -----------------------------------------------------
@@ -209,7 +209,7 @@ void run_small_msg_wire(benchmark::State& state, bool use_delta,
   apps::register_app_delta_schemas(reg);
   const auto stream = small_msg_stream(reg);
   const std::size_t headroom =
-      wire::kPipelineHeadroomBytes + wire::kFrameHeaderBytes;
+      wire::kCodecHeadroomBytes + wire::kFrameHeaderBytes;
 
   std::uint64_t wire_bytes = 0;
   std::uint64_t msgs = 0;
@@ -219,7 +219,6 @@ void run_small_msg_wire(benchmark::State& state, bool use_delta,
     messaging::DeltaEncoder enc(&reg, /*keyframe_interval=*/64);
     messaging::DeltaDecoder dec(&reg);
     wire::FrameDecoder fdec;
-    fdec.set_wire_v2(use_delta || use_coalesce);
     std::size_t delivered = 0;
     fdec.set_on_frame([&](wire::BufSlice sub) {
       if (use_delta) {
@@ -233,15 +232,11 @@ void run_small_msg_wire(benchmark::State& state, bool use_delta,
     std::vector<wire::BufSlice> batch;
     auto flush = [&] {
       if (batch.empty()) return;
-      wire::BufSlice payload;
-      if (use_coalesce && batch.size() > 1) {
-        payload = wire::encode_wire_coalesced(batch);
-      } else if (use_delta || use_coalesce) {
-        payload = wire::encode_wire_single(std::move(batch.front()));
-      } else {
-        payload = std::move(batch.front());
-      }
-      auto framed = wire::encode_frame_slice(std::move(payload));
+      const bool coalesced = batch.size() > 1;
+      auto framed = wire::encode_frame_slice(
+          coalesced ? wire::encode_wire_coalesced(batch)
+                    : std::move(batch.front()),
+          coalesced);
       wire_bytes += framed.size();
       fdec.feed(framed);
       batch.clear();

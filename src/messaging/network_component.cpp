@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/logging.hpp"
+#include "wire/codec.hpp"
 
 namespace kmsg::messaging {
 
@@ -36,13 +37,14 @@ constexpr std::size_t kCoalesceMaxBytes = 8 * 1024;
 /// whenever the payload solely owns its slab with room for the header, the
 /// header must land in place — a copy here means some layer's headroom
 /// budget is wrong.
-wire::BufSlice frame(wire::BufSlice payload) {
+wire::BufSlice frame(wire::BufSlice payload, bool coalesced = false) {
 #ifndef NDEBUG
   const std::uint8_t* payload_before = payload.data();
   const bool must_prepend_in_place =
       payload.unique() && payload.headroom() >= wire::kFrameHeaderBytes;
 #endif
-  wire::BufSlice bytes = wire::encode_frame_slice(std::move(payload));
+  wire::BufSlice bytes =
+      wire::encode_frame_slice(std::move(payload), coalesced);
 #ifndef NDEBUG
   assert(!must_prepend_in_place ||
          bytes.data() + wire::kFrameHeaderBytes == payload_before);
@@ -88,9 +90,6 @@ NetworkComponent::NetworkComponent(netsim::Host& host, NetworkConfig config,
     : host_(host),
       config_(config),
       registry_(std::move(registry)) {
-  if (config_.enable_compression) {
-    pipeline_.add_last(std::make_unique<wire::CompressionHandler>());
-  }
   register_supervision_serializers(*registry_);
 }
 
@@ -282,7 +281,7 @@ void NetworkComponent::handle_outgoing(MsgPtr msg, std::optional<NotifyId> notif
     return;
   }
   const std::size_t payload_bytes = serialized->size();
-  // Delta encoding, the pipeline and framing all run lazily at drain time
+  // Delta encoding, compression and framing all run lazily at drain time
   // (encode_submsg / build_wire_frame): their output depends on the specific
   // connection the message ends up on.
 
@@ -337,9 +336,10 @@ void NetworkComponent::send_udp(const Msg& msg, std::optional<NotifyId> notify) 
     return;
   }
   const std::size_t payload_bytes = serialized->size();
-  auto processed = pipeline_.process_outbound(std::move(*serialized));
+  wire::BufSlice bytes = std::move(*serialized);
+  if (config_.enable_compression) bytes = wire::compress(std::move(bytes));
   const auto& dst = msg.header().destination();
-  const bool ok = udp_->send(dst.host, dst.port, std::move(processed));
+  const bool ok = udp_->send(dst.host, dst.port, std::move(bytes));
   if (ok) {
     ++stats_.msgs_sent;
     stats_.bytes_sent += payload_bytes;
@@ -500,7 +500,7 @@ void NetworkComponent::build_wire_frame(Session& s) {
     std::vector<wire::BufSlice> subs;
     subs.reserve(msgs.size());
     for (PendingMsg& m : msgs) subs.push_back(encode_submsg(s.delta.get(), m));
-    w.bytes = frame(wire::encode_wire_coalesced(subs));
+    w.bytes = frame(wire::encode_wire_coalesced(subs), /*coalesced=*/true);
     ++stats_.coalesced_frames_sent;
     stats_.coalesced_msgs_sent += msgs.size();
   } else {
@@ -528,20 +528,17 @@ wire::BufSlice NetworkComponent::encode_submsg(DeltaEncoder* delta,
     stats_.delta_bytes_saved += delta->bytes_saved() - saved0;
   } else {
     // No re-encode possible or needed: move the serialised bytes out so the
-    // downstream prepends (pipeline tag, wire tag, frame header) land in the
-    // serialise slab's headroom — the zero-copy path.
+    // frame header lands in the serialise slab's headroom — the zero-copy
+    // path.
     bytes = std::move(m.serialized);
-    // Delta on but no session encoder (an echo): a stateless keyframe.
-    if (config_.enable_delta) bytes = DeltaEncoder::encode_full(std::move(bytes));
   }
-  return pipeline_.process_outbound(std::move(bytes));
+  if (config_.enable_compression) bytes = wire::compress(std::move(bytes));
+  return bytes;
 }
 
 wire::BufSlice NetworkComponent::frame_single(DeltaEncoder* delta,
                                               PendingMsg& m) {
-  wire::BufSlice payload = encode_submsg(delta, m);
-  if (config_.wire_v2()) payload = wire::encode_wire_single(std::move(payload));
-  return frame(std::move(payload));
+  return frame(encode_submsg(delta, m));
 }
 
 void NetworkComponent::on_session_closed(const Address& peer, Transport t) {
@@ -672,10 +669,6 @@ void NetworkComponent::attach_inbound(
   in->conn = conn;
   in->transport = t;
   in->decoder = std::make_unique<wire::FrameDecoder>();
-  in->decoder->set_wire_v2(config_.wire_v2());
-  if (config_.enable_delta) {
-    in->delta = std::make_unique<DeltaDecoder>(registry_.get());
-  }
   Inbound* raw = in.get();
   in->decoder->set_on_frame(
       [this, raw](wire::BufSlice frame) { deliver_frame(std::move(frame), raw); });
@@ -704,20 +697,27 @@ void NetworkComponent::remove_inbound(transport::StreamConnection* conn) {
                  inbound_.end());
 }
 
-void NetworkComponent::deliver_frame(wire::BufSlice frame, Inbound* from) {
-  auto inbound = pipeline_.process_inbound(std::move(frame));
-  if (!inbound) {
-    ++stats_.deserialize_failures;
-    return;
+void NetworkComponent::deliver_frame(wire::BufSlice bytes, Inbound* from) {
+  // The message names its own encoding (wire/codec.hpp): undo compression,
+  // then delta coding, each only when its tag is present.
+  if (!bytes.empty() && bytes[0] == wire::kSnappyTag) {
+    auto inflated = wire::decompress(bytes);
+    if (!inflated) {
+      ++stats_.deserialize_failures;
+      return;
+    }
+    bytes = std::move(*inflated);
   }
-  wire::BufSlice plain = std::move(*inbound);
-  if (config_.enable_delta && from != nullptr && from->delta) {
-    // Stream traffic is always delta-tagged when the codec is on (UDP,
-    // from == nullptr, never is). A diff we hold no base for is not a stream
-    // error — the message is dropped (at-most-once) and the sender asked to
-    // keyframe that type.
+  // Delta coding keys on a connection, so UDP (from == nullptr) never
+  // carries it; a stray delta tag there fails as an unknown type id below.
+  if (from != nullptr && !bytes.empty() && bytes[0] <= wire::kDeltaDiffTag) {
+    // A diff we hold no base for is not a stream error — the message is
+    // dropped (at-most-once) and the sender asked to keyframe that type.
+    if (!from->delta) {
+      from->delta = std::make_unique<DeltaDecoder>(registry_.get());
+    }
     const std::uint64_t deltas0 = from->delta->deltas_received();
-    auto res = from->delta->decode(std::move(plain));
+    auto res = from->delta->decode(std::move(bytes));
     if (res.status == DeltaDecoder::Status::kNeedReset) {
       send_delta_reset(from, res.type_id);
       return;
@@ -728,11 +728,11 @@ void NetworkComponent::deliver_frame(wire::BufSlice frame, Inbound* from) {
       return;
     }
     stats_.deltas_received += from->delta->deltas_received() - deltas0;
-    plain = std::move(res.msg);
+    bytes = std::move(res.msg);
   }
-  const std::size_t inbound_bytes = plain.size();
+  const std::size_t inbound_bytes = bytes.size();
   // The deserialised message's payload stays a view of this same slab.
-  auto msg = registry_->deserialize(std::move(plain));
+  auto msg = registry_->deserialize(std::move(bytes));
   if (!msg) {
     ++stats_.deserialize_failures;
     return;
@@ -878,12 +878,11 @@ void NetworkComponent::handle_heartbeat(const HeartbeatMsg& hb, Inbound* from) {
     drain(s);
   } else if (from && from->conn) {
     // Accepted connections are otherwise never written to; a heartbeat echo
-    // is the one exception. It is framed as a session drain would frame it
-    // (delta keyframe tag, wire-v2 tag) so the peer's decoder for this
-    // direction parses it like any other frame. It is written whole or not
-    // at all: a short write would leave a frame prefix on the stream for
-    // the next frame to be misread against. Echoes are cheap and the next
-    // ping retries.
+    // is the one exception. No delta state exists for this direction, so
+    // it goes out plain (compressed at most), which every receiver decodes.
+    // It is written whole or not at all: a short write would leave a frame
+    // prefix on the stream for the next frame to be misread against. Echoes
+    // are cheap and the next ping retries.
     auto serialized = registry_->serialize(echo);
     if (!serialized) return;
     PendingMsg m;

@@ -1,12 +1,15 @@
 // NetworkComponent: the NettyNetwork analogue (paper §III).
 //
 // Provides the Network port. Outbound Msg requests are serialised through
-// the registry and the handler pipeline, framed, and written to a transport
-// session selected by the message header's (destination, protocol) pair —
+// the registry, encoded as this component's config chooses (delta coding,
+// compression, coalescing), framed, and written to a transport session
+// selected by the message header's (destination, protocol) pair —
 // sessions are created lazily, messages queue while a session connects, and
 // established sessions are kept open conservatively (channel establishment
 // may be expensive, e.g. NAT hole punching). Inbound frames are decoded,
-// deserialised and triggered as Msg indications.
+// deserialised and triggered as Msg indications. Every frame and message
+// names its own encoding (wire/framing.hpp, wire/codec.hpp), so the receive
+// path reads no encoding setting and decodes any mix of senders.
 //
 // Messages whose destination sameHostAs the local endpoint are *reflected*:
 // delivered straight back up the network port without serialisation. The
@@ -40,7 +43,6 @@
 #include "transport/udp.hpp"
 #include "transport/udt.hpp"
 #include "wire/framing.hpp"
-#include "wire/pipeline.hpp"
 
 namespace kmsg::messaging {
 
@@ -50,16 +52,16 @@ struct NetworkConfig {
   transport::UdtConfig udt;
   transport::UdpConfig udp;
   transport::LedbatConfig ledbat;
-  /// Installs the snappy-like compression handler in the pipeline (the
-  /// paper's Netty default). Off by default here because the reference
-  /// workloads are incompressible; sweep_test turns it on.
+  // --- Wire encoding (sender-side choices) ---
+  // Each switch changes only what this component sends: every frame and
+  // message says how it is encoded, so any receiver decodes it whatever its
+  // own switches, and mixed clusters interoperate. With all three off no
+  // codec tag or frame flag is ever written. UDP traffic is never
+  // delta-coded or coalesced (no per-connection state to key on).
+  /// Snappy-like compression of each message that it shrinks (the paper's
+  /// Netty default). Off by default here because the reference workloads
+  /// are incompressible; sweep_test turns it on.
   bool enable_compression = false;
-
-  // --- Wire efficiency (delta encoding + frame coalescing) ---
-  // Both flags switch stream sessions to wire format v2 and must be set
-  // symmetrically across the cluster (the format is not auto-negotiated);
-  // off by default so the v1 wire format stays byte-identical. UDP traffic
-  // is never delta-coded or coalesced (no per-connection state to key on).
   /// Schema-aware delta encoding: messages whose type registered a
   /// DeltaSchema travel as field diffs against the last message of that
   /// type on the same connection (keyframes per delta_keyframe_interval).
@@ -73,8 +75,6 @@ struct NetworkConfig {
   /// as an internal message (heartbeat, hello, keyframe request) enters the
   /// queue.
   bool enable_coalescing = false;
-  /// True when stream sessions speak wire format v2 (tagged frame payloads).
-  bool wire_v2() const { return enable_delta || enable_coalescing; }
   /// Per-session cap on queued-but-unwritten frame bytes; messages beyond
   /// it are dropped (at-most-once), counted as queue_overflow, and notified
   /// as failed. 4 MiB: enough for ~64 of the paper's 65 kB chunks — a
@@ -181,10 +181,10 @@ class NetworkComponent final : public kompics::ComponentDefinition {
 
  private:
   /// One message awaiting the wire. Queued in serialised (envelope+body)
-  /// form: the delta/pipeline/framing transforms run lazily when a frame is
-  /// built at drain time, because their output is per-*connection* state — a
-  /// frame built for one connection must not be replayed verbatim onto its
-  /// replacement when delta encoding is on.
+  /// form: the delta/compression/framing transforms run lazily when a frame
+  /// is built at drain time, because their output is per-*connection*
+  /// state — a frame built for one connection must not be replayed verbatim
+  /// onto its replacement when delta encoding is on.
   struct PendingMsg {
     wire::BufSlice serialized;  // envelope+body (moved out at frame build
                                 // unless delta needs it for re-encoding)
@@ -229,7 +229,7 @@ class NetworkComponent final : public kompics::ComponentDefinition {
   struct Inbound {
     std::shared_ptr<transport::StreamConnection> conn;
     std::unique_ptr<wire::FrameDecoder> decoder;
-    std::unique_ptr<DeltaDecoder> delta;  // non-null when enable_delta
+    std::unique_ptr<DeltaDecoder> delta;  // made by the first delta tag
     Transport transport = Transport::kTcp;
     /// Sender incarnation announced by this connection's session hello;
     /// 0 until a hello arrives (legacy/UDP traffic is never fenced).
@@ -296,7 +296,7 @@ class NetworkComponent final : public kompics::ComponentDefinition {
   void attach_inbound(std::shared_ptr<transport::StreamConnection> conn,
                       Transport t, bool manage_close = true);
   void remove_inbound(transport::StreamConnection* conn);
-  void deliver_frame(wire::BufSlice frame, Inbound* from);
+  void deliver_frame(wire::BufSlice bytes, Inbound* from);
   void deliver_udp(wire::BufSlice payload);
   void notify_result(NotifyId id, DeliveryStatus status, Transport via,
                      std::size_t bytes);
@@ -322,16 +322,16 @@ class NetworkComponent final : public kompics::ComponentDefinition {
   /// latency-budget timer as a side effect).
   bool should_build(Session& s);
   /// Pops 1..N queued messages (N > 1 only when coalescing) and encodes them
-  /// into s.wire: per-message delta + pipeline, then the v2 payload tag (or
-  /// raw v1 bytes), then the length/CRC frame header.
+  /// into s.wire: per-message delta + compression, then one frame, flagged
+  /// coalesced when it packs more than one message.
   void build_wire_frame(Session& s);
-  /// Delta + pipeline for one message. With a session's encoder, m.serialized
-  /// is kept (a reconnect re-encodes it); otherwise it is moved out,
-  /// preserving the zero-copy prepend chain — and with delta on but no
-  /// session (an echo down an accepted connection) it goes out as a keyframe.
+  /// Delta + compression for one message. With a session's encoder,
+  /// m.serialized is kept (a reconnect re-encodes it); otherwise (no delta,
+  /// or an echo down an accepted connection) it is moved out, preserving the
+  /// zero-copy prepend chain.
   wire::BufSlice encode_submsg(DeltaEncoder* delta, PendingMsg& m);
-  /// The complete frame for one message: encode_submsg, the v2 single tag
-  /// when the wire speaks v2, and the length/CRC header.
+  /// The complete frame for one message: encode_submsg and the length/CRC
+  /// header.
   wire::BufSlice frame_single(DeltaEncoder* delta, PendingMsg& m);
   /// Sends DeltaResetMsg(type_id) to the peer behind `from`, asking for a
   /// keyframe; silently dropped when the hello has not yet told us who the
@@ -372,7 +372,6 @@ class NetworkComponent final : public kompics::ComponentDefinition {
   netsim::Host& host_;
   NetworkConfig config_;
   std::shared_ptr<SerializerRegistry> registry_;
-  wire::Pipeline pipeline_;
 
   kompics::PortInstance* net_port_ = nullptr;
 

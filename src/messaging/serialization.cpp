@@ -5,24 +5,18 @@
 #include <stdexcept>
 
 #include "common/logging.hpp"
+#include "wire/codec.hpp"
 #include "wire/framing.hpp"
-#include "wire/pipeline.hpp"
 
 namespace kmsg::messaging {
 
 namespace {
-/// Headroom reserved ahead of the envelope so the compression tag and the
-/// frame header can both be prepended in place (no payload copy).
+/// Headroom reserved ahead of the envelope so every prepend a serialised
+/// message can see on its way to the wire — codec tags, frame header — lands
+/// in place; otherwise the hot path silently degrades to a counted copy
+/// (caught by the debug assert in NetworkComponent's frame()).
 constexpr std::size_t kEnvelopeHeadroom =
-    wire::kPipelineHeadroomBytes + wire::kFrameHeaderBytes;
-// Every prepend a serialised message can see on its way to the wire — delta
-// tag, compression tag, wire-format tag, frame header — must fit this
-// headroom, or the hot path silently degrades to a counted copy (caught by
-// the debug assert in NetworkComponent::build_wire_frame).
-static_assert(wire::kDeltaTagBytes + wire::kCompressionTagBytes +
-                      wire::kWireFormatTagBytes + wire::kFrameHeaderBytes <=
-                  kEnvelopeHeadroom,
-              "serialize() headroom cannot absorb the wire-path prepends");
+    wire::kCodecHeadroomBytes + wire::kFrameHeaderBytes;
 }  // namespace
 
 const SerializerRegistry::Entry* SerializerRegistry::find(
@@ -36,6 +30,10 @@ const SerializerRegistry::Entry* SerializerRegistry::find(
 
 void SerializerRegistry::register_type(std::uint32_t type_id, SerializeFn ser,
                                        DeserializeFn deser) {
+  if (type_id < wire::kReservedTypeIds) {
+    throw std::logic_error("SerializerRegistry: type id " +
+                           std::to_string(type_id) + " is a codec tag");
+  }
   auto it = std::lower_bound(
       entries_.begin(), entries_.end(), type_id,
       [](const Entry& e, std::uint32_t id) { return e.type_id < id; });
@@ -204,32 +202,27 @@ std::span<const std::uint8_t> take_region(Cursor& c, const DeltaSchema& schema,
 
 }  // namespace
 
-wire::BufSlice DeltaEncoder::encode_full(wire::BufSlice serialized) {
-  std::uint8_t* p = serialized.try_prepend(1);
+wire::BufSlice DeltaEncoder::keyframe(wire::BufSlice serialized) {
+  ++keyframes_;
+  std::uint8_t* p = serialized.try_prepend(wire::kCodecTagBytes);
   if (!p) {
-    serialized = wire::BufSlice::copy_of(
-        serialized.span(),
-        wire::kPipelineHeadroomBytes + wire::kFrameHeaderBytes);
-    p = serialized.try_prepend(1);
+    serialized = wire::BufSlice::copy_of(serialized.span(), kEnvelopeHeadroom);
+    p = serialized.try_prepend(wire::kCodecTagBytes);
   }
-  *p = kDeltaFullTag;
+  *p = wire::kDeltaKeyframeTag;
   return serialized;
 }
 
 wire::BufSlice DeltaEncoder::encode(std::uint32_t type_id,
                                     wire::BufSlice serialized) {
   const DeltaSchema* schema = registry_->delta_schema(type_id);
-  if (!schema) {
-    ++keyframes_;
-    return encode_full(std::move(serialized));
-  }
+  if (!schema) return keyframe(std::move(serialized));
 
   Regions regions;
   if (!split_regions(*schema, serialized.span(), regions)) {
     // Serialiser/schema mismatch: never diff against undecipherable bytes.
     bases_.erase(type_id);
-    ++keyframes_;
-    return encode_full(std::move(serialized));
+    return keyframe(std::move(serialized));
   }
 
   Base& base = bases_[type_id];
@@ -255,9 +248,8 @@ wire::BufSlice DeltaEncoder::encode(std::uint32_t type_id,
     for (std::uint64_t v = type_id >> 7; v != 0; v >>= 7) ++id_bytes;
     const std::size_t diff_size = 1 + id_bytes + mask_bytes + changed_bytes;
     if (diff_size < serialized.size() + 1) {
-      wire::ByteBuf out{diff_size, wire::kPipelineHeadroomBytes +
-                                       wire::kFrameHeaderBytes};
-      out.write_u8(kDeltaDiffTag);
+      wire::ByteBuf out{diff_size, kEnvelopeHeadroom};
+      out.write_u8(wire::kDeltaDiffTag);
       out.write_varint(type_id);
       out.write_varint(mask);
       for (std::size_t i = 0; i < regions.size(); ++i) {
@@ -276,8 +268,7 @@ wire::BufSlice DeltaEncoder::encode(std::uint32_t type_id,
   base.bytes.assign(serialized.data(), serialized.data() + serialized.size());
   base.regions = std::move(regions);
   base.since_keyframe = 0;
-  ++keyframes_;
-  return encode_full(std::move(serialized));
+  return keyframe(std::move(serialized));
 }
 
 void DeltaEncoder::reset(std::uint32_t type_id) {
@@ -292,7 +283,7 @@ DeltaDecoder::Result DeltaDecoder::decode(wire::BufSlice encoded) {
   Result r;
   if (encoded.empty()) return r;  // kMalformed
   const std::uint8_t tag = encoded[0];
-  if (tag == kDeltaFullTag) {
+  if (tag == wire::kDeltaKeyframeTag) {
     ++keyframes_;
     wire::BufSlice msg = encoded.slice(1, encoded.size() - 1);
     // Cache the keyframe as the new base when the type has a schema (peek
@@ -315,7 +306,7 @@ DeltaDecoder::Result DeltaDecoder::decode(wire::BufSlice encoded) {
     r.msg = std::move(msg);
     return r;
   }
-  if (tag != kDeltaDiffTag) return r;  // kMalformed
+  if (tag != wire::kDeltaDiffTag) return r;  // kMalformed
 
   Cursor c{encoded.data(), encoded.size(), /*pos=*/1};
   const auto type_id = static_cast<std::uint32_t>(c.varint());
@@ -331,7 +322,9 @@ DeltaDecoder::Result DeltaDecoder::decode(wire::BufSlice encoded) {
   }
   Base& base = it->second;
   const std::size_t region_count = schema->fields.size() + 1;
-  if (mask >> region_count) return r;  // bit set past the last region
+  // A bit set past the last region. With the maximum of 64 regions every
+  // bit names one (and a shift by 64 would be undefined).
+  if (region_count < 64 && (mask >> region_count) != 0) return r;
 
   std::size_t total = 0;
   std::vector<std::span<const std::uint8_t>> pieces(region_count);

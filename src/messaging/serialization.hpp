@@ -9,7 +9,7 @@
 // The type-id table is a sorted flat vector searched by binary search —
 // registration happens at startup, lookup on every message — and serialize()
 // reserves the envelope buffer up front (Msg::serialized_size_hint) with
-// headroom so the pipeline and framing layers can prepend in place. The
+// headroom so the codec and framing layers can prepend in place. The
 // serialised message travels as a ref-counted wire::BufSlice: payload bytes
 // are written once here and read in place by every later layer.
 #pragma once
@@ -32,10 +32,11 @@ namespace kmsg::messaging {
 // A registered DeltaSchema describes the serialised *body* of a message type
 // as a flat field list, so the codec can split the byte stream into regions
 // and transmit only the regions that changed since the last message of that
-// type on the same channel. Wire format of one delta-coded message:
-//   [0x00] | full serialised message            (keyframe: no base, periodic
-//                                                refresh, or diff too big)
-//   [0x01] | varint type_id | varint field mask | changed regions in order
+// type on the same channel. Wire format of one delta-coded message (the
+// codec tags are defined with the other message encodings in wire/codec.hpp):
+//   kDeltaKeyframeTag | full serialised message   (keyframe: no base, periodic
+//                                                  refresh, or diff too big)
+//   kDeltaDiffTag | varint type_id | varint field mask | changed regions
 // Mask bit 0 covers the envelope region (type id + addresses + protocol);
 // bits 1..N cover the schema's body fields. The codec state is strictly
 // per-connection: a reconnect or peer restart discards both sides' bases, so
@@ -60,10 +61,6 @@ struct DeltaSchema {
 
 inline constexpr std::size_t kDeltaSchemaMaxFields = 63;
 
-/// Delta tag bytes (first byte of every delta-coded message).
-inline constexpr std::uint8_t kDeltaFullTag = 0x00;
-inline constexpr std::uint8_t kDeltaDiffTag = 0x01;
-
 class SerializerRegistry {
  public:
   /// Serialises the message body (not the header) into the buffer.
@@ -71,6 +68,8 @@ class SerializerRegistry {
   /// Rebuilds the message from header + body bytes.
   using DeserializeFn = std::function<MsgPtr(const BasicHeader&, wire::ByteBuf&)>;
 
+  /// Throws std::logic_error for a duplicate id or one below
+  /// wire::kReservedTypeIds (those first bytes are codec tags).
   void register_type(std::uint32_t type_id, SerializeFn ser, DeserializeFn deser);
   bool knows(std::uint32_t type_id) const { return find(type_id) != nullptr; }
 
@@ -82,7 +81,7 @@ class SerializerRegistry {
   /// Serialises envelope + body. Returns std::nullopt if the type id is
   /// unregistered. `protocol_override` replaces the header's protocol in the
   /// envelope (used when the network resolves DATA fallbacks). The returned
-  /// slice carries headroom for in-place pipeline/frame-header prepends.
+  /// slice carries headroom for in-place codec/frame-header prepends.
   std::optional<wire::BufSlice> serialize(
       const Msg& msg, std::optional<Transport> protocol_override = {}) const;
 
@@ -135,11 +134,6 @@ class DeltaEncoder {
   /// it has no base for.
   void reset(std::uint32_t type_id);
 
-  /// Tags `serialized` as a keyframe without touching any encoder state —
-  /// for stateless one-shot writes (heartbeat echoes down an inbound
-  /// connection) that must still match the delta wire format.
-  static wire::BufSlice encode_full(wire::BufSlice serialized);
-
   std::uint64_t deltas_sent() const { return deltas_; }
   std::uint64_t keyframes_sent() const { return keyframes_; }
   /// Serialised bytes elided by diffs (full size - diff size, summed).
@@ -152,6 +146,10 @@ class DeltaEncoder {
     std::vector<std::pair<std::uint32_t, std::uint32_t>> regions;
     std::uint32_t since_keyframe = 0;
   };
+
+  /// Counts a keyframe and tags `serialized` as one (in place when its
+  /// headroom allows).
+  wire::BufSlice keyframe(wire::BufSlice serialized);
 
   const SerializerRegistry* registry_;
   std::uint32_t keyframe_interval_;

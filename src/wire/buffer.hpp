@@ -5,7 +5,7 @@
 // is a cheap (pointer, length) view that pins its slab via an intrusive
 // reference count. Payload bytes are written once into a slab — by the
 // serializer, the frame decoder, or a transport — and every later layer
-// (framing, pipelines, session queues, datagram bodies, deserialized message
+// (framing, codecs, session queues, datagram bodies, deserialized message
 // payloads) reads the same bytes in place through slices.
 //
 // Ownership rules (see DESIGN.md §9):

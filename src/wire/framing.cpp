@@ -36,6 +36,16 @@ constexpr std::array<std::array<std::uint32_t, 256>, 8> make_crc_tables() {
 
 constexpr auto kCrcTables = make_crc_tables();
 
+/// Top bit of the length word: the payload is a coalesced run of messages.
+constexpr std::uint32_t kCoalescedBit = 0x80000000u;
+
+/// The frame's CRC word: a coalesced frame inverts its payload CRC, so a
+/// flipped flag bit fails the check like a flipped payload bit.
+std::uint32_t frame_crc(std::span<const std::uint8_t> payload,
+                        bool coalesced) {
+  return coalesced ? ~crc32(payload) : crc32(payload);
+}
+
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   out.push_back(static_cast<std::uint8_t>(v >> 24));
   out.push_back(static_cast<std::uint8_t>(v >> 16));
@@ -98,22 +108,11 @@ std::vector<std::uint8_t> encode_frame(std::span<const std::uint8_t> payload) {
   return out;
 }
 
-BufSlice encode_wire_single(BufSlice encoded) {
-  std::uint8_t* p = encoded.try_prepend(1);
-  if (!p) {
-    encoded = BufSlice::copy_of(encoded.span(), 1 + kFrameHeaderBytes);
-    p = encoded.try_prepend(1);
-  }
-  *p = kWireSingleTag;
-  return encoded;
-}
-
 BufSlice encode_wire_coalesced(std::span<const BufSlice> subs,
                                std::size_t headroom) {
-  std::size_t total = 1;
+  std::size_t total = 0;
   for (const BufSlice& s : subs) total += 5 + s.size();  // worst-case varint
   ByteBuf out{total, headroom};
-  out.write_u8(kWireCoalescedTag);
   for (const BufSlice& s : subs) {
     out.write_varint(s.size());
     out.write_bytes(s.span());
@@ -121,9 +120,10 @@ BufSlice encode_wire_coalesced(std::span<const BufSlice> subs,
   return std::move(out).take_slice();
 }
 
-BufSlice encode_frame_slice(BufSlice payload) {
-  const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
-  const std::uint32_t crc = crc32(payload.span());
+BufSlice encode_frame_slice(BufSlice payload, bool coalesced) {
+  const std::uint32_t len = static_cast<std::uint32_t>(payload.size()) |
+                            (coalesced ? kCoalescedBit : 0u);
+  const std::uint32_t crc = frame_crc(payload.span(), coalesced);
   std::uint8_t* hdr = payload.try_prepend(kFrameHeaderBytes);
   if (!hdr) {
     // Shared or headroom-less slice: one counted copy into a fresh slab
@@ -140,7 +140,9 @@ template <typename EmitFn>
 bool FrameDecoder::parse(const std::uint8_t* data, std::size_t& start,
                          std::size_t end, EmitFn&& emit) {
   while (end - start >= kFrameHeaderBytes) {
-    const auto len = static_cast<std::size_t>(get_u32(data + start));
+    const std::uint32_t word = get_u32(data + start);
+    const bool coalesced = (word & kCoalescedBit) != 0;
+    const auto len = static_cast<std::size_t>(word & ~kCoalescedBit);
     if (len > max_frame_) {
       poisoned_ = true;
       return false;
@@ -148,7 +150,8 @@ bool FrameDecoder::parse(const std::uint8_t* data, std::size_t& start,
     const std::uint32_t expected_crc = get_u32(data + start + 4);
     if (end - start - kFrameHeaderBytes < len) break;
     // CRC over the bytes in place — no copy of the payload is made.
-    if (crc32({data + start + kFrameHeaderBytes, len}) != expected_crc) {
+    if (frame_crc({data + start + kFrameHeaderBytes, len}, coalesced) !=
+        expected_crc) {
       // Bit errors in flight: the length we just trusted may itself be
       // damaged, so resynchronisation is not possible — poison the stream.
       ++corrupt_;
@@ -158,37 +161,19 @@ bool FrameDecoder::parse(const std::uint8_t* data, std::size_t& start,
     const std::size_t payload_at = start + kFrameHeaderBytes;
     start = payload_at + len;
     ++frames_;
-    if (on_frame_) emit(payload_at, len);
+    if (on_frame_) emit(payload_at, len, coalesced);
     if (poisoned_) return false;  // callback may have reset us
   }
   return true;
 }
 
-void FrameDecoder::emit_payload(BufSlice payload) {
-  if (!wire_v2_) {
+void FrameDecoder::emit_payload(BufSlice payload, bool coalesced) {
+  if (!coalesced) {
     on_frame_(std::move(payload));
     return;
   }
-  if (payload.empty()) {
-    ++corrupt_;
-    poisoned_ = true;
-    return;
-  }
-  const std::uint8_t tag = payload[0];
-  if (tag == kWireSingleTag) {
-    ++submsgs_;
-    on_frame_(payload.slice(1, payload.size() - 1));
-    return;
-  }
-  if (tag != kWireCoalescedTag) {
-    // The sending side only ever writes the two known tags; anything else
-    // means the stream (or our notion of its format) is corrupt.
-    ++corrupt_;
-    poisoned_ = true;
-    return;
-  }
   ++coalesced_;
-  std::size_t pos = 1;
+  std::size_t pos = 0;
   while (pos < payload.size()) {
     std::uint64_t len = 0;
     int shift = 0;
@@ -207,7 +192,6 @@ void FrameDecoder::emit_payload(BufSlice payload) {
       poisoned_ = true;
       return;
     }
-    ++submsgs_;
     on_frame_(payload.slice(pos, static_cast<std::size_t>(len)));
     if (poisoned_) return;  // callback may have torn us down
     pos += static_cast<std::size_t>(len);
@@ -261,10 +245,12 @@ bool FrameDecoder::feed(std::span<const std::uint8_t> chunk) {
   if (poisoned_) return false;
   append(chunk);
   if (!slab_) return true;  // empty chunk, nothing buffered
-  return parse(slab_->bytes(), start_, end_, [this](std::size_t at,
-                                                    std::size_t len) {
-    emit_payload(BufSlice{slab_, slab_->bytes() + at, len, /*add_ref=*/true});
-  });
+  return parse(slab_->bytes(), start_, end_,
+               [this](std::size_t at, std::size_t len, bool coalesced) {
+                 emit_payload(BufSlice{slab_, slab_->bytes() + at, len,
+                                       /*add_ref=*/true},
+                              coalesced);
+               });
 }
 
 bool FrameDecoder::feed(const BufSlice& chunk) {
@@ -275,8 +261,8 @@ bool FrameDecoder::feed(const BufSlice& chunk) {
     std::size_t pos = 0;
     const bool ok =
         parse(chunk.data(), pos, chunk.size(),
-              [this, &chunk](std::size_t at, std::size_t len) {
-                emit_payload(chunk.slice(at, len));
+              [this, &chunk](std::size_t at, std::size_t len, bool coalesced) {
+                emit_payload(chunk.slice(at, len), coalesced);
               });
     if (!ok) return false;
     if (pos < chunk.size()) {

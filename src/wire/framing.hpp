@@ -1,9 +1,16 @@
 // Length-prefixed, checksummed framing for stream transports.
 //
-// The messaging layer writes one frame per serialised message into a TCP/UDT
+// The messaging layer writes serialised messages as frames into a TCP/UDT
 // byte stream; the decoder re-slices the stream into frames on the receiving
 // side regardless of how the transport segmented it. Frame layout:
-//   u32 big-endian payload length | u32 big-endian CRC-32 of payload | payload
+//   u32 big-endian length word | u32 big-endian CRC-32 of payload | payload
+// The length word's low 31 bits are the payload length. Its top bit marks a
+// *coalesced* frame, whose payload packs many messages as
+//   (varint length | message)...
+// under the one header; a frame without it carries exactly one message, so
+// the framer never reads inside a payload to tell the two apart. Frames are
+// capped far below 2^31 bytes, so the bit never belongs to a length. A
+// coalesced frame's CRC is inverted, which puts the flag under the check.
 // A maximum frame size guards against corrupted-length runaway allocation,
 // and the CRC catches bit errors that escaped the transport's checksum (the
 // netsim chaos layer injects exactly those). A CRC mismatch poisons the
@@ -37,29 +44,10 @@ inline constexpr std::size_t kDefaultMaxFrameBytes = 16 * 1024 * 1024;
 /// Bytes of framing overhead per frame (length + CRC).
 inline constexpr std::size_t kFrameHeaderBytes = 8;
 
-// --- Wire format v2 (coalescing-capable frame payloads) ---------------------
-//
-// When both endpoints opt in (NetworkConfig::enable_delta / enable_coalescing
-// — the flags must be cluster-symmetric), every frame payload starts with a
-// one-byte format tag:
-//   kWireSingleTag    | message bytes                  (one message per frame)
-//   kWireCoalescedTag | (varint length | message)...   (many messages/frame)
-// so many small messages amortise one length/CRC header. The default (v1)
-// format has no tag: a frame payload *is* one message, byte-identical to the
-// pre-coalescing wire format — the golden-frame tests pin that.
-
-/// Frame carries exactly one message after the tag.
-inline constexpr std::uint8_t kWireSingleTag = 0xE1;
-/// Frame carries a sequence of varint-length-prefixed messages.
-inline constexpr std::uint8_t kWireCoalescedTag = 0xE2;
-
-/// Tags `encoded` as a v2 single-message frame payload (in-place headroom
-/// prepend when possible, else one counted copy).
-BufSlice encode_wire_single(BufSlice encoded);
-
-/// Gathers encoded sub-messages into one v2 coalesced frame payload
-/// ([tag][varint len|bytes]...) with `headroom` spare bytes for the frame
-/// header. One copy per sub-message — the price of amortising the header.
+/// Gathers encoded messages into one coalesced frame payload
+/// ((varint len | bytes)...) with `headroom` spare bytes for the frame
+/// header; frame it with encode_frame_slice(payload, /*coalesced=*/true).
+/// One copy per message — the price of amortising the header.
 BufSlice encode_wire_coalesced(std::span<const BufSlice> subs,
                                std::size_t headroom = kFrameHeaderBytes);
 
@@ -72,8 +60,9 @@ std::vector<std::uint8_t> encode_frame(std::span<const std::uint8_t> payload);
 /// Zero-copy framing: prepends the header in place via the slice's headroom
 /// when possible (sole owner, >= kFrameHeaderBytes spare); otherwise falls
 /// back to one counted copy into a fresh slab. The returned slice covers
-/// header + payload.
-BufSlice encode_frame_slice(BufSlice payload);
+/// header + payload. `coalesced` marks a payload built by
+/// encode_wire_coalesced.
+BufSlice encode_frame_slice(BufSlice payload, bool coalesced = false);
 
 /// Incremental frame decoder: feed arbitrary stream chunks; complete frames
 /// are emitted through the callback in order as slices of the decoder's
@@ -97,18 +86,14 @@ class FrameDecoder {
   FrameDecoder& operator=(const FrameDecoder&) = delete;
   ~FrameDecoder() { release_slab(); }
 
+  /// The callback receives one message per call: a plain frame's payload,
+  /// or each message of a coalesced frame as a sub-slice of its slab.
   void set_on_frame(FrameFn fn) { on_frame_ = std::move(fn); }
 
-  /// Switches the decoder to wire format v2: each CRC-validated frame
-  /// payload is split on its format tag and emitted as one sub-slice per
-  /// message (zero-copy — sub-slices share the frame's slab). An unknown
-  /// tag or a malformed sub-message length poisons the stream just like a
-  /// CRC failure: the framing is untrusted from that byte on.
-  void set_wire_v2(bool on) { wire_v2_ = on; }
-
   /// Consumes a stream chunk. Returns false (and poisons the decoder) if a
-  /// frame header exceeds the size limit or a frame fails its CRC — the
-  /// stream is unrecoverable then.
+  /// frame header exceeds the size limit, a frame fails its CRC or a
+  /// coalesced frame holds a malformed message length — the stream is
+  /// unrecoverable then.
   bool feed(std::span<const std::uint8_t> chunk);
 
   /// Zero-copy variant: when no partial frame is buffered, frames are
@@ -120,24 +105,23 @@ class FrameDecoder {
   bool poisoned() const { return poisoned_; }
   std::size_t buffered_bytes() const { return end_ - start_; }
   std::uint64_t frames_decoded() const { return frames_; }
-  /// Frames rejected because their payload failed the CRC check.
+  /// Frames rejected for a failed CRC check or a malformed coalesced
+  /// payload.
   std::uint64_t frames_corrupt() const { return corrupt_; }
-  /// v2 frames that carried more than one message.
+  /// Frames that carried the coalesced flag.
   std::uint64_t coalesced_frames() const { return coalesced_; }
-  /// Messages emitted from v2 frames (single + coalesced sub-messages).
-  std::uint64_t submessages() const { return submsgs_; }
 
  private:
   /// Parses complete frames out of [data + start, data + end); emits via
-  /// `emit` (which receives payload offset + length relative to `data`).
-  /// Advances `start`. Returns false on poison.
+  /// `emit` (which receives payload offset + length relative to `data`, and
+  /// the coalesced flag). Advances `start`. Returns false on poison.
   template <typename EmitFn>
   bool parse(const std::uint8_t* data, std::size_t& start, std::size_t end,
              EmitFn&& emit);
   void append(std::span<const std::uint8_t> chunk);
-  /// Hands one CRC-validated frame payload to the callback; under wire v2
-  /// this splits coalesced payloads into per-message sub-slices first.
-  void emit_payload(BufSlice payload);
+  /// Hands one CRC-validated frame payload to the callback, splitting a
+  /// coalesced payload into per-message sub-slices first.
+  void emit_payload(BufSlice payload, bool coalesced);
   void release_slab() noexcept;
   void move_from(FrameDecoder& other) noexcept {
     max_frame_ = other.max_frame_;
@@ -145,11 +129,9 @@ class FrameDecoder {
     start_ = other.start_;
     end_ = other.end_;
     poisoned_ = other.poisoned_;
-    wire_v2_ = other.wire_v2_;
     frames_ = other.frames_;
     corrupt_ = other.corrupt_;
     coalesced_ = other.coalesced_;
-    submsgs_ = other.submsgs_;
     on_frame_ = std::move(other.on_frame_);
     other.slab_ = nullptr;
     other.start_ = other.end_ = 0;
@@ -160,11 +142,9 @@ class FrameDecoder {
   std::size_t start_ = 0;  ///< offset of the first unparsed byte
   std::size_t end_ = 0;    ///< offset past the last buffered byte
   bool poisoned_ = false;
-  bool wire_v2_ = false;
   std::uint64_t frames_ = 0;
   std::uint64_t corrupt_ = 0;
   std::uint64_t coalesced_ = 0;
-  std::uint64_t submsgs_ = 0;
   FrameFn on_frame_;
 };
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "wire/framing.hpp"
+
 namespace kmsg::wire {
 
 namespace {
@@ -98,7 +100,10 @@ std::optional<std::vector<std::uint8_t>> snappy_decompress(
   std::size_t pos = 0;
   std::uint64_t expected = 0;
   if (!read_varint(input, pos, expected)) return std::nullopt;
-  if (expected > (1ull << 32)) return std::nullopt;  // sanity cap: 4 GiB
+  // Every receiver decompresses whatever a peer tags as a snappy block, so
+  // the claimed length is outside input: no message may inflate past what
+  // one frame may carry.
+  if (expected > kDefaultMaxFrameBytes) return std::nullopt;
 
   std::vector<std::uint8_t> out;
   // Reserve only what the remaining input could actually produce: a copy tag

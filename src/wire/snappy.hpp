@@ -1,7 +1,8 @@
 // A Snappy-style LZ77 block codec.
 //
 // The paper's Netty pipeline carries a Snappy compression handler by default;
-// this module plays the same role in our pipeline. The format is our own
+// this module plays the same role here, through wire::compress (codec.hpp),
+// which a sender applies per message. The format is our own
 // (NOT binary-compatible with Google Snappy) but follows the same design:
 // greedy hash-table matching of 4-byte groups, literal runs and
 // (offset, length) copies, byte-aligned tags, no entropy coding — favouring
@@ -25,7 +26,8 @@ namespace kmsg::wire {
 std::vector<std::uint8_t> snappy_compress(std::span<const std::uint8_t> input);
 
 /// Decompresses a block produced by snappy_compress. Returns std::nullopt on
-/// malformed input (never reads/writes out of bounds).
+/// malformed input (never reads/writes out of bounds) and on a block that
+/// claims more than kDefaultMaxFrameBytes of output.
 std::optional<std::vector<std::uint8_t>> snappy_decompress(
     std::span<const std::uint8_t> input);
 

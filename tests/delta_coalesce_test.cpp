@@ -1,17 +1,20 @@
 // Wire-efficiency tests: schema-aware delta encoding and frame coalescing.
 //
-// Three layers are covered. (1) The delta codec in isolation: diffs round-
-// trip field-for-field, keyframes follow the configured cadence, a decoder
-// that lost its base asks for a reset and recovers, and malformed input is
-// reported instead of trusted. (2) Wire format v2 framing: coalesced frames
-// split into zero-copy sub-slices, and a single bit flip poisons the whole
-// frame exactly once — one CRC failure, no partial delivery. (3) The
-// NetworkComponent end to end: delta + coalescing deliver every message in
-// order with the expected stats, a DeltaReset forces a keyframe, and a
-// crash/recover cycle never reconstructs a message against a pre-restart
-// delta base (fencing by construction: fresh connection, fresh codec state).
+// Four layers are covered. (1) The delta codec in isolation: diffs round-
+// trip field-for-field (up to the 63-field schema maximum), keyframes follow
+// the configured cadence, a decoder that lost its base asks for a reset and
+// recovers, and malformed input is reported instead of trusted. (2) Coalesced
+// frames: they split into zero-copy sub-slices, and a single bit flip
+// poisons the whole frame exactly once — one CRC failure, no partial
+// delivery. (3) The NetworkComponent end to end: delta + coalescing deliver
+// every message in order with the expected stats, a DeltaReset forces a
+// keyframe, and a crash/recover cycle never reconstructs a message against a
+// pre-restart delta base (fencing by construction: fresh connection, fresh
+// codec state). (4) Mixed configurations: the encoding switches are the
+// sender's alone, so any two nodes interoperate whatever each one enables.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <string>
@@ -19,8 +22,12 @@
 
 #include "apps/experiment.hpp"
 #include "apps/messages.hpp"
+#include "kompics/system.hpp"
+#include "messaging/network_component.hpp"
 #include "messaging/serialization.hpp"
 #include "messaging/supervision.hpp"
+#include "netsim/topology.hpp"
+#include "wire/codec.hpp"
 #include "wire/framing.hpp"
 #include "chaos_repro.hpp"
 
@@ -54,10 +61,11 @@ std::array<std::uint64_t, apps::TelemetryMsg::kReadings> readings_for(
   return r;
 }
 
-messaging::MsgPtr make_telemetry(const messaging::Address& src,
-                                 const messaging::Address& dst,
-                                 std::uint64_t seq) {
-  messaging::BasicHeader h{src, dst, messaging::Transport::kTcp};
+messaging::MsgPtr make_telemetry(
+    const messaging::Address& src, const messaging::Address& dst,
+    std::uint64_t seq,
+    messaging::Transport transport = messaging::Transport::kTcp) {
+  messaging::BasicHeader h{src, dst, transport};
   return kompics::make_event<apps::TelemetryMsg>(
       h, kDeviceId, seq, static_cast<std::uint8_t>(seq & 0xff),
       readings_for(seq));
@@ -184,7 +192,7 @@ TEST_F(DeltaCodecTest, FreshDecoderRequestsResetThenRecovers) {
 TEST_F(DeltaCodecTest, MalformedInputIsReportedNotTrusted) {
   DeltaDecoder dec(reg.get());
   // Truncated varint after the diff tag.
-  const std::uint8_t bad1[] = {messaging::kDeltaDiffTag, 0xFF};
+  const std::uint8_t bad1[] = {wire::kDeltaDiffTag, 0xFF};
   EXPECT_EQ(dec.decode(wire::BufSlice::copy_of(bad1)).status,
             DeltaDecoder::Status::kMalformed);
   // Unknown tag byte.
@@ -194,7 +202,7 @@ TEST_F(DeltaCodecTest, MalformedInputIsReportedNotTrusted) {
   // A diff for a type that never registered a schema (ping): diffs are only
   // ever produced for schema'd types, so this is corruption by definition.
   wire::ByteBuf buf{8};
-  buf.write_u8(messaging::kDeltaDiffTag);
+  buf.write_u8(wire::kDeltaDiffTag);
   buf.write_varint(apps::kPingTypeId);
   buf.write_varint(0);
   EXPECT_EQ(dec.decode(std::move(buf).take_slice()).status,
@@ -221,8 +229,46 @@ TEST_F(DeltaCodecTest, SchemalessTypesAlwaysTravelAsKeyframes) {
   EXPECT_EQ(enc.bytes_saved(), 0u);
 }
 
+TEST_F(DeltaCodecTest, MaximumSchemaOfSixtyThreeFieldsRoundTrips) {
+  // 63 one-byte fields plus the envelope make 64 regions: the field mask
+  // uses every bit of its 64-bit word, the last field included.
+  constexpr std::uint32_t kWideTypeId = 0x7E;
+  reg->register_delta_schema(
+      kWideTypeId,
+      messaging::DeltaSchema{std::vector<messaging::FieldKind>(
+          messaging::kDeltaSchemaMaxFields, messaging::FieldKind::kU8)});
+  auto wide = [&](std::uint8_t seq) {
+    wire::ByteBuf buf{128, wire::kCodecHeadroomBytes + wire::kFrameHeaderBytes};
+    buf.write_varint(kWideTypeId);
+    src.serialize(buf);
+    dst.serialize(buf);
+    buf.write_u8(static_cast<std::uint8_t>(messaging::Transport::kTcp));
+    for (std::size_t f = 0; f < messaging::kDeltaSchemaMaxFields; ++f) {
+      // The first and the last field change with every message.
+      const bool moving = f == 0 || f + 1 == messaging::kDeltaSchemaMaxFields;
+      buf.write_u8(static_cast<std::uint8_t>(moving ? seq + f : f));
+    }
+    return std::move(buf).take_slice();
+  };
+
+  DeltaEncoder enc(reg.get(), /*keyframe_interval=*/64);
+  DeltaDecoder dec(reg.get());
+  for (std::uint8_t seq = 0; seq < 8; ++seq) {
+    const wire::BufSlice serialized = wide(seq);
+    auto res = dec.decode(enc.encode(kWideTypeId, serialized));
+    ASSERT_EQ(res.status, DeltaDecoder::Status::kOk) << "seq " << int{seq};
+    ASSERT_EQ(res.msg.size(), serialized.size());
+    EXPECT_EQ(std::memcmp(res.msg.data(), serialized.data(), serialized.size()),
+              0)
+        << "seq " << int{seq};
+  }
+  EXPECT_EQ(enc.keyframes_sent(), 1u);
+  EXPECT_EQ(enc.deltas_sent(), 7u);
+  EXPECT_EQ(dec.deltas_received(), 7u);
+}
+
 // =====================================================================
-// Wire format v2: coalesced frames and poison-on-corruption
+// Coalesced frames and poison-on-corruption
 // =====================================================================
 
 wire::BufSlice sub_payload(std::uint8_t fill, std::size_t len) {
@@ -233,16 +279,15 @@ wire::BufSlice sub_payload(std::uint8_t fill, std::size_t len) {
   return wire::BufSlice::copy_of({bytes.data(), bytes.size()});
 }
 
-TEST(WireV2Test, CoalescedFrameSplitsIntoZeroCopySubSlices) {
+TEST(CoalescedFrameTest, SplitsIntoZeroCopySubSlices) {
   std::vector<wire::BufSlice> subs;
   subs.push_back(sub_payload(0x10, 40));
   subs.push_back(sub_payload(0x80, 7));
   subs.push_back(sub_payload(0xC0, 200));
-  wire::BufSlice framed =
-      wire::encode_frame_slice(wire::encode_wire_coalesced(subs));
+  wire::BufSlice framed = wire::encode_frame_slice(
+      wire::encode_wire_coalesced(subs), /*coalesced=*/true);
 
   wire::FrameDecoder dec;
-  dec.set_wire_v2(true);
   std::vector<wire::BufSlice> out;
   dec.set_on_frame([&](wire::BufSlice s) { out.push_back(std::move(s)); });
   ASSERT_TRUE(dec.feed(framed));
@@ -260,38 +305,20 @@ TEST(WireV2Test, CoalescedFrameSplitsIntoZeroCopySubSlices) {
   }
   EXPECT_EQ(dec.frames_decoded(), 1u);
   EXPECT_EQ(dec.coalesced_frames(), 1u);
-  EXPECT_EQ(dec.submessages(), 3u);
   EXPECT_EQ(dec.frames_corrupt(), 0u);
 }
 
-TEST(WireV2Test, SingleTagCountsSubmessageWithoutCoalescedFrame) {
-  wire::BufSlice framed =
-      wire::encode_frame_slice(wire::encode_wire_single(sub_payload(0x30, 25)));
-  wire::FrameDecoder dec;
-  dec.set_wire_v2(true);
-  std::size_t delivered = 0;
-  dec.set_on_frame([&](wire::BufSlice s) {
-    EXPECT_EQ(s.size(), 25u);
-    ++delivered;
-  });
-  ASSERT_TRUE(dec.feed(framed));
-  EXPECT_EQ(delivered, 1u);
-  EXPECT_EQ(dec.submessages(), 1u);
-  EXPECT_EQ(dec.coalesced_frames(), 0u);
-}
-
-TEST(WireV2Test, BitFlipPoisonsWholeCoalescedFrameExactlyOnce) {
+TEST(CoalescedFrameTest, BitFlipPoisonsWholeCoalescedFrameExactlyOnce) {
   std::vector<wire::BufSlice> subs;
   for (int i = 0; i < 8; ++i) {
     subs.push_back(sub_payload(static_cast<std::uint8_t>(i * 16), 64));
   }
-  wire::BufSlice framed =
-      wire::encode_frame_slice(wire::encode_wire_coalesced(subs));
+  wire::BufSlice framed = wire::encode_frame_slice(
+      wire::encode_wire_coalesced(subs), /*coalesced=*/true);
   std::vector<std::uint8_t> bytes(framed.data(), framed.data() + framed.size());
   bytes[wire::kFrameHeaderBytes + 100] ^= 0x04;  // one bit, mid-payload
 
   wire::FrameDecoder dec;
-  dec.set_wire_v2(true);
   std::size_t delivered = 0;
   dec.set_on_frame([&](wire::BufSlice) { ++delivered; });
   // The CRC covers the whole coalesced payload: one flipped bit kills the
@@ -306,28 +333,36 @@ TEST(WireV2Test, BitFlipPoisonsWholeCoalescedFrameExactlyOnce) {
   EXPECT_EQ(delivered, 0u);
 }
 
-TEST(WireV2Test, UnknownFormatTagPoisonsLikeCrcFailure) {
-  const std::uint8_t raw[] = {0x77, 1, 2, 3};  // neither 0xE1 nor 0xE2
-  const std::vector<std::uint8_t> framed = wire::encode_frame(raw);
-  wire::FrameDecoder dec;
-  dec.set_wire_v2(true);
-  std::size_t delivered = 0;
-  dec.set_on_frame([&](wire::BufSlice) { ++delivered; });
-  EXPECT_FALSE(dec.feed(std::span<const std::uint8_t>{framed}));
-  EXPECT_TRUE(dec.poisoned());
-  EXPECT_EQ(dec.frames_corrupt(), 1u);
-  EXPECT_EQ(delivered, 0u);
+TEST(CoalescedFrameTest, FlippedFlagBitFailsTheCrc) {
+  // The flag lives in the length word, outside the payload; the inverted
+  // CRC of coalesced frames still catches a flip of it, either way.
+  std::vector<wire::BufSlice> subs;
+  subs.push_back(sub_payload(0x05, 12));
+  for (const bool coalesced : {false, true}) {
+    wire::BufSlice framed = wire::encode_frame_slice(
+        coalesced ? wire::encode_wire_coalesced(subs) : sub_payload(0x05, 12),
+        coalesced);
+    std::vector<std::uint8_t> bytes(framed.data(),
+                                    framed.data() + framed.size());
+    bytes[0] ^= 0x80;
+    wire::FrameDecoder dec;
+    std::size_t delivered = 0;
+    dec.set_on_frame([&](wire::BufSlice) { ++delivered; });
+    EXPECT_FALSE(dec.feed(std::span<const std::uint8_t>{bytes}));
+    EXPECT_EQ(dec.frames_corrupt(), 1u) << "coalesced=" << coalesced;
+    EXPECT_EQ(delivered, 0u) << "coalesced=" << coalesced;
+  }
 }
 
-TEST(WireV2Test, MalformedSubMessageLengthPoisons) {
+TEST(CoalescedFrameTest, MalformedSubMessageLengthPoisons) {
   // Coalesced payload whose varint length claims more bytes than remain.
-  const std::uint8_t raw[] = {wire::kWireCoalescedTag, 0x20, 1, 2, 3};
-  const std::vector<std::uint8_t> framed = wire::encode_frame(raw);
+  const std::uint8_t raw[] = {0x20, 1, 2, 3};
+  const wire::BufSlice framed =
+      wire::encode_frame_slice(wire::BufSlice::copy_of(raw), /*coalesced=*/true);
   wire::FrameDecoder dec;
-  dec.set_wire_v2(true);
   std::size_t delivered = 0;
   dec.set_on_frame([&](wire::BufSlice) { ++delivered; });
-  EXPECT_FALSE(dec.feed(std::span<const std::uint8_t>{framed}));
+  EXPECT_FALSE(dec.feed(framed));
   EXPECT_TRUE(dec.poisoned());
   EXPECT_EQ(dec.frames_corrupt(), 1u);
   EXPECT_EQ(delivered, 0u);
@@ -372,18 +407,13 @@ class WireProbe final : public kompics::ComponentDefinition {
   kompics::PortInstance* net_ = nullptr;
 };
 
-TEST(WireEfficiencyConfigTest, V2KnobsDefaultOffPreservingV1Format) {
-  // The golden-frame tests pin the v1 wire format byte-for-byte; both
-  // efficiency features must therefore be strictly opt-in.
+TEST(WireEfficiencyConfigTest, EncodingSwitchesDefaultOff) {
+  // The golden-frame tests pin the untagged wire format byte-for-byte;
+  // every encoding feature must therefore be strictly opt-in.
   messaging::NetworkConfig nc;
   EXPECT_FALSE(nc.enable_delta);
   EXPECT_FALSE(nc.enable_coalescing);
-  EXPECT_FALSE(nc.wire_v2());
-  nc.enable_delta = true;
-  EXPECT_TRUE(nc.wire_v2());
-  nc.enable_delta = false;
-  nc.enable_coalescing = true;
-  EXPECT_TRUE(nc.wire_v2());
+  EXPECT_FALSE(nc.enable_compression);
 }
 
 TEST(WireEfficiencyComponentTest, DeltaPlusCoalescingDeliversInOrderWithSavings) {
@@ -577,6 +607,104 @@ TEST(WireEfficiencyComponentTest, CrashRecoveryNeverDecodesAgainstStaleBase) {
   // proves the reset-on-reconnect path ran.
   EXPECT_GT(exp.network_a().net_stats().delta_keyframes_sent, kf_before_resume);
   EXPECT_EQ(probe_b2.inconsistent_telemetry(), 0u);
+}
+
+// =====================================================================
+// Mixed configurations: the encoding switches are sender-side only
+// =====================================================================
+
+/// Bit 0 enables delta encoding, bit 1 coalescing, bit 2 compression.
+messaging::NetworkConfig encoding(unsigned switches) {
+  messaging::NetworkConfig nc;
+  nc.enable_delta = (switches & 1u) != 0;
+  nc.enable_coalescing = (switches & 2u) != 0;
+  nc.enable_compression = (switches & 4u) != 0;
+  return nc;
+}
+
+/// Two EU-VPC hosts whose NetworkComponents each run their own config and
+/// registry (TwoNodeExperiment gives both nodes one config).
+struct MixedPair {
+  MixedPair(messaging::NetworkConfig cfg_a, messaging::NetworkConfig cfg_b)
+      : net_a(&make_net(cfg_a, a, world.sender, "A")),
+        net_b(&make_net(cfg_b, b, world.receiver, "B")) {
+    sys.connect(net_a->network_port(), probe_a->network());
+    sys.connect(net_b->network_port(), probe_b->network());
+    sys.start_all();
+  }
+  void run_for(Duration d) { sim.run_until(sim.now() + d); }
+
+  messaging::NetworkComponent& make_net(messaging::NetworkConfig cfg,
+                                        const messaging::Address& self,
+                                        netsim::HostId host,
+                                        const std::string& name) {
+    cfg.self = self;
+    return sys.create<messaging::NetworkComponent>(
+        "network@" + name, world.net.host(host), cfg, make_registry());
+  }
+
+  sim::Simulator sim;
+  netsim::TwoHostWorld world{sim, netsim::Setup::kEuVpc, 42};
+  kompics::KompicsSystem sys{sim};
+  messaging::Address a{world.sender, 1000};
+  messaging::Address b{world.receiver, 2000};
+  messaging::NetworkComponent* net_a;
+  messaging::NetworkComponent* net_b;
+  WireProbe* probe_a = &sys.create<WireProbe>("probe@A");
+  WireProbe* probe_b = &sys.create<WireProbe>("probe@B");
+};
+
+TEST(WireInteropTest, EveryMixOfEncodingSwitchesInteroperates) {
+  using messaging::Transport;
+  constexpr std::uint64_t kPerTransport = 40;
+  constexpr std::uint64_t kUdpSeqBase = 1000;
+  for (unsigned a_switches = 0; a_switches < 8; ++a_switches) {
+    for (const unsigned b_switches : {0u, 7u}) {
+      SCOPED_TRACE("A switches " + std::to_string(a_switches) +
+                   ", B switches " + std::to_string(b_switches));
+      test::set_repro_seed(42);
+      MixedPair w(encoding(a_switches), encoding(b_switches));
+      // Both directions, both transports, in bursts of 8 per transport so
+      // a coalescing sender has frame-mates to pack.
+      for (std::uint64_t seq = 0; seq < kPerTransport; ++seq) {
+        w.probe_a->send(make_telemetry(w.a, w.b, seq));
+        w.probe_b->send(make_telemetry(w.b, w.a, seq));
+        w.probe_a->send(
+            make_telemetry(w.a, w.b, kUdpSeqBase + seq, Transport::kUdp));
+        w.probe_b->send(
+            make_telemetry(w.b, w.a, kUdpSeqBase + seq, Transport::kUdp));
+        if (seq % 8 == 7) w.run_for(Duration::millis(20));
+      }
+      w.run_for(Duration::seconds(1.0));
+
+      std::vector<std::uint64_t> tcp_seqs;
+      std::vector<std::uint64_t> udp_seqs;
+      for (std::uint64_t seq = 0; seq < kPerTransport; ++seq) {
+        tcp_seqs.push_back(seq);
+        udp_seqs.push_back(kUdpSeqBase + seq);
+      }
+      for (const WireProbe* probe : {w.probe_a, w.probe_b}) {
+        std::vector<std::uint64_t> got_tcp;
+        std::vector<std::uint64_t> got_udp;
+        for (const auto& m : probe->messages) {
+          const auto* t = dynamic_cast<const apps::TelemetryMsg*>(m.get());
+          ASSERT_NE(t, nullptr);
+          EXPECT_TRUE(telemetry_self_consistent(*t)) << "seq " << t->seq();
+          (t->header().protocol() == Transport::kUdp ? got_udp : got_tcp)
+              .push_back(t->seq());
+        }
+        std::sort(got_udp.begin(), got_udp.end());  // datagrams are unordered
+        EXPECT_EQ(got_tcp, tcp_seqs) << (probe == w.probe_a ? "A" : "B");
+        EXPECT_EQ(got_udp, udp_seqs) << (probe == w.probe_a ? "A" : "B");
+      }
+      for (const auto* net : {w.net_a, w.net_b}) {
+        const auto& st = net->net_stats();
+        EXPECT_EQ(st.deserialize_failures, 0u);
+        EXPECT_EQ(st.frames_corrupt, 0u);
+        EXPECT_EQ(st.sessions_closed, 0u);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -578,7 +578,7 @@ A health hb_sent=28 hb_received=27 suspected=0 died=0 recovered=0
 A letters buffered=0 flushed=0 dropped=0
 A fencing hellos_sent=1 hellos_received=1 restarts=0 fenced=0
 A delta sent=27 keyframes=31 saved=1898 received=0 resets_sent=0 resets_received=7
-A wire coalesced_frames=5 coalesced_msgs=30 bytes=1763
+A wire coalesced_frames=5 coalesced_msgs=30 bytes=1730
 B msgs sent=0 received=22 reflected=0 dropped=0 bytes_sent=0 bytes_received=2002
 B errors serialize=0 deserialize=0 corrupt=0 overflow=0 unsupported=0
 B sessions opened=1 accepted=1 closed=0 reconnects=0
@@ -586,7 +586,7 @@ B health hb_sent=28 hb_received=27 suspected=0 died=0 recovered=0
 B letters buffered=0 flushed=0 dropped=0
 B fencing hellos_sent=1 hellos_received=1 restarts=0 fenced=0
 B delta sent=0 keyframes=35 saved=0 received=20 resets_sent=7 resets_received=0
-B wire coalesced_frames=1 coalesced_msgs=8 bytes=1057
+B wire coalesced_frames=1 coalesced_msgs=8 bytes=1029
 )");
 }
 

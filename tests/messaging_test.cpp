@@ -3,6 +3,7 @@
 #include "apps/experiment.hpp"
 #include "apps/messages.hpp"
 #include "messaging/virtual_network.hpp"
+#include "wire/codec.hpp"
 
 namespace kmsg::messaging {
 namespace {
@@ -131,6 +132,21 @@ TEST(SerializerRegistryTest, DuplicateRegistrationThrows) {
   SerializerRegistry reg;
   apps::register_app_serializers(reg);
   EXPECT_THROW(apps::register_app_serializers(reg), std::logic_error);
+}
+
+TEST(SerializerRegistryTest, CodecTagTypeIdsAreReserved) {
+  // A message's first byte is its type-id varint or a codec tag; ids below
+  // wire::kReservedTypeIds would read as tags, so they cannot be registered.
+  SerializerRegistry reg;
+  auto ser = [](const Msg&, wire::ByteBuf&) {};
+  auto deser = [](const BasicHeader&, wire::ByteBuf&) -> MsgPtr {
+    return nullptr;
+  };
+  for (std::uint32_t id = 0; id < wire::kReservedTypeIds; ++id) {
+    EXPECT_THROW(reg.register_type(id, ser, deser), std::logic_error) << id;
+    EXPECT_FALSE(reg.knows(id));
+  }
+  EXPECT_NO_THROW(reg.register_type(wire::kReservedTypeIds, ser, deser));
 }
 
 // --- End-to-end messaging over the simulated network ---

@@ -2,8 +2,8 @@
 
 #include "common/rng.hpp"
 #include "wire/bytebuf.hpp"
+#include "wire/codec.hpp"
 #include "wire/framing.hpp"
-#include "wire/pipeline.hpp"
 #include "wire/snappy.hpp"
 
 namespace kmsg::wire {
@@ -14,7 +14,7 @@ std::vector<std::uint8_t> to_vec(const BufSlice& s) {
 }
 
 BufSlice owned(const std::vector<std::uint8_t>& v,
-               std::size_t headroom = kPipelineHeadroomBytes) {
+               std::size_t headroom = kCodecHeadroomBytes) {
   return BufSlice::copy_of({v.data(), v.size()}, headroom);
 }
 
@@ -235,15 +235,43 @@ TEST(SnappyAdversarialTest, VarintLengthOverflowRejected) {
 }
 
 TEST(SnappyAdversarialTest, HugeClaimedLengthDoesNotPreallocate) {
-  // Claims ~4 GiB of output from a 3-byte body. The decompressor must not
+  // Claims 1 MiB of output from a 3-byte body. The decompressor must not
   // reserve the claimed length (allocator bomb): the tiny input bounds what
   // the stream could possibly produce. It fails on length mismatch instead.
-  std::vector<std::uint8_t> bomb{0xFF, 0xFF, 0xFF, 0xFF, 0x0F};  // 2^32 - 1
+  std::vector<std::uint8_t> bomb{0x80, 0x80, 0x40};  // 2^20
   bomb.insert(bomb.end(), {0x00, 'a', 0x00});
   EXPECT_FALSE(snappy_decompress(bomb));
-  // Over the 4 GiB sanity cap: rejected before any allocation.
+  // A claim of 2^42 - 1 bytes: rejected before any allocation.
   std::vector<std::uint8_t> over{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F};
   EXPECT_FALSE(snappy_decompress(over));
+}
+
+TEST(SnappyAdversarialTest, OutputCappedAtOneFrame) {
+  // A well-formed block of run-length copies: each 3-byte copy tag emits 131
+  // bytes, so ~400 KiB of input inflates past the 16 MiB frame cap.
+  auto rle_block = [](std::size_t n) {
+    std::vector<std::uint8_t> b;
+    std::uint64_t v = n;  // varint of the claimed length
+    for (; v >= 0x80; v >>= 7) b.push_back(static_cast<std::uint8_t>(v | 0x80));
+    b.push_back(static_cast<std::uint8_t>(v));
+    b.insert(b.end(), {0x00, 'a'});  // one literal byte
+    std::size_t produced = 1;
+    while (produced < n) {
+      const std::size_t len = std::min<std::size_t>(n - produced, 131);
+      if (len < 4) {  // a copy emits at least 4: finish with literals
+        for (std::size_t k = 0; k < len; ++k) b.insert(b.end(), {0x00, 'a'});
+        break;
+      }
+      b.insert(b.end(), {static_cast<std::uint8_t>(0x80 | (len - 4)), 0x00,
+                         0x01});
+      produced += len;
+    }
+    return b;
+  };
+  const auto at_cap = snappy_decompress(rle_block(kDefaultMaxFrameBytes));
+  ASSERT_TRUE(at_cap);
+  EXPECT_EQ(at_cap->size(), kDefaultMaxFrameBytes);
+  EXPECT_FALSE(snappy_decompress(rle_block(kDefaultMaxFrameBytes + 1)));
 }
 
 TEST(SnappyAdversarialTest, SeededGarbageNeverCrashesOrOverproduces) {
@@ -387,68 +415,40 @@ TEST(FramingTest, CorruptHeaderDetected) {
   EXPECT_EQ(dec.frames_corrupt(), 1u);
 }
 
-// --- Pipeline ---
+// --- Message codec: compress / decompress ---
 
-TEST(PipelineTest, EmptyPipelinePassesThrough) {
-  Pipeline p;
-  std::vector<std::uint8_t> payload{1, 2, 3};
-  EXPECT_EQ(to_vec(p.process_outbound(owned(payload))), payload);
-  auto in = p.process_inbound(owned(payload));
-  ASSERT_TRUE(in);
-  EXPECT_EQ(to_vec(*in), payload);
-}
-
-TEST(PipelineTest, CompressionRoundTrip) {
-  Pipeline p;
-  p.add_last(std::make_unique<CompressionHandler>(0));
+TEST(CodecTest, CompressionRoundTrip) {
   std::vector<std::uint8_t> payload(5000, 'x');
-  auto wire_form = p.process_outbound(owned(payload));
+  auto wire_form = compress(owned(payload));
   EXPECT_LT(wire_form.size(), payload.size());
-  auto back = p.process_inbound(wire_form);
+  EXPECT_EQ(wire_form[0], kSnappyTag);
+  auto back = decompress(wire_form);
   ASSERT_TRUE(back);
   EXPECT_EQ(to_vec(*back), payload);
 }
 
-TEST(PipelineTest, IncompressibleStoredRaw) {
-  Pipeline p;
-  p.add_last(std::make_unique<CompressionHandler>(0));
+TEST(CodecTest, IncompressibleGoesOutUntagged) {
   Rng rng(43);
   std::vector<std::uint8_t> payload(1000);
   for (auto& b : payload) b = static_cast<std::uint8_t>(rng.next());
-  auto wire_form = p.process_outbound(owned(payload));
-  EXPECT_EQ(wire_form.size(), payload.size() + 1);  // 1-byte raw tag
-  auto back = p.process_inbound(wire_form);
-  ASSERT_TRUE(back);
-  EXPECT_EQ(to_vec(*back), payload);
+  const BufSlice in = owned(payload);
+  const std::uint8_t* at = in.data();
+  auto wire_form = compress(in);
+  // No tag and no copy: the message leaves exactly as the serialiser wrote it.
+  EXPECT_EQ(wire_form.data(), at);
+  EXPECT_EQ(to_vec(wire_form), payload);
 }
 
-TEST(PipelineTest, SmallPayloadBypass) {
-  Pipeline p;
-  p.add_last(std::make_unique<CompressionHandler>(64));
+TEST(CodecTest, SmallMessageBypass) {
   std::vector<std::uint8_t> tiny(10, 'a');
-  auto wire_form = p.process_outbound(owned(tiny));
-  EXPECT_EQ(wire_form.size(), tiny.size() + 1);
+  auto wire_form = compress(owned(tiny));
+  EXPECT_EQ(to_vec(wire_form), tiny);
 }
 
-TEST(PipelineTest, CorruptInboundRejected) {
-  Pipeline p;
-  p.add_last(std::make_unique<CompressionHandler>(0));
-  EXPECT_FALSE(p.process_inbound(BufSlice{}));
-  EXPECT_FALSE(p.process_inbound(owned({0x42, 1, 2})));   // unknown tag
-  EXPECT_FALSE(p.process_inbound(owned({0x01, 0xFF})));   // truncated compressed body
-}
-
-TEST(PipelineTest, MultipleHandlersComposeInOrder) {
-  // Two compression handlers: inner output is incompressible for the outer,
-  // but the round trip must still be exact (tests reverse-order inbound).
-  Pipeline p;
-  p.add_last(std::make_unique<CompressionHandler>(0));
-  p.add_last(std::make_unique<CompressionHandler>(0));
-  std::vector<std::uint8_t> payload(3000, 'z');
-  auto wire_form = p.process_outbound(owned(payload));
-  auto back = p.process_inbound(wire_form);
-  ASSERT_TRUE(back);
-  EXPECT_EQ(to_vec(*back), payload);
+TEST(CodecTest, CorruptBlockRejected) {
+  EXPECT_FALSE(decompress(BufSlice{}));
+  EXPECT_FALSE(decompress(owned({0x42, 1, 2})));        // not a snappy block
+  EXPECT_FALSE(decompress(owned({kSnappyTag, 0xFF})));  // truncated body
 }
 
 }  // namespace

@@ -16,8 +16,8 @@
 #include "apps/messages.hpp"
 #include "messaging/serialization.hpp"
 #include "sim/simulator.hpp"
+#include "wire/codec.hpp"
 #include "wire/framing.hpp"
-#include "wire/pipeline.hpp"
 
 // Counting allocator: this test binary tracks every global allocation so the
 // simulator hot path can be pinned allocation-free.
@@ -189,8 +189,6 @@ TEST(SliceLifetimeTest, SubSlicesShareOneSlab) {
 
 TEST(ZeroCopyPathTest, EndToEndMovesNoPayloadBytes) {
   auto reg = make_registry();
-  wire::Pipeline pipeline;
-  pipeline.add_last(std::make_unique<wire::CompressionHandler>());
 
   // Incompressible payload, generated straight into a pooled slab — the
   // "initial write" of the payload's life.
@@ -202,20 +200,20 @@ TEST(ZeroCopyPathTest, EndToEndMovesNoPayloadBytes) {
   SlabPool::instance().reset_stats();
 
   // Sender: serialise (writes the payload once, into the envelope slab),
-  // pipeline-encode (raw tag into headroom), frame (header into headroom).
+  // try compression (incompressible: the message goes on untagged and
+  // untouched), frame (header into headroom).
   auto envelope = reg.serialize(chunk);
   ASSERT_TRUE(envelope);
-  auto tagged = pipeline.process_outbound(std::move(*envelope));
-  auto framed = wire::encode_frame_slice(std::move(tagged));
+  auto encoded = wire::compress(std::move(*envelope));
+  auto framed = wire::encode_frame_slice(std::move(encoded));
 
-  // Receiver: decode the frame in place, strip the tag as a sub-slice,
+  // Receiver: decode the frame in place and, finding no codec tag,
   // deserialise with the chunk payload as a view of the frame's slab.
   messaging::MsgPtr delivered;
   wire::FrameDecoder dec;
   dec.set_on_frame([&](BufSlice frame) {
-    auto inbound = pipeline.process_inbound(std::move(frame));
-    ASSERT_TRUE(inbound);
-    delivered = reg.deserialize(std::move(*inbound));
+    ASSERT_GE(frame[0], wire::kReservedTypeIds) << "message was tagged";
+    delivered = reg.deserialize(std::move(frame));
   });
   ASSERT_TRUE(dec.feed(framed));
   ASSERT_NE(delivered, nullptr);
