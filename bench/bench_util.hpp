@@ -3,6 +3,7 @@
 // figure it reproduces, plus the expected qualitative shape.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -56,6 +57,17 @@ inline void print_header(const char* fig, const char* title) {
 
 inline void print_expectation(const char* text) {
   std::printf("Paper shape: %s\n\n", text);
+}
+
+/// main()'s exit status: non-zero when any NetworkComponent the bench ran
+/// dropped messages at its session queue cap. Windowed sources are paced
+/// by backpressure, so a drop means the flow control broke; stdout (the
+/// figure table) is the same either way.
+inline int exit_status(const char* bench, std::uint64_t queue_overflow) {
+  if (queue_overflow == 0) return 0;
+  std::fprintf(stderr, "%s: %llu messages overflowed a session queue\n",
+               bench, static_cast<unsigned long long>(queue_overflow));
+  return 1;
 }
 
 }  // namespace kmsg::bench

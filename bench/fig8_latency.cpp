@@ -22,6 +22,7 @@ struct RttResult {
   double mean_ms;
   double p95_ms;
   std::uint64_t pongs;
+  std::uint64_t queue_overflow;  // both nodes' session-queue drops
 };
 
 enum class Bulk { kNone, kTcp, kUdt, kData, kLedbat };
@@ -74,6 +75,8 @@ RttResult measure(netsim::Setup setup, Transport ping_proto, Bulk bulk,
   r.mean_ms = rtts.mean();
   r.p95_ms = rtts.percentile(95);
   r.pongs = pinger.pongs_received();
+  r.queue_overflow = exp.network_a().net_stats().queue_overflow +
+                     exp.network_b().net_stats().queue_overflow;
   return r;
 }
 
@@ -109,9 +112,11 @@ int main(int argc, char** argv) {
 
   std::printf("%-10s %-22s %12s %12s %12s %8s\n", "setup", "configuration",
               "median(ms)", "mean(ms)", "p95(ms)", "pongs");
+  std::uint64_t overflow = 0;
   for (auto setup : kmsg::netsim::kAllSetups) {
     for (const auto& c : configs) {
       const auto r = measure(setup, c.ping, c.bulk, seconds, seed);
+      overflow += r.queue_overflow;
       std::printf("%-10s %-22s %12.3f %12.3f %12.3f %8llu\n",
                   kmsg::netsim::to_string(setup), c.label, r.median_ms,
                   r.mean_ms, r.p95_ms,
@@ -119,5 +124,5 @@ int main(int argc, char** argv) {
     }
     std::printf("\n");
   }
-  return 0;
+  return exit_status("fig8_latency", overflow);
 }

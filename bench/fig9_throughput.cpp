@@ -17,7 +17,8 @@ using namespace kmsg;
 using messaging::Transport;
 
 double one_transfer_mbps(netsim::Setup setup, Transport proto,
-                         std::uint64_t bytes, std::uint64_t seed) {
+                         std::uint64_t bytes, std::uint64_t seed,
+                         std::uint64_t& overflow) {
   apps::ExperimentConfig cfg;
   cfg.setup = setup;
   cfg.seed = seed;
@@ -51,6 +52,8 @@ double one_transfer_mbps(netsim::Setup setup, Transport proto,
     exp.run_for(Duration::seconds(1.0));
   }
   (void)sink;
+  overflow += exp.network_a().net_stats().queue_overflow +
+              exp.network_b().net_stats().queue_overflow;
   return mbps;
 }
 
@@ -74,6 +77,7 @@ int main(int argc, char** argv) {
 
   std::printf("%-10s %10s | %-6s %12s %12s %6s\n", "setup", "RTT(ms)",
               "proto", "MB/s", "ci95", "runs");
+  std::uint64_t overflow = 0;
   for (auto setup : kmsg::netsim::kAllSetups) {
     const double rtt_ms = kmsg::netsim::rtt_of(setup).as_millis();
     for (auto proto : {Transport::kTcp, Transport::kUdt, Transport::kData}) {
@@ -81,7 +85,8 @@ int main(int argc, char** argv) {
       for (int run = 0; run < max_runs; ++run) {
         const double mbps =
             one_transfer_mbps(setup, proto, bytes,
-                              static_cast<std::uint64_t>(run) * 7919 + 13);
+                              static_cast<std::uint64_t>(run) * 7919 + 13,
+                              overflow);
         if (mbps > 0.0) stats.add(mbps);
         if (run + 1 >= min_runs && stats.rse() < 0.10) break;
       }
@@ -92,5 +97,5 @@ int main(int argc, char** argv) {
     }
     std::printf("\n");
   }
-  return 0;
+  return exit_status("fig9_throughput", overflow);
 }

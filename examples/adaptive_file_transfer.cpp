@@ -19,7 +19,7 @@ using messaging::Transport;
 namespace {
 
 double transfer(netsim::Setup setup, Transport proto, std::uint64_t bytes,
-                bool trace_learner) {
+                bool trace_learner, std::uint64_t& overflow) {
   apps::ExperimentConfig cfg;
   cfg.setup = setup;
   cfg.use_data_network = (proto == Transport::kData);
@@ -70,6 +70,8 @@ double transfer(netsim::Setup setup, Transport proto, std::uint64_t bytes,
   if (sink.corrupt_chunks() != 0) {
     std::printf("  !! payload corruption detected\n");
   }
+  overflow += exp.network_a().net_stats().queue_overflow +
+              exp.network_b().net_stats().queue_overflow;
   return mbps;
 }
 
@@ -88,21 +90,29 @@ int main(int argc, char** argv) {
   std::printf("Transferring %llu MiB over the %s path (~155 ms RTT)\n\n",
               static_cast<unsigned long long>(mb), netsim::to_string(setup));
 
+  // Session-queue drops: the source's notify window should be paced by
+  // backpressure, so any drop fails the run.
+  std::uint64_t overflow = 0;
   std::printf("[1/3] plain TCP...\n");
-  const double tcp = transfer(setup, Transport::kTcp, bytes, false);
+  const double tcp = transfer(setup, Transport::kTcp, bytes, false, overflow);
   std::printf("  -> %.2f MB/s\n\n", tcp);
 
   std::printf("[2/3] plain UDT...\n");
-  const double udt = transfer(setup, Transport::kUdt, bytes, false);
+  const double udt = transfer(setup, Transport::kUdt, bytes, false, overflow);
   std::printf("  -> %.2f MB/s\n\n", udt);
 
   std::printf("[3/3] adaptive DATA (watch the learner move toward UDT):\n");
-  const double data = transfer(setup, Transport::kData, bytes, true);
+  const double data = transfer(setup, Transport::kData, bytes, true, overflow);
   std::printf("  -> %.2f MB/s\n\n", data);
 
   std::printf("summary: TCP %.2f MB/s | UDT %.2f MB/s | DATA %.2f MB/s\n", tcp,
               udt, data);
   std::printf("expected shape: UDT >> TCP at this RTT; DATA close to UDT "
               "after its ramp-up.\n");
+  if (overflow != 0) {
+    std::fprintf(stderr, "adaptive_file_transfer: %llu messages overflowed a "
+                 "session queue\n", static_cast<unsigned long long>(overflow));
+    return 1;
+  }
   return 0;
 }

@@ -24,23 +24,16 @@ void DataSource::setup() {
       pump();
       return;
     }
-    // Failed is a local rejection — mostly the session-queue cap, which
-    // queue_overflow already counts — so only PeerFailed/TimedOut warn.
-    const LogLevel level = resp.status == messaging::DeliveryStatus::kFailed
-                               ? LogLevel::kDebug
-                               : LogLevel::kWarn;
-    KMSG_LOG(level, "data-source") << "chunk send failed via "
-                                   << to_string(resp.via) << " ("
-                                   << to_string(resp.status)
-                                   << "), will retransmit offset "
-                                   << failed.offset;
-    // The chunk never reached the wire; schedule it for retransmission so a
-    // fixed-size transfer still completes (queue overflow / peer death drop
-    // frames, and nothing below this layer resends them).
+    KMSG_WARN("data-source") << "chunk send failed via " << to_string(resp.via)
+                             << " (" << to_string(resp.status)
+                             << "), will retransmit offset " << failed.offset;
+    // The chunk never reached the wire (its peer failed or timed out, or the
+    // stack refused it); schedule it for retransmission so a fixed-size
+    // transfer still completes — nothing below this layer resends it.
     retry_queue_.push_back(failed);
-    // Back off before refilling: a full (or dead) path fails synchronously,
-    // and re-pumping in the same instant would spin without ever letting
-    // simulated time — and therefore the queue drain — advance.
+    // Back off before refilling: a Dead peer answers at once, and re-pumping
+    // in the same instant would spin without ever letting simulated time —
+    // and therefore the peer's recovery — advance.
     if (!retry_pending_) {
       retry_pending_ = true;
       retry_cancel_ = system().scheduler().schedule_delayed(

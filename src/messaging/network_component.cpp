@@ -297,29 +297,43 @@ void NetworkComponent::handle_outgoing(MsgPtr msg, std::optional<NotifyId> notif
                     payload_bytes);
     } else {
       park_dead_letter(*it->second, std::move(*serialized), msg->type_id(),
-                       proto, payload_bytes);
+                       proto);
     }
     return;
   }
 
-  Session& s = session_for(peer, proto);
-  const std::size_t acct = serialized->size();
-  if (s.queued_bytes + acct > config_.session_queue_limit_bytes) {
-    ++stats_.queue_overflow;
-    ++stats_.msgs_dropped;
-    if (notify) notify_result(*notify, DeliveryStatus::kFailed, proto, payload_bytes);
-    return;
-  }
-  s.queued_bytes += acct;
   PendingMsg m;
   m.serialized = std::move(*serialized);
   m.type_id = msg->type_id();
   m.notify = notify;
   m.payload_bytes = payload_bytes;
-  m.acct_bytes = acct;
+  enqueue(session_for(peer, proto), std::move(m));
+}
+
+bool NetworkComponent::enqueue(Session& s, PendingMsg m) {
+  const std::size_t cap = config_.session_queue_limit_bytes;
+  const bool fits = s.queued_bytes + m.payload_bytes <= cap;
+  if (m.notify && m.payload_bytes <= cap && (!fits || !s.waiting.empty())) {
+    // Backpressure: the notify stays unanswered until the message is
+    // written, which is what paces a sender bounding its notifies.
+    s.waiting.push_back(std::move(m));
+    s.last_activity = system().clock().now();
+    return true;
+  }
+  if (!fits) {
+    ++stats_.queue_overflow;
+    ++stats_.msgs_dropped;
+    if (m.notify) {
+      notify_result(*m.notify, DeliveryStatus::kFailed, s.transport,
+                    m.payload_bytes);
+    }
+    return false;
+  }
+  s.queued_bytes += m.payload_bytes;
   s.queue.push_back(std::move(m));
   s.last_activity = system().clock().now();
   if (s.connected) drain(s);
+  return true;
 }
 
 void NetworkComponent::send_udp(const Msg& msg, std::optional<NotifyId> notify) {
@@ -446,9 +460,17 @@ void NetworkComponent::drain(Session& s) {
         notify_result(*m.notify, DeliveryStatus::kSent, s.transport,
                       m.payload_bytes);
       }
-      s.queued_bytes -= m.acct_bytes;
+      s.queued_bytes -= m.payload_bytes;
     }
     s.wire.reset();
+    // The completed frame freed room: waiting messages enter in order.
+    while (!s.waiting.empty() &&
+           s.queued_bytes + s.waiting.front().payload_bytes <=
+               config_.session_queue_limit_bytes) {
+      s.queued_bytes += s.waiting.front().payload_bytes;
+      s.queue.push_back(std::move(s.waiting.front()));
+      s.waiting.pop_front();
+    }
   }
 }
 
@@ -650,7 +672,7 @@ void NetworkComponent::dispose_queue(Session& s, DeliveryStatus status,
     // serialised form moved out (delta off) has nothing left to replay.
     if (letters != nullptr && !m.notify && !m.serialized.empty()) {
       park_dead_letter(*letters, std::move(m.serialized), m.type_id,
-                       s.transport, m.payload_bytes);
+                       s.transport);
       return;
     }
     ++stats_.msgs_dropped;
@@ -660,6 +682,7 @@ void NetworkComponent::dispose_queue(Session& s, DeliveryStatus status,
     for (auto& m : s.wire->msgs) dispose(m);
   }
   for (auto& m : s.queue) dispose(m);
+  for (auto& m : s.waiting) dispose(m);
 }
 
 void NetworkComponent::attach_inbound(
@@ -909,9 +932,9 @@ bool NetworkComponent::enqueue_internal(Session& s, const Msg& msg,
   PendingMsg m;
   m.type_id = msg.type_id();
   m.internal = true;
-  m.acct_bytes = serialized->size();
+  m.payload_bytes = serialized->size();
   m.serialized = std::move(*serialized);
-  s.queued_bytes += m.acct_bytes;
+  s.queued_bytes += m.payload_bytes;
   if (front) {
     s.queue.push_front(std::move(m));
   } else {
@@ -1027,11 +1050,10 @@ void NetworkComponent::record_alive(const Address& peer, HealthReason reason,
 
 void NetworkComponent::park_dead_letter(PeerState& ps,
                                         wire::BufSlice serialized,
-                                        std::uint32_t type_id, Transport t,
-                                        std::size_t payload_bytes) {
+                                        std::uint32_t type_id, Transport t) {
   ps.dead_letter_bytes += serialized.size();
-  ps.dead_letters.push_back(DeadLetter{std::move(serialized), type_id, t,
-                                       payload_bytes, system().clock().now()});
+  ps.dead_letters.push_back(
+      DeadLetter{std::move(serialized), type_id, t, system().clock().now()});
   ++stats_.dead_letters_buffered;
   while (ps.dead_letter_bytes > config_.dead_letter_limit_bytes &&
          !ps.dead_letters.empty()) {
@@ -1139,23 +1161,16 @@ void NetworkComponent::flush_dead_letters(const Address& peer, PeerState& ps) {
       ++stats_.msgs_dropped;
       continue;
     }
-    Session& s = session_for(peer, dl.transport);
-    if (s.queued_bytes + dl.serialized.size() >
-        config_.session_queue_limit_bytes) {
-      ++stats_.dead_letters_dropped;
-      ++stats_.queue_overflow;
-      ++stats_.msgs_dropped;
-      continue;
-    }
     PendingMsg m;
-    m.acct_bytes = dl.serialized.size();
+    m.payload_bytes = dl.serialized.size();
     m.serialized = std::move(dl.serialized);
     m.type_id = dl.type_id;
-    m.payload_bytes = dl.payload_bytes;
-    s.queued_bytes += m.acct_bytes;
-    s.queue.push_back(std::move(m));
-    ++stats_.dead_letters_flushed;
-    if (s.connected) drain(s);
+    // A letter is fire-and-forget: over the cap it is dropped for good.
+    if (enqueue(session_for(peer, dl.transport), std::move(m))) {
+      ++stats_.dead_letters_flushed;
+    } else {
+      ++stats_.dead_letters_dropped;
+    }
   }
 }
 

@@ -22,6 +22,16 @@
 // FIFO per (destination, transport) over TCP/UDT, unordered over UDP —
 // exactly the semantics table of paper §III-B.
 //
+// Overload: each session's queue is capped (session_queue_limit_bytes). A
+// notify-requested message that does not fit waits in its session, behind
+// any notified message already waiting, and enters the queue as completed
+// frames free room, so notified messages keep their order. Its notify is
+// answered when it is written or when the session dies: a sender that
+// bounds its outstanding notifies is paced by the network, not refused. A
+// fire-and-forget message that does not fit is dropped and counted as
+// queue_overflow (no sender bounds it); one that fits enters at once,
+// passing any waiting message.
+//
 // Wire-level port convention: TCP listens on (tcp, port); plain UDP on
 // (udp, port); UDT on (udp, port + 1) and LEDBAT on (udp, port + 2) so the
 // UDP consumers do not clash. Every component listens on all four.
@@ -75,11 +85,13 @@ struct NetworkConfig {
   /// as an internal message (heartbeat, hello, keyframe request) enters the
   /// queue.
   bool enable_coalescing = false;
-  /// Per-session cap on queued-but-unwritten frame bytes; messages beyond
-  /// it are dropped (at-most-once), counted as queue_overflow, and notified
-  /// as failed. 4 MiB: enough for ~64 of the paper's 65 kB chunks — a
-  /// healthy session drains that in well under a second, so anything deeper
-  /// is a dead peer masquerading as backlog.
+  /// Per-session cap on queued-but-unwritten frame bytes. A notified message
+  /// beyond it waits, in order, until completed frames free room; a
+  /// fire-and-forget one is dropped (at-most-once) and counted as
+  /// queue_overflow, and so is a notified one larger than the whole cap,
+  /// whose notify is answered Failed. 4 MiB: enough for ~64 of the paper's
+  /// 65 kB chunks — a healthy session drains that in well under a second,
+  /// so anything deeper is a dead peer masquerading as backlog.
   std::size_t session_queue_limit_bytes = 4 * 1024 * 1024;
   /// Idle outbound sessions are eventually closed to reclaim resources —
   /// conservatively, since channel establishment may be expensive (the
@@ -173,8 +185,9 @@ class NetworkComponent final : public kompics::ComponentDefinition {
   /// Supervision view of a peer (keyed by vnode-stripped address); kHealthy
   /// for peers the component has never tracked.
   PeerHealth peer_health(const Address& peer) const;
-  /// Sum of queued-but-unwritten bytes across all sessions (test hook: a
-  /// Dead declaration must leave nothing behind).
+  /// Sum of queued-but-unwritten bytes across all sessions' capped queues;
+  /// messages waiting for room are not counted (test hook: a Dead
+  /// declaration must leave nothing behind).
   std::size_t queued_bytes_total() const;
   std::size_t session_count() const { return sessions_.size(); }
   std::size_t dead_letter_bytes_total() const;
@@ -190,8 +203,8 @@ class NetworkComponent final : public kompics::ComponentDefinition {
                                 // unless delta needs it for re-encoding)
     std::uint32_t type_id = 0;
     std::optional<NotifyId> notify;
-    std::size_t payload_bytes = 0;  // pre-framing size, for the notify
-    std::size_t acct_bytes = 0;     // queued_bytes contribution
+    std::size_t payload_bytes = 0;  // serialised size: the notify's byte
+                                    // count and the queued_bytes share
     bool internal = false;  // hello, heartbeat, echo or keyframe request:
                             // exempt from stats, caps and dead letters, and
                             // never held back by the coalescer
@@ -213,7 +226,8 @@ class NetworkComponent final : public kompics::ComponentDefinition {
     std::shared_ptr<transport::StreamConnection> conn;
     std::deque<PendingMsg> queue;       // not yet framed
     std::optional<WireFrame> wire;      // frame in flight, built at drain
-    std::size_t queued_bytes = 0;       // queue + wire accounting
+    std::size_t queued_bytes = 0;       // queue + wire accounting (capped)
+    std::deque<PendingMsg> waiting;     // notified, over the cap, in order
     std::unique_ptr<DeltaEncoder> delta;  // non-null when enable_delta
     kompics::TimerHandle coalesce_timer;  // pending latency-budget flush
     bool flush_now = false;  // budget expired: build regardless of fill
@@ -249,7 +263,6 @@ class NetworkComponent final : public kompics::ComponentDefinition {
     wire::BufSlice serialized;
     std::uint32_t type_id = 0;
     Transport transport = Transport::kTcp;
-    std::size_t payload_bytes = 0;
     TimePoint at = TimePoint::zero();
   };
 
@@ -277,6 +290,15 @@ class NetworkComponent final : public kompics::ComponentDefinition {
   void send_udp(const Msg& msg, std::optional<NotifyId> notify);
   Session& session_for(const Address& peer, Transport t);
   void open_session(Session& s);
+  /// The one enqueue for application messages, fresh or flushed dead
+  /// letters. A message that fits under the cap, and is not notified behind
+  /// a waiting one, is queued and drained at once on a connected session. A
+  /// notified message that does not fit joins the waiting line, which
+  /// drain() admits in order as frames complete. Anything else — a
+  /// fire-and-forget message that does not fit, or a notified one larger
+  /// than the whole cap — is dropped and counted as queue_overflow, and
+  /// the call returns false.
+  bool enqueue(Session& s, PendingMsg m);
   void drain(Session& s);
   void on_session_closed(const Address& peer, Transport t);
   /// Cancels the session's timers, counts it closed and erases it. Returns
@@ -285,9 +307,10 @@ class NetworkComponent final : public kompics::ComponentDefinition {
   std::shared_ptr<transport::StreamConnection> close_session(
       SessionMap::iterator it);
   /// Answers or parks everything a dying session still holds (in-flight
-  /// frame first, then the queue), skipping internal frames: a notify gets
-  /// `status`; with `letters`, a fire-and-forget message whose serialised
-  /// form survives is parked there; anything else is dropped.
+  /// frame first, then the queue, then the waiting line), skipping internal
+  /// frames: a notify gets `status`; with `letters`, a fire-and-forget
+  /// message whose serialised form survives is parked there; anything else
+  /// is dropped.
   void dispose_queue(Session& s, DeliveryStatus status, PeerState* letters);
   /// Runs `fn` in a fresh simulator event. Connection callbacks use it to
   /// tear down: destroying a connection while one of its own frames is
@@ -355,8 +378,7 @@ class NetworkComponent final : public kompics::ComponentDefinition {
   /// Parks a fire-and-forget serialised message for possible replay on
   /// recovery, evicting the oldest letters past the per-peer byte cap.
   void park_dead_letter(PeerState& ps, wire::BufSlice serialized,
-                        std::uint32_t type_id, Transport t,
-                        std::size_t payload_bytes);
+                        std::uint32_t type_id, Transport t);
   /// Declares a peer Dead: cancels reconnects, answers queued notifies with
   /// `status`, parks fire-and-forget frames as dead letters, tears down all
   /// of the peer's sessions, and arms the probe timer.

@@ -25,8 +25,11 @@ struct MessageNotifyReq final : kompics::KompicsEvent {
 enum class DeliveryStatus : std::uint8_t {
   /// All bytes were accepted by the transport (stream) / emitted (UDP).
   kSent,
-  /// The session failed or the message was rejected before transmission
-  /// (serialisation error, unsupported transport, queue overflow).
+  /// Rejected locally before transmission: serialisation error, unsupported
+  /// transport, a UDP send the endpoint refused, a message larger than the
+  /// whole session queue cap, or the component stopping. A full session
+  /// queue is not a failure: the message waits for room and its notify is
+  /// answered when it is written.
   kFailed,
   /// The destination peer was declared Dead by the supervision layer after
   /// channel reconnect attempts were exhausted.

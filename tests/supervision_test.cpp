@@ -1,10 +1,12 @@
 // Channel-supervision tests: peer-health FSM driven by heartbeat phi accrual
-// and transport-level failures, dead-letter delivery semantics, transport
-// fallback in the adaptive interceptor, and the deterministic acceptance
-// scenario (seeded partition; every notify-requested message is eventually
-// answered; the peer returns to Healthy after the heal).
+// and transport-level failures, dead-letter delivery semantics, backpressure
+// at the session queue cap, transport fallback in the adaptive interceptor,
+// and the deterministic acceptance scenario (seeded partition; every
+// notify-requested message is eventually answered; the peer returns to
+// Healthy after the heal).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <sstream>
@@ -383,30 +385,204 @@ TEST_F(SupervisionFixture, DeadLetterFlushReparksWhenChannelStaysDown) {
   }
 }
 
-// Satellite (a): the bounded session queue rejects overflow with a Failed
-// notify and a queue_overflow stat instead of buffering without limit.
-TEST_F(SupervisionFixture, QueueOverflowFailsNotifyAndCounts) {
+// Backpressure at the session queue cap: during a partition a 64 KiB cap
+// holds four 16 kB chunks; the notified chunks past it wait unanswered, the
+// capped queue never exceeds the cap, and after the heal every notify is
+// answered Sent exactly once, in submission order, with each chunk
+// delivered once and in order.
+TEST_F(SupervisionFixture, NotifiedOverflowWaitsAndIsSentInOrderAfterHeal) {
   apps::ExperimentConfig cfg;
   cfg.setup = netsim::Setup::kEuVpc;
   cfg.net.session_queue_limit_bytes = 64 * 1024;
+  cfg.net.tcp.initial_rto = Duration::millis(200);  // SYN retried at 200 ms
   build(cfg);
+
+  netsim::ChaosSchedule chaos(exp->network());
+  chaos.partition_at(Duration::zero(),
+                     {{exp->addr_a().host}, {exp->addr_b().host}})
+      .heal_at(Duration::millis(150));
+  chaos.arm();
+  exp->run_for(Duration::millis(1));  // partition in force before any send
+
+  std::vector<NotifyId> ids;
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    ids.push_back(next_notify_id());
+    probe_a->send_notified(chunk(Transport::kTcp, 16000u * i, 16000),
+                           ids.back());
+  }
+  auto& net_a = exp->network_a();
+  std::size_t peak_queued = 0;
+  for (int step = 0; step < 300; ++step) {  // 3 s in 10 ms steps
+    exp->run_for(Duration::millis(10));
+    peak_queued = std::max(peak_queued, net_a.queued_bytes_total());
+    if (step == 10) {  // t = 111 ms: still partitioned
+      EXPECT_TRUE(probe_a->responses.empty())
+          << "a waiting chunk was answered before it was written";
+      EXPECT_GT(net_a.queued_bytes_total(), 3u * 16000u);
+    }
+  }
+
+  EXPECT_LE(peak_queued, 64u * 1024u);
+  ASSERT_EQ(probe_a->responses.size(), ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(probe_a->responses[i].first, ids[i]) << "answer " << i;
+    EXPECT_EQ(probe_a->responses[i].second, DeliveryStatus::kSent)
+        << "answer " << i;
+  }
+  ASSERT_EQ(probe_b->messages.size(), ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const auto* c = dynamic_cast<const DataChunkMsg*>(probe_b->messages[i].get());
+    ASSERT_NE(c, nullptr);
+    EXPECT_EQ(c->offset(), 16000u * i) << "chunk " << i << " out of order";
+  }
+  const auto& st = net_a.net_stats();
+  EXPECT_EQ(st.queue_overflow, 0u);
+  EXPECT_EQ(st.msgs_sent, ids.size());
+  EXPECT_EQ(net_a.queued_bytes_total(), 0u);
+}
+
+// If the partition outlasts supervision and the peer is declared Dead, every
+// waiting notify is answered exactly once, TimedOut or PeerFailed, and the
+// session leaves nothing behind.
+TEST_F(SupervisionFixture, WaitingNotifiesAnsweredOnceWhenPeerDies) {
+  apps::ExperimentConfig cfg;
+  cfg.setup = netsim::Setup::kEuVpc;
+  cfg.net.session_queue_limit_bytes = 64 * 1024;
+  build(cfg);  // default phi: Dead ~1.8 s into the silence
 
   netsim::ChaosSchedule chaos(exp->network());
   chaos.partition_at(Duration::zero(),
                      {{exp->addr_a().host}, {exp->addr_b().host}});
   chaos.arm();
-  exp->run_for(Duration::millis(1));  // partition in force before any send
+  exp->run_for(Duration::millis(1));
 
-  for (int i = 0; i < 10; ++i) {
+  std::set<NotifyId> ids;
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    const auto id = next_notify_id();
+    ids.insert(id);
+    probe_a->send_notified(chunk(Transport::kTcp, 16000u * i, 16000), id);
+  }
+  exp->run_for(Duration::seconds(5.0));
+
+  auto& net_a = exp->network_a();
+  EXPECT_EQ(net_a.peer_health(exp->addr_b()), PeerHealth::kDead);
+  ASSERT_EQ(probe_a->responses.size(), ids.size());
+  std::set<NotifyId> answered;
+  for (const auto& [id, status] : probe_a->responses) {
+    EXPECT_TRUE(ids.count(id)) << "answer for an unknown notify " << id;
+    EXPECT_TRUE(answered.insert(id).second) << "notify " << id
+                                            << " answered twice";
+    EXPECT_TRUE(status == DeliveryStatus::kTimedOut ||
+                status == DeliveryStatus::kPeerFailed)
+        << "notify " << id << " answered " << to_string(status);
+  }
+  EXPECT_EQ(net_a.net_stats().queue_overflow, 0u);
+  EXPECT_EQ(net_a.queued_bytes_total(), 0u);
+  EXPECT_EQ(net_a.session_count(), 0u);
+}
+
+// Fire-and-forget messages past the cap are still dropped and counted: no
+// sender bounds them. One that fits enters at once, passing the notified
+// chunks waiting for room.
+TEST_F(SupervisionFixture, FireAndForgetOverflowDropsAndCounts) {
+  apps::ExperimentConfig cfg;
+  cfg.setup = netsim::Setup::kEuVpc;
+  cfg.net.session_queue_limit_bytes = 64 * 1024;
+  cfg.net.tcp.initial_rto = Duration::millis(200);
+  build(cfg);
+
+  netsim::ChaosSchedule chaos(exp->network());
+  chaos.partition_at(Duration::zero(),
+                     {{exp->addr_a().host}, {exp->addr_b().host}})
+      .heal_at(Duration::millis(150));
+  chaos.arm();
+  exp->run_for(Duration::millis(1));
+
+  // Four notified chunks fill the queue, two more wait.
+  for (std::uint64_t i = 0; i < 6; ++i) {
     probe_a->send_notified(chunk(Transport::kTcp, 16000u * i, 16000),
                            next_notify_id());
+  }
+  probe_a->send(ping(1));  // fits in the slack under the cap
+  for (std::uint64_t i = 6; i < 9; ++i) {
+    probe_a->send(chunk(Transport::kTcp, 16000u * i, 16000));
   }
   exp->run_for(Duration::millis(100));
 
   auto& net_a = exp->network_a();
-  EXPECT_GE(probe_a->count_status(DeliveryStatus::kFailed), 5u);
-  EXPECT_GE(net_a.net_stats().queue_overflow, 5u);
+  EXPECT_EQ(net_a.net_stats().queue_overflow, 3u);
   EXPECT_LE(net_a.queued_bytes_total(), 64u * 1024u);
+  EXPECT_TRUE(probe_a->responses.empty());
+
+  exp->run_for(Duration::seconds(3.0));
+  EXPECT_EQ(probe_a->count_status(DeliveryStatus::kSent), 6u);
+  EXPECT_EQ(probe_a->responses.size(), 6u);
+  EXPECT_EQ(net_a.net_stats().queue_overflow, 3u);
+  // B sees chunks 0-3, the ping, then the two chunks that waited.
+  std::vector<std::string> order;
+  for (const auto& m : probe_b->messages) {
+    if (const auto* c = dynamic_cast<const DataChunkMsg*>(m.get())) {
+      order.push_back(std::to_string(c->offset() / 16000u));
+    } else if (dynamic_cast<const PingMsg*>(m.get()) != nullptr) {
+      order.push_back("ping");
+    }
+  }
+  EXPECT_EQ(order, (std::vector<std::string>{"0", "1", "2", "3", "ping", "4",
+                                             "5"}));
+}
+
+// A default DataSource keeps 96 chunks (6.2 MB) outstanding against the
+// 4 MiB session queue. A 4 MiB transfer over TCP must finish without a
+// single refusal: no queue_overflow on either side, no Failed answer, and
+// every chunk sent and received exactly once, intact.
+TEST(BackpressureTest, DefaultWindowTransferNeverOverflows) {
+  apps::ExperimentConfig cfg;
+  cfg.setup = netsim::Setup::kEuVpc;
+  apps::TwoNodeExperiment exp(cfg);
+
+  apps::DataSourceConfig src_cfg;
+  src_cfg.self = exp.addr_a();
+  src_cfg.dst = exp.addr_b();
+  src_cfg.total_bytes = 4 * 1024 * 1024;
+  src_cfg.protocol = Transport::kTcp;
+  auto& source = exp.system().create<apps::DataSource>("source", src_cfg);
+  apps::DataSinkConfig sink_cfg;
+  sink_cfg.self = exp.addr_b();
+  sink_cfg.verify_payload = true;
+  auto& sink = exp.system().create<apps::DataSink>("sink", sink_cfg);
+  auto& probe_a = exp.system().create<SupProbe>("probe_a");
+  auto& probe_b = exp.system().create<SupProbe>("probe_b");
+  exp.connect_a(source.network());
+  exp.connect_b(sink.network());
+  exp.connect_a(probe_a.network());
+  exp.connect_b(probe_b.network());
+  exp.start();
+
+  for (int s = 0; s < 60 && !source.finished(); ++s) {
+    exp.run_for(Duration::seconds(1.0));
+  }
+  ASSERT_TRUE(source.finished());
+
+  const std::uint64_t chunks =
+      (src_cfg.total_bytes + src_cfg.chunk_bytes - 1) / src_cfg.chunk_bytes;
+  EXPECT_EQ(exp.network_a().net_stats().queue_overflow, 0u);
+  EXPECT_EQ(exp.network_b().net_stats().queue_overflow, 0u);
+  EXPECT_EQ(probe_a.count_status(DeliveryStatus::kFailed), 0u);
+  EXPECT_EQ(probe_a.count_status(DeliveryStatus::kSent), chunks);
+  EXPECT_EQ(exp.network_a().net_stats().msgs_sent, chunks);
+  EXPECT_EQ(sink.chunks_received(), chunks);
+  EXPECT_EQ(sink.bytes_received(), src_cfg.total_bytes);
+  EXPECT_EQ(sink.corrupt_chunks(), 0u);
+  std::map<std::uint64_t, int> seen;
+  for (const auto& m : probe_b.messages) {
+    if (const auto* c = dynamic_cast<const DataChunkMsg*>(m.get())) {
+      ++seen[c->offset()];
+    }
+  }
+  ASSERT_EQ(seen.size(), chunks);
+  for (const auto& [offset, n] : seen) {
+    EXPECT_EQ(n, 1) << "chunk at offset " << offset;
+  }
 }
 
 // A heartbeat echo written down an accepted connection is all or nothing. B
