@@ -1,30 +1,58 @@
 #include "apps/messages.hpp"
 
+#include <bit>
+#include <cstring>
+
+#include "common/rng.hpp"
+
 namespace kmsg::apps {
 
 namespace {
 
+// The payload is a run of little-endian 64-bit words: word w, covering
+// bytes 8w .. 8w+7 of the transfer, is the splitmix64 output for w. One hash
+// per 8 bytes keeps the bytes incompressible to LZ-class codecs and
+// verifiable from the position alone; whole words are written and checked
+// at once, and only an unaligned head or tail goes byte by byte.
+static_assert(std::endian::native == std::endian::little);
+
+std::uint64_t payload_word(std::uint64_t w) { return splitmix64(w); }
+
 std::uint8_t payload_byte(std::uint64_t pos) {
-  // splitmix64-style position hash: incompressible to LZ-class codecs,
-  // verifiable from the position alone.
-  std::uint64_t z = pos + 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return static_cast<std::uint8_t>(z >> 56);
+  return static_cast<std::uint8_t>(payload_word(pos >> 3) >> (8 * (pos & 7)));
 }
 
 }  // namespace
 
 wire::BufSlice make_payload_slice(std::uint64_t offset, std::size_t len) {
   wire::ByteBuf buf{len};
-  auto span = buf.write_span(len);
-  for (std::size_t i = 0; i < len; ++i) span[i] = payload_byte(offset + i);
+  std::uint8_t* out = buf.write_span(len).data();
+  std::size_t i = 0;
+  for (; i < len && ((offset + i) & 7) != 0; ++i) {
+    out[i] = payload_byte(offset + i);
+  }
+  for (; len - i >= 8; i += 8) {
+    const std::uint64_t word = payload_word((offset + i) >> 3);
+    std::memcpy(out + i, &word, 8);
+  }
+  for (; i < len; ++i) out[i] = payload_byte(offset + i);
   return std::move(buf).take_slice();
 }
 
 bool verify_payload(std::uint64_t offset, std::span<const std::uint8_t> data) {
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    if (data[i] != payload_byte(offset + i)) return false;
+  const std::uint8_t* in = data.data();
+  const std::size_t len = data.size();
+  std::size_t i = 0;
+  for (; i < len && ((offset + i) & 7) != 0; ++i) {
+    if (in[i] != payload_byte(offset + i)) return false;
+  }
+  for (; len - i >= 8; i += 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, in + i, 8);
+    if (word != payload_word((offset + i) >> 3)) return false;
+  }
+  for (; i < len; ++i) {
+    if (in[i] != payload_byte(offset + i)) return false;
   }
   return true;
 }

@@ -167,10 +167,13 @@ void register_app_serializers(messaging::SerializerRegistry& registry);
 void register_app_delta_schemas(messaging::SerializerRegistry& registry);
 
 /// Deterministic, effectively incompressible payload generated straight
-/// into a pooled slab (the "initial write" of the zero-copy pipeline): byte
-/// i of a chunk at absolute `offset` depends only on the global position,
-/// so any receiver can verify content without sharing state with the sender.
+/// into a pooled slab (the "initial write" of the zero-copy pipeline). Byte
+/// p of the transfer is byte p & 7 (little-endian) of the splitmix64 output
+/// for word p >> 3, so it depends only on the global position and any
+/// receiver can verify content without sharing state with the sender. One
+/// hash covers 8 bytes; both functions handle whole words at once.
 wire::BufSlice make_payload_slice(std::uint64_t offset, std::size_t len);
+/// Checks every byte of `data` against the payload at absolute `offset`.
 bool verify_payload(std::uint64_t offset, std::span<const std::uint8_t> data);
 
 }  // namespace kmsg::apps

@@ -307,12 +307,11 @@ detail::MailboxNode* ComponentCore::mailbox_pop_public() {
   return nullptr;
 }
 
-// Consumer-side emptiness peek over both mailboxes. The public tail always
+// Consumer-side emptiness peek over both mailboxes, for the core's current
+// owner only (it reads priv_head_ and mailbox_tail_). The public tail always
 // points at the stub or at a still-pending node, so that queue is empty
 // exactly when the tail is the stub with no successor and no producer has
-// exchanged the head away. The seq_cst loads order this check after
-// execute()'s scheduled_ store, which closes the lost-wakeup window (see the
-// protocol note in enqueue).
+// exchanged the head away.
 bool ComponentCore::mailbox_nonempty() {
   if (priv_head_ != nullptr) return true;
   MailboxNode* tail = mailbox_tail_;
@@ -362,7 +361,7 @@ void ComponentCore::enqueue(PortInstance* at, EventPtr ev) {
   mailbox_push_public(node);
   // Wakeup protocol: if scheduled_ is already set, the execute() run that
   // owns it either pops our node or — after clearing the flag — re-checks
-  // mailbox_nonempty() with seq_cst loads ordered after our (seq_cst) push,
+  // the public head with a seq_cst load ordered after our (seq_cst) push,
   // so the event cannot be stranded. The plain load first keeps the steady
   // state (already scheduled) free of lock-prefixed RMWs.
   if (!scheduled_.load(std::memory_order_seq_cst) &&
@@ -431,11 +430,22 @@ void ComponentCore::execute() {
     }
     return;
   }
+  // Once scheduled_ is clear, a producer may schedule the core again, and
+  // its next owner pops (rewriting priv_head_ and mailbox_tail_) while this
+  // worker is still here. So read the consumer-side fields now, and after
+  // the clear touch only the producer-side head.
+  const bool private_pending = priv_head_ != nullptr;
+  MailboxNode* const tail = mailbox_tail_;
   scheduled_.store(false, std::memory_order_seq_cst);
   // Re-check: a producer may have pushed between the final failed pop and
-  // the store above (or mid-push made pop report empty transiently).
-  if (mailbox_nonempty() &&
-      !scheduled_.exchange(true, std::memory_order_seq_cst)) {
+  // the store above, or a push in flight made the pop report empty. The
+  // tail is the stub or a pending node, so with the stub as tail the public
+  // queue is empty exactly when no producer has exchanged the head away.
+  // The seq_cst head load is ordered after the store above, which closes
+  // the lost-wakeup window (see the protocol note in enqueue).
+  const bool pending = private_pending || tail != &stub_ ||
+                       mailbox_head_.load(std::memory_order_seq_cst) != tail;
+  if (pending && !scheduled_.exchange(true, std::memory_order_seq_cst)) {
     system_.scheduler().schedule(this);
   }
 }

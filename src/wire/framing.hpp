@@ -13,19 +13,25 @@
 // coalesced frame's CRC is inverted, which puts the flag under the check.
 // A maximum frame size guards against corrupted-length runaway allocation,
 // and the CRC catches bit errors that escaped the transport's checksum (the
-// netsim chaos layer injects exactly those). A CRC mismatch poisons the
-// decoder: once any byte of the stream is untrusted, frame boundaries are
-// untrusted too, so the only safe recovery is tearing the connection down
-// and re-establishing the session (which the messaging layer does).
+// netsim chaos layer injects exactly those). The CRC folds with PCLMULQDQ
+// where the CPU has it and falls back to slicing-by-8 tables; both give the
+// same value, so the choice never shows on the wire. A CRC mismatch poisons
+// the decoder: once any byte of the stream is untrusted, frame boundaries
+// are untrusted too, so the only safe recovery is tearing the connection
+// down and re-establishing the session (which the messaging layer does).
 //
 // Zero-copy model: encode_frame_slice writes the 8-byte header into the
 // payload slice's headroom in place when it solely owns its slab (the
 // serialiser reserves that headroom), so encoding a frame moves no payload
 // bytes. The decoder accumulates stream chunks in a pooled slab and emits
 // each frame as a BufSlice *view* into that slab; emitted frames pin the
-// slab via refcount, and growing the accumulation buffer copies only the
-// not-yet-parsed tail. feed(BufSlice) additionally parses frames directly
-// out of the caller's slab when the decoder has no buffered partial frame.
+// slab via refcount. The slab is sized by the largest frame, not by the
+// stream: when a chunk does not fit, the decoder slides the not-yet-parsed
+// tail to the front of a slab it solely owns, swaps a slab pinned by
+// emitted frames for a pooled one of the same capacity, and grows only when
+// one frame outgrows the slab (DESIGN.md §4b). feed(BufSlice) additionally
+// parses frames directly out of the caller's slab when the decoder has no
+// buffered partial frame.
 #pragma once
 
 #include <cstdint>
@@ -51,8 +57,19 @@ inline constexpr std::size_t kFrameHeaderBytes = 8;
 BufSlice encode_wire_coalesced(std::span<const BufSlice> subs,
                                std::size_t headroom = kFrameHeaderBytes);
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected) of a byte span.
+/// CRC-32 (IEEE 802.3 polynomial, reflected) of a byte span. On a CPU with
+/// PCLMULQDQ and SSE4.1 it folds the 16-byte-aligned bulk of the span with
+/// carry-less multiplication once that bulk reaches 64 bytes; shorter spans,
+/// the unaligned ends and CPUs without the instructions take crc32_sliced.
+/// Both paths give the same value for every input.
 std::uint32_t crc32(std::span<const std::uint8_t> data);
+
+/// The table-driven (slicing-by-8) CRC-32: crc32's portable path, and the
+/// reference the tests hold the folding path to.
+std::uint32_t crc32_sliced(std::span<const std::uint8_t> data);
+
+/// Whether crc32 folds with PCLMULQDQ on this CPU (checked once).
+bool crc32_folds();
 
 /// Prepends the length + CRC header to a payload (returns a new vector).
 std::vector<std::uint8_t> encode_frame(std::span<const std::uint8_t> payload);
@@ -104,6 +121,10 @@ class FrameDecoder {
 
   bool poisoned() const { return poisoned_; }
   std::size_t buffered_bytes() const { return end_ - start_; }
+  /// Capacity of the accumulation slab (0 when none is held). Bounded by
+  /// the largest frame plus one fed chunk, rounded up to a pool size
+  /// class, not by the length of the stream.
+  std::size_t buffer_capacity() const { return slab_ ? slab_->capacity : 0; }
   std::uint64_t frames_decoded() const { return frames_; }
   /// Frames rejected for a failed CRC check or a malformed coalesced
   /// payload.

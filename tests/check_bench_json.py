@@ -43,6 +43,8 @@ REQUIRED_BENCHMARKS = [
     "BM_SmallMsgWireDelta",
     "BM_SmallMsgWireCoalesce",
     "BM_SmallMsgWireBoth",
+    # The bulk workloads' test-data generator (one splitmix64 per 8 bytes).
+    "BM_PayloadGeneration",
 ]
 REQUIRED_FIELDS = ["name", "real_time", "cpu_time", "time_unit", "iterations"]
 REQUIRED_COUNTERS = ["allocs_per_op", "alloc_bytes_per_op"]

@@ -5,6 +5,9 @@
 //  - exactly-once delivery and per-producer FIFO under an N-producer /
 //    M-consumer stress with cross-core (batched-handoff) publishes;
 //  - each component executes on at most one thread at a time;
+//  - no event is stranded when external producers race the end of a
+//    core's execute(), which reads only producer-side state once it has
+//    released the core;
 //  - shard-affine placement: pinned clusters stay in local (non-atomic)
 //    mode, cross-shard connects escalate the whole cluster, children
 //    inherit the parent's home;
@@ -187,6 +190,75 @@ TEST(MtScheduler, StressExactlyOnceAndSingleThreadedCores) {
   }
   sys.shutdown();  // joins workers: counts_ below are safe to read plainly
 
+  for (auto* c : consumers) {
+    EXPECT_EQ(c->total.load(), expected);
+    EXPECT_EQ(c->concurrency_violations.load(), 0u);
+    EXPECT_EQ(c->fifo_violations.load(), 0u);
+    EXPECT_TRUE(c->all_exactly_once());
+  }
+}
+
+// --- The reschedule window at the end of execute() ---
+
+/// A source driven from outside the pool: trigger() on a thread that is not
+/// a worker takes the external-producer path (public push, then the
+/// scheduled_ check).
+class ExternalSource final : public ComponentDefinition {
+ public:
+  void setup() override { out_ = &provides<StressPort>(); }
+  PortInstance& out() { return *out_; }
+  void emit(int producer, int seq) {
+    trigger(make_event<StressEvent>(producer, seq), *out_);
+  }
+
+ private:
+  PortInstance* out_ = nullptr;
+};
+
+TEST(MtScheduler, ExternalProducersRaceTheRescheduleWindow) {
+  // Producers on plain threads push into every consumer as fast as they
+  // can, so consumers keep draining their mailboxes and clearing scheduled_
+  // while another push schedules them on a second worker. That worker pops
+  // while the first one re-checks for late work; the re-check must read
+  // only the producer-side head (TSan flags a read of any consumer-side
+  // field there).
+  constexpr int kProducers = 4;
+  constexpr int kConsumers = 4;
+  constexpr int kEvents = 5'000;
+
+  KompicsSystem sys(4);
+  std::vector<StressConsumer*> consumers;
+  for (int i = 0; i < kConsumers; ++i) {
+    consumers.push_back(&sys.create<StressConsumer>(
+        "cons" + std::to_string(i), kProducers, kEvents));
+  }
+  std::vector<ExternalSource*> sources;
+  for (int i = 0; i < kProducers; ++i) {
+    auto& src = sys.create<ExternalSource>("src" + std::to_string(i));
+    for (auto* c : consumers) sys.connect(src.out(), c->in());
+    sources.push_back(&src);
+  }
+  sys.start_all();
+
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([p, src = sources[static_cast<std::size_t>(p)]] {
+      for (int seq = 0; seq < kEvents; ++seq) src->emit(p, seq);
+    });
+  }
+  for (auto& t : producers) t.join();
+
+  const std::uint64_t expected =
+      static_cast<std::uint64_t>(kProducers) * kEvents;
+  const auto deadline = std::chrono::steady_clock::now() + 60s;
+  for (auto* c : consumers) {
+    while (c->total.load(std::memory_order_acquire) < expected) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+          << "an event was stranded in a mailbox";
+      std::this_thread::sleep_for(1ms);
+    }
+  }
+  sys.shutdown();
   for (auto* c : consumers) {
     EXPECT_EQ(c->total.load(), expected);
     EXPECT_EQ(c->concurrency_violations.load(), 0u);

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <span>
+
 #include "common/rng.hpp"
 #include "wire/bytebuf.hpp"
 #include "wire/codec.hpp"
@@ -389,7 +393,33 @@ TEST(FramingTest, Crc32KnownVector) {
   const std::string check = "123456789";
   std::vector<std::uint8_t> data(check.begin(), check.end());
   EXPECT_EQ(crc32(data), 0xCBF43926u);
+  EXPECT_EQ(crc32_sliced(data), 0xCBF43926u);
   EXPECT_EQ(crc32({}), 0u);
+}
+
+TEST(FramingTest, Crc32FoldingMatchesSlicedReference) {
+  if (!crc32_folds()) GTEST_SKIP() << "CPU lacks PCLMULQDQ/SSE4.1";
+  constexpr std::size_t kMaxLen = 70'000;
+  constexpr std::size_t kOffsets = 64;
+  Rng rng(47);
+  std::vector<std::uint8_t> buf(kMaxLen + kOffsets);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
+  const auto check = [&](std::size_t at, std::size_t len) {
+    const std::span<const std::uint8_t> s{buf.data() + at, len};
+    ASSERT_EQ(crc32(s), crc32_sliced(s)) << "offset " << at << " len " << len;
+  };
+  // Every start alignment around the 64-byte folding threshold, where the
+  // aligned bulk appears, grows by one block, or is cut by the unaligned
+  // head and tail.
+  for (std::size_t at = 0; at < kOffsets; ++at) {
+    for (std::size_t len = 0; len <= 192; ++len) check(at, len);
+  }
+  // Seeded random lengths up to past a 64 KiB frame, at random alignments.
+  for (int i = 0; i < 1500; ++i) {
+    check(rng.next_below(kOffsets), rng.next_below(kMaxLen + 1));
+  }
+  check(0, kMaxLen);
+  check(kOffsets - 1, kMaxLen);
 }
 
 TEST(FramingTest, CorruptPayloadDetectedAndPoisons) {
@@ -413,6 +443,78 @@ TEST(FramingTest, CorruptHeaderDetected) {
   FrameDecoder dec;
   EXPECT_FALSE(dec.feed(framed));
   EXPECT_EQ(dec.frames_corrupt(), 1u);
+}
+
+// --- Decoder memory bound ---
+
+// bulk_tcp's shape: 64 MiB of 65,000-byte frames arriving in 8,928-byte
+// segments. The accumulation slab must stay sized by one frame plus one
+// segment, both when each emitted frame is dropped at once (the decoder
+// slides its partial frame to the front) and when the last frame is held
+// until the next one arrives (the slab is pinned whenever it fills, so the
+// decoder must swap it). A held frame must still read intact when it is
+// let go: a pinned slab is never written over.
+void feed_bulk_stream(bool hold_previous) {
+  constexpr std::size_t kFrameBytes = 65'000;
+  constexpr std::size_t kSpanBytes = 8'928;
+  constexpr std::size_t kStreamBytes = 64u << 20;
+  constexpr std::size_t kDistinct = 8;
+  Rng rng(53);
+  std::vector<std::vector<std::uint8_t>> payloads(kDistinct);
+  std::vector<std::uint8_t> cycle;  // the distinct frames, encoded in a row
+  for (auto& p : payloads) {
+    p.resize(kFrameBytes);
+    for (auto& b : p) b = static_cast<std::uint8_t>(rng.next());
+    const auto framed = encode_frame(p);
+    cycle.insert(cycle.end(), framed.begin(), framed.end());
+  }
+  const std::size_t frame_wire = kFrameBytes + kFrameHeaderBytes;
+  const std::size_t frames = (kStreamBytes + frame_wire - 1) / frame_wire;
+  const std::size_t total = frames * frame_wire;
+
+  std::size_t got = 0;
+  std::size_t damaged = 0;
+  const auto check = [&](const BufSlice& f, std::size_t index) {
+    const auto& want = payloads[index % kDistinct];
+    if (f.size() != want.size() ||
+        std::memcmp(f.data(), want.data(), want.size()) != 0) {
+      ++damaged;
+    }
+  };
+  BufSlice held;  // the previous frame, when holding
+  FrameDecoder dec;
+  dec.set_on_frame([&](BufSlice f) {
+    check(f, got);
+    if (hold_previous) {
+      if (got > 0) check(held, got - 1);
+      held = std::move(f);
+    }
+    ++got;
+  });
+  std::vector<std::uint8_t> span(kSpanBytes);
+  std::size_t max_capacity = 0;
+  for (std::size_t pos = 0; pos < total; pos += kSpanBytes) {
+    const std::size_t n = std::min(kSpanBytes, total - pos);
+    const std::size_t at = pos % cycle.size();
+    const std::size_t first = std::min(n, cycle.size() - at);
+    std::memcpy(span.data(), cycle.data() + at, first);
+    std::memcpy(span.data() + first, cycle.data(), n - first);
+    ASSERT_TRUE(dec.feed({span.data(), n}));
+    max_capacity = std::max(max_capacity, dec.buffer_capacity());
+  }
+  if (hold_previous) check(held, got - 1);
+  EXPECT_EQ(got, frames);
+  EXPECT_EQ(damaged, 0u);
+  EXPECT_EQ(dec.buffered_bytes(), 0u);
+  EXPECT_LE(max_capacity, 256u * 1024);
+}
+
+TEST(FrameDecoderBoundTest, SlabBoundedWhenFramesDroppedAtOnce) {
+  feed_bulk_stream(/*hold_previous=*/false);
+}
+
+TEST(FrameDecoderBoundTest, SlabBoundedWhenHeldFramesPinTheSlab) {
+  feed_bulk_stream(/*hold_previous=*/true);
 }
 
 // --- Message codec: compress / decompress ---

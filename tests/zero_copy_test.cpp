@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <vector>
 
 #include "apps/messages.hpp"
 #include "messaging/serialization.hpp"
@@ -71,8 +72,8 @@ SerializerRegistry make_registry() {
 constexpr const char* kGoldenPing =
     "20000000010064070000000200c809012a00000000075bcd15";
 constexpr const char* kGoldenChunk =
-    "10000000010064000000000200c800020380010110ab96748eb203e88d3d6aad32e6b6aa"
-    "aa";
+    "10000000010064000000000200c800020380010110079277badc86e15d6373e32ef07584"
+    "80";
 constexpr const char* kGoldenPingFrame =
     "000000197fd0ddb220000000010064070000000200c809012a00000000075bcd15";
 
@@ -230,6 +231,56 @@ TEST(ZeroCopyPathTest, EndToEndMovesNoPayloadBytes) {
       << "payload was copied after the initial serialisation write";
   EXPECT_EQ(stats.grow_bytes_copied, 0u)
       << "serialisation buffer was sized wrong and had to grow";
+}
+
+// --- Payload generator: one hash per 8-byte word ---
+
+TEST(PayloadTest, VerifiesChunksGeneratedAtAnyOffset) {
+  for (const std::uint64_t offset :
+       {std::uint64_t{0}, std::uint64_t{12'345}, (std::uint64_t{1} << 40) + 3}) {
+    const BufSlice chunk = apps::make_payload_slice(offset, 65'000);
+    ASSERT_EQ(chunk.size(), 65'000u);
+    EXPECT_TRUE(apps::verify_payload(offset, chunk.span())) << offset;
+    // A byte depends on its position only: any sub-range of a chunk is the
+    // chunk generated at that sub-range's offset, whatever its alignment.
+    for (const std::size_t skip : {1u, 5u, 8u, 13u}) {
+      const BufSlice part = apps::make_payload_slice(offset + skip, 29);
+      EXPECT_EQ(to_hex(part.span()), to_hex(chunk.span().subspan(skip, 29)))
+          << offset << "+" << skip;
+    }
+  }
+  EXPECT_TRUE(apps::verify_payload(7, {}));
+}
+
+TEST(PayloadTest, RejectsEverySingleByteFlip) {
+  // 2^40 + 3 leaves a 5-byte unaligned head; 65,000 bytes later a 3-byte
+  // tail follows the last whole word.
+  const std::uint64_t offset = (std::uint64_t{1} << 40) + 3;
+  const BufSlice chunk = apps::make_payload_slice(offset, 65'000);
+  std::vector<std::uint8_t> bytes(chunk.data(), chunk.data() + chunk.size());
+  ASSERT_TRUE(apps::verify_payload(offset, bytes));
+  std::vector<std::size_t> positions;
+  for (std::size_t i = 0; i < 16; ++i) positions.push_back(i);  // head
+  // A window straddling a word boundary (offset + 32,501 is a multiple of 8).
+  for (std::size_t i = 32'490; i < 32'512; ++i) positions.push_back(i);
+  for (std::size_t i = 64'984; i < 65'000; ++i) positions.push_back(i);  // tail
+  for (const std::size_t i : positions) {
+    for (const std::uint8_t mask : {0x01, 0x80}) {
+      bytes[i] ^= mask;
+      EXPECT_FALSE(apps::verify_payload(offset, bytes)) << "byte " << i;
+      bytes[i] ^= mask;
+    }
+  }
+  EXPECT_TRUE(apps::verify_payload(offset, bytes));
+}
+
+TEST(PayloadTest, ChunkStaysIncompressible) {
+  const BufSlice chunk = apps::make_payload_slice(12'345, 65'000);
+  const std::uint8_t* at = chunk.data();
+  const BufSlice wire_form = wire::compress(chunk);
+  // No codec tag and no copy: compression could not shrink the chunk.
+  EXPECT_EQ(wire_form.data(), at);
+  EXPECT_EQ(wire_form.size(), 65'000u);
 }
 
 // --- Simulator hot path: allocation-free once warm ---
