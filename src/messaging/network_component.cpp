@@ -446,8 +446,8 @@ void NetworkComponent::drain(Session& s) {
       build_wire_frame(s);
     }
     WireFrame& w = *s.wire;
-    const std::span<const std::uint8_t> rest = w.bytes.span().subspan(w.offset);
-    const std::size_t n = s.conn->write(rest);
+    const std::size_t n =
+        s.conn->write(w.bytes.slice(w.offset, w.bytes.size() - w.offset));
     w.offset += n;
     if (w.offset < w.bytes.size()) return;  // transport backpressure
     stats_.wire_bytes_sent += w.bytes.size();
@@ -912,7 +912,7 @@ void NetworkComponent::handle_heartbeat(const HeartbeatMsg& hb, Inbound* from) {
     m.serialized = std::move(*serialized);
     const wire::BufSlice framed = frame_single(nullptr, m);
     if (from->conn->writable_bytes() < framed.size()) return;
-    from->conn->write(framed.span());
+    from->conn->write(framed);
     ++stats_.heartbeats_sent;
   }
 }

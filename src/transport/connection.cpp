@@ -1,6 +1,9 @@
 #include "transport/connection.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+
+#include "wire/bytebuf.hpp"
 
 namespace kmsg::transport {
 
@@ -12,12 +15,16 @@ StreamConnection::StreamConnection(netsim::Host& host, netsim::HostId peer,
                                    std::size_t recv_buffer_bytes)
     : peer_port_(peer_port),
       passive_(passive),
-      send_buf_(send_buffer_bytes),
       reasm_(recv_buffer_bytes),
       host_(host),
       peer_(peer),
       proto_(proto),
-      header_bytes_(header_bytes) {}
+      header_bytes_(header_bytes),
+      send_capacity_(send_buffer_bytes) {
+  if (send_buffer_bytes == 0) {
+    throw std::invalid_argument("send buffer capacity must be > 0");
+  }
+}
 
 StreamConnection::~StreamConnection() {
   if (local_port_ != 0) host_.unbind(proto_, local_port_);
@@ -32,8 +39,17 @@ void StreamConnection::bind() {
 }
 
 std::size_t StreamConnection::write(std::span<const std::uint8_t> data) {
+  return write(wire::BufSlice::borrowed(data));
+}
+
+std::size_t StreamConnection::write(wire::BufSlice data) {
   if (state_ == ConnState::kClosed || state_ == ConnState::kClosing) return 0;
-  const std::size_t n = send_buf_.write(data);
+  const std::size_t n = std::min(data.size(), writable_bytes());
+  if (n > 0) {
+    // to_owned keeps an owning view and copies a borrowed one (write(span)).
+    send_q_.emplace_back(send_end_, data.slice(0, n).to_owned());
+    send_end_ += n;
+  }
   stats_.bytes_written += n;
   if (n < data.size()) want_writable_ = true;
   if (state_ == ConnState::kEstablished) kick();
@@ -42,7 +58,7 @@ std::size_t StreamConnection::write(std::span<const std::uint8_t> data) {
 
 std::size_t StreamConnection::writable_bytes() const {
   if (state_ == ConnState::kClosed || state_ == ConnState::kClosing) return 0;
-  return send_buf_.free_space();
+  return send_capacity_ - unacked_bytes();
 }
 
 void StreamConnection::emit(std::shared_ptr<const netsim::DatagramBody> body,
@@ -66,19 +82,44 @@ void StreamConnection::emit_data(
   if (retransmit) ++stats_.segments_retransmitted;
 }
 
+wire::BufSlice StreamConnection::payload_at(std::uint64_t seq,
+                                           std::size_t len) const {
+  if (len == 0 || seq < snd_una_ || seq + len > send_end_) {
+    throw std::out_of_range("payload_at outside the unacknowledged stream");
+  }
+  // The last write starting at or before `seq` holds its first byte.
+  auto it = std::upper_bound(
+      send_q_.begin(), send_q_.end(), seq,
+      [](std::uint64_t s, const auto& w) { return s < w.first; });
+  --it;
+  auto off = static_cast<std::size_t>(seq - it->first);
+  if (off + len <= it->second.size()) return it->second.slice(off, len);
+  wire::ByteBuf gather(len);
+  for (std::size_t left = len; left > 0; ++it, off = 0) {
+    const std::size_t n = std::min(left, it->second.size() - off);
+    gather.write_bytes(it->second.span().subspan(off, n));
+    left -= n;
+  }
+  wire::SlabPool::instance().count_payload_copy(len);
+  return std::move(gather).take_slice();
+}
+
 std::uint64_t StreamConnection::release_acked(std::uint64_t ack) {
   const std::uint64_t old_una = snd_una_;
   snd_una_ = ack;
   // An ack may also cover a FIN's sequence number, one past the data.
-  const std::uint64_t de = std::min<std::uint64_t>(ack, send_buf_.end());
-  const std::uint64_t ds = std::min<std::uint64_t>(old_una, send_buf_.end());
+  const std::uint64_t de = std::min(ack, send_end_);
+  const std::uint64_t ds = std::min(old_una, send_end_);
   stats_.bytes_acked += de - ds;
-  send_buf_.release_until(de);
+  while (!send_q_.empty() &&
+         send_q_.front().first + send_q_.front().second.size() <= ack) {
+    send_q_.pop_front();
+  }
   return ack - old_una;
 }
 
 void StreamConnection::notify_writable() {
-  if (want_writable_ && send_buf_.free_space() > 0) {
+  if (want_writable_ && unacked_bytes() < send_capacity_) {
     want_writable_ = false;
     if (on_writable_) on_writable_();
   }
@@ -95,9 +136,13 @@ void StreamConnection::deliver(std::uint64_t seq,
 }
 
 void StreamConnection::flip_payload_bit(std::uint64_t seq,
-                                        std::vector<std::uint8_t>& payload) {
-  const std::size_t at = static_cast<std::size_t>(seq) % payload.size();
-  payload[at] ^= static_cast<std::uint8_t>(1u << (seq % 8));
+                                        wire::BufSlice& payload) {
+  wire::ByteBuf copy(payload.size());
+  const std::span<std::uint8_t> bytes = copy.write_span(payload.size());
+  std::copy(payload.span().begin(), payload.span().end(), bytes.begin());
+  bytes[static_cast<std::size_t>(seq) % bytes.size()] ^=
+      static_cast<std::uint8_t>(1u << (seq % 8));
+  payload = std::move(copy).take_slice();
 }
 
 void StreamConnection::establish() {

@@ -8,8 +8,9 @@
 // the part Netty's channel abstraction plays in the paper (§III):
 //  - the ephemeral port and `emit`, which addresses one packet body to the
 //    peer;
-//  - the send side: a RingBuffer addressed by absolute stream offset,
-//    `write`, the cumulative-ack release and the writable callback;
+//  - the send side: the unacknowledged stream kept as the written slices
+//    themselves, addressed by absolute stream offset, `write`, the
+//    cumulative-ack release and the writable callback;
 //  - the receive side: in-order delivery through a ReassemblyBuffer;
 //  - the four user callbacks and the close/abort/finish_close life cycle.
 // Each engine derives from it and keeps only what differs between protocols
@@ -18,18 +19,19 @@
 // passive opener for all of them.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <span>
 #include <utility>
-#include <vector>
 
 #include "common/time.hpp"
 #include "netsim/network.hpp"
 #include "transport/reassembly.hpp"
-#include "transport/ring_buffer.hpp"
+#include "wire/buffer.hpp"
 
 namespace kmsg::transport {
 
@@ -61,14 +63,24 @@ class StreamConnection : public std::enable_shared_from_this<StreamConnection> {
   StreamConnection& operator=(const StreamConnection&) = delete;
 
   /// Appends bytes to the send buffer; returns how many were accepted
-  /// (possibly 0 when the buffer is full). Never blocks.
+  /// (possibly 0 when the buffer is full). Never blocks. The connection
+  /// keeps a view of the accepted prefix until the peer acknowledges it, and
+  /// segments are sub-slices of it: no copy. The bytes must not change until
+  /// then. They do not, since no writer touches bytes a live slice views
+  /// (wire/buffer.hpp): BufSlice::try_prepend, for one, writes only into a
+  /// slab its caller solely owns.
+  std::size_t write(wire::BufSlice data);
+  /// As above for bytes the caller keeps: the accepted prefix is copied into
+  /// one pooled slab (a counted payload copy).
   std::size_t write(std::span<const std::uint8_t> data);
 
   /// Free space currently available in the send buffer.
   std::size_t writable_bytes() const;
 
   /// Bytes accepted but not yet acknowledged by the peer (send backlog).
-  std::size_t unacked_bytes() const { return send_buf_.size(); }
+  std::size_t unacked_bytes() const {
+    return static_cast<std::size_t>(send_end_ - std::min(snd_una_, send_end_));
+  }
 
   ConnState state() const { return state_; }
   const ConnStats& stats() const { return stats_; }
@@ -137,8 +149,15 @@ class StreamConnection : public std::enable_shared_from_this<StreamConnection> {
   void emit_data(std::shared_ptr<const netsim::DatagramBody> body,
                  std::size_t len, bool retransmit);
 
+  /// Stream offset one past the last written byte.
+  std::uint64_t send_end() const { return send_end_; }
+  /// The `len` > 0 stream bytes at `seq`, within [snd_una_, send_end()), as
+  /// a view of the written slice; a range straddling two writes is gathered
+  /// into one pooled slab (a counted payload copy). Throws std::out_of_range
+  /// otherwise.
+  wire::BufSlice payload_at(std::uint64_t seq, std::size_t len) const;
   /// Advances snd_una_ to the cumulative ack `ack` (> snd_una_), releasing
-  /// the acknowledged bytes from the send buffer; returns the advance.
+  /// the fully acknowledged writes; returns the advance.
   std::uint64_t release_acked(std::uint64_t ack);
   /// Fires the writable callback if a write came up short and the send
   /// buffer has room again.
@@ -146,10 +165,10 @@ class StreamConnection : public std::enable_shared_from_this<StreamConnection> {
 
   /// Offers a received segment for in-order delivery to the data callback.
   void deliver(std::uint64_t seq, std::span<const std::uint8_t> payload);
-  /// Flips one payload bit, chosen by `seq`: a bit error that escaped the
-  /// transport checksum, left for the wire-framing CRC to catch.
-  static void flip_payload_bit(std::uint64_t seq,
-                               std::vector<std::uint8_t>& payload);
+  /// Replaces `payload` by a copy with one bit flipped, chosen by `seq`: a
+  /// bit error that escaped the transport checksum, left for the
+  /// wire-framing CRC to catch. The sender's bytes stay intact.
+  static void flip_payload_bit(std::uint64_t seq, wire::BufSlice& payload);
 
   /// kConnecting -> kEstablished: fires the connected callback, then kick().
   void establish();
@@ -162,8 +181,7 @@ class StreamConnection : public std::enable_shared_from_this<StreamConnection> {
   const bool passive_;
   ConnStats stats_;
 
-  // Send side: bytes [snd_una_, send_buf_.end()) are unacknowledged.
-  RingBuffer send_buf_;
+  // Send side: bytes [snd_una_, send_end()) are unacknowledged.
   std::uint64_t snd_una_ = 0;   ///< oldest unacknowledged byte
   std::uint64_t next_seq_ = 0;  ///< next new byte to transmit
 
@@ -176,6 +194,11 @@ class StreamConnection : public std::enable_shared_from_this<StreamConnection> {
   netsim::Port local_port_ = 0;
   netsim::IpProto proto_;
   std::size_t header_bytes_;
+  /// The written slices not yet wholly acknowledged, each with the stream
+  /// offset of its first byte; they cover [snd_una_, send_end_).
+  std::deque<std::pair<std::uint64_t, wire::BufSlice>> send_q_;
+  const std::size_t send_capacity_;
+  std::uint64_t send_end_ = 0;
   ConnState state_ = ConnState::kConnecting;
   bool want_writable_ = false;
 

@@ -31,7 +31,7 @@ struct LedbatHandshake : netsim::DatagramBody {
 struct LedbatData : netsim::DatagramBody {
   std::uint64_t seq = 0;
   std::int64_t send_ts_ns = 0;  ///< sender clock at emission
-  std::vector<std::uint8_t> payload;
+  wire::BufSlice payload;  ///< a view of the sender's written bytes
 };
 
 struct LedbatAck : netsim::DatagramBody {
@@ -115,11 +115,11 @@ void LedbatConnection::enter_established() {
 
 void LedbatConnection::pump() {
   if (state() != ConnState::kEstablished && state() != ConnState::kClosing) return;
-  while (next_seq_ < send_buf_.end()) {
+  while (next_seq_ < send_end()) {
     const auto inflight = static_cast<double>(next_seq_ - snd_una_);
     if (inflight >= cwnd_) break;
     const auto room = static_cast<std::size_t>(cwnd_ - inflight);
-    const auto avail = static_cast<std::size_t>(send_buf_.end() - next_seq_);
+    const auto avail = static_cast<std::size_t>(send_end() - next_seq_);
     const std::size_t len = std::min({kMss, avail, room});
     if (len == 0) break;
     send_segment(next_seq_, len, next_seq_ < retransmit_high_);
@@ -134,7 +134,7 @@ void LedbatConnection::send_segment(std::uint64_t seq, std::size_t len,
   auto pkt = std::make_shared<LedbatData>();
   pkt->seq = seq;
   pkt->send_ts_ns = simulator().now().as_nanos();
-  pkt->payload = send_buf_.read_at(seq, len);
+  pkt->payload = payload_at(seq, len);
   emit_data(std::move(pkt), len, retransmit);
 }
 
@@ -159,7 +159,7 @@ void LedbatConnection::on_rto() {
   retransmit_high_ = std::max(retransmit_high_, next_seq_);
   next_seq_ = snd_una_;
   const auto len = std::min<std::size_t>(
-      kMss, static_cast<std::size_t>(send_buf_.end() - snd_una_));
+      kMss, static_cast<std::size_t>(send_end() - snd_una_));
   if (len > 0) {
     send_segment(snd_una_, len, true);
     next_seq_ = snd_una_ + len;
@@ -217,7 +217,7 @@ void LedbatConnection::handle_ack(const LedbatAck& pkt) {
       ++cc_.losses;
       cwnd_ = std::max(cwnd_ / 2.0, 2.0 * static_cast<double>(kMss));
       const auto len = std::min<std::size_t>(
-          kMss, static_cast<std::size_t>(send_buf_.end() - snd_una_));
+          kMss, static_cast<std::size_t>(send_end() - snd_una_));
       if (len > 0) send_segment(snd_una_, len, true);
       arm_rto();
     }
@@ -228,7 +228,7 @@ void LedbatConnection::handle_ack(const LedbatAck& pkt) {
 void LedbatConnection::handle_data(const LedbatData& pkt) {
   const Duration one_way =
       simulator().now() - TimePoint::from_nanos(pkt.send_ts_ns);
-  deliver(pkt.seq, pkt.payload);
+  deliver(pkt.seq, pkt.payload.span());
   auto ack = std::make_shared<LedbatAck>();
   ack->ack_to = reasm_.expected();
   ack->window = static_cast<std::uint32_t>(
@@ -261,7 +261,7 @@ void LedbatConnection::on_datagram(const netsim::Datagram& dg) {
 }
 
 void LedbatConnection::maybe_finish_close() {
-  if (state() != ConnState::kClosing || snd_una_ < send_buf_.end()) return;
+  if (state() != ConnState::kClosing || snd_una_ < send_end()) return;
   abort();  // all data acknowledged: send the shutdown and close, as abort does
 }
 

@@ -30,7 +30,7 @@ struct TcpSegment : netsim::DatagramBody {
   /// SACK blocks: the receiver's missing byte ranges (what it has NOT got),
   /// equivalent information to RFC 2018 blocks but hole-oriented.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> sack_holes;
-  std::vector<std::uint8_t> payload;
+  wire::BufSlice payload;  ///< a view of the sender's written bytes
 };
 
 TcpConnection::TcpConnection(netsim::Host& host, netsim::HostId peer,
@@ -123,11 +123,11 @@ void TcpConnection::send_ack() { send_control(kAck, next_seq_); }
 void TcpConnection::pump() {
   if (state() != ConnState::kEstablished && state() != ConnState::kClosing) return;
   const double wnd = std::min(cwnd_, static_cast<double>(peer_window_));
-  while (next_seq_ < send_buf_.end()) {
+  while (next_seq_ < send_end()) {
     const auto inflight = static_cast<double>(next_seq_ - snd_una_);
     if (inflight >= wnd) break;
     const auto room = static_cast<std::size_t>(wnd - inflight);
-    const auto avail = static_cast<std::size_t>(send_buf_.end() - next_seq_);
+    const auto avail = static_cast<std::size_t>(send_end() - next_seq_);
     const std::size_t len = std::min({kMss, avail, room});
     if (len == 0) break;
     const bool rexmit = next_seq_ < retransmit_high_;
@@ -141,15 +141,15 @@ void TcpConnection::pump() {
 void TcpConnection::send_segment(std::uint64_t seq, std::size_t len,
                                  bool retransmit) {
   auto seg = make_segment(kAck, seq);
-  seg->payload = send_buf_.read_at(seq, len);
+  seg->payload = payload_at(seq, len);
   emit_data(std::move(seg), len, retransmit);
   inflight_meta_.push_back(SegMeta{seq + len, simulator().now(), retransmit});
 }
 
 void TcpConnection::maybe_send_fin() {
   if (state() != ConnState::kClosing || fin_sent_) return;
-  if (next_seq_ != send_buf_.end()) return;  // data still to transmit
-  fin_seq_ = send_buf_.end();
+  if (next_seq_ != send_end()) return;  // data still to transmit
+  fin_seq_ = send_end();
   fin_sent_ = true;
   next_seq_ = fin_seq_ + 1;  // FIN occupies one sequence number
   send_control(kFin | kAck, fin_seq_);
@@ -192,7 +192,7 @@ void TcpConnection::on_rto() {
   // doubles as the zero-window persist probe (a closed window must not
   // silence the connection or it deadlocks).
   const auto len = std::min<std::size_t>(
-      kMss, static_cast<std::size_t>(send_buf_.end() - snd_una_));
+      kMss, static_cast<std::size_t>(send_end() - snd_una_));
   if (len > 0) {
     send_segment(snd_una_, len, true);
     next_seq_ = snd_una_ + len;
@@ -252,7 +252,7 @@ void TcpConnection::on_ack(std::uint64_t ack, std::uint32_t window) {
       } else {
         // NewReno partial ACK: retransmit the next hole immediately.
         const auto len = std::min<std::size_t>(
-            kMss, static_cast<std::size_t>(send_buf_.end() - snd_una_));
+            kMss, static_cast<std::size_t>(send_end() - snd_una_));
         if (len > 0) send_segment(snd_una_, len, true);
       }
     } else {
@@ -380,7 +380,7 @@ void TcpConnection::fast_retransmit() {
   in_recovery_ = true;
   recovery_end_ = next_seq_;
   const auto len = std::min<std::size_t>(
-      kMss, static_cast<std::size_t>(send_buf_.end() - snd_una_));
+      kMss, static_cast<std::size_t>(send_end() - snd_una_));
   if (len > 0) send_segment(snd_una_, len, true);
   arm_rto();
 }
@@ -443,7 +443,7 @@ void TcpConnection::handle_established(const TcpSegment& seg) {
   if (!seg.sack_holes.empty()) handle_sack(seg.sack_holes);
 
   if (!seg.payload.empty()) {
-    deliver(seg.seq, seg.payload);
+    deliver(seg.seq, seg.payload.span());
     // Acknowledge all data (also out-of-order: dup ACKs drive fast rexmit).
     send_ack();
   }

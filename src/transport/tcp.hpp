@@ -17,6 +17,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "transport/connection.hpp"
 

@@ -17,7 +17,7 @@ struct UdtData : netsim::DatagramBody {
   std::uint64_t seq = 0;
   bool probe_head = false;  ///< first packet of a packet-pair probe
   bool probe_tail = false;  ///< second packet of a packet-pair probe
-  std::vector<std::uint8_t> payload;
+  wire::BufSlice payload;  ///< a view of the sender's written bytes
 };
 
 struct UdtAck : netsim::DatagramBody {
@@ -138,7 +138,7 @@ void UdtConnection::enter_established() {
 void UdtConnection::schedule_pacer() {
   if (pacer_armed_) return;
   if (state() != ConnState::kEstablished && state() != ConnState::kClosing) return;
-  if (loss_list_.empty() && next_seq_ >= send_buf_.end()) return;
+  if (loss_list_.empty() && next_seq_ >= send_end()) return;
   pacer_armed_ = true;
   const TimePoint now = simulator().now();
   if (next_send_at_ < now) next_send_at_ = now;
@@ -187,12 +187,12 @@ std::size_t UdtConnection::send_one(bool probe_head, bool probe_tail) {
   if (!slow_start_done_) window = std::min(window, ss_window_);
   const std::uint64_t inflight = next_seq_ - snd_una_;
   if (inflight >= window) return 0;
-  if (next_seq_ >= send_buf_.end()) {
+  if (next_seq_ >= send_end()) {
     maybe_finish_close();
     return 0;
   }
   const auto len = std::min<std::size_t>(
-      {kMss, static_cast<std::size_t>(send_buf_.end() - next_seq_),
+      {kMss, static_cast<std::size_t>(send_end() - next_seq_),
        static_cast<std::size_t>(window - inflight)});
   if (len == 0) return 0;
   send_data_packet(next_seq_, len, false, probe_head, probe_tail);
@@ -207,7 +207,7 @@ void UdtConnection::send_data_packet(std::uint64_t seq, std::size_t len,
   pkt->seq = seq;
   pkt->probe_head = probe_head;
   pkt->probe_tail = probe_tail;
-  pkt->payload = send_buf_.read_at(seq, len);
+  pkt->payload = payload_at(seq, len);
   emit_data(std::move(pkt), len, retransmit);
 }
 
@@ -376,7 +376,7 @@ void UdtConnection::estimate_bandwidth(const UdtData& pkt) {
 void UdtConnection::handle_data(const UdtData& pkt) {
   estimate_bandwidth(pkt);
   const std::uint64_t prev_highest = reasm_.highest_seen();
-  deliver(pkt.seq, pkt.payload);
+  deliver(pkt.seq, pkt.payload.span());
   // Immediate NAK on first gap detection (UDT sends NAK as soon as a
   // sequence discontinuity is observed). Register the hole for paced
   // re-NAKs.
@@ -487,7 +487,7 @@ void UdtConnection::on_datagram(const netsim::Datagram& dg) {
 
 void UdtConnection::maybe_finish_close() {
   if (state() != ConnState::kClosing) return;
-  if (snd_una_ < send_buf_.end() || !loss_list_.empty()) return;
+  if (snd_una_ < send_end() || !loss_list_.empty()) return;
   abort();  // all data acknowledged: send the shutdown and close, as abort does
 }
 

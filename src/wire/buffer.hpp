@@ -5,10 +5,11 @@
 // is a cheap (pointer, length) view that pins its slab via an intrusive
 // reference count. Payload bytes are written once into a slab — by the
 // serializer, the frame decoder, or a transport — and every later layer
-// (framing, codecs, session queues, datagram bodies, deserialized message
-// payloads) reads the same bytes in place through slices.
+// (framing, codecs, session queues, transport send queues and segments,
+// deserialized message payloads) reads the same bytes in place through
+// slices.
 //
-// Ownership rules (see DESIGN.md §9):
+// Ownership rules (see DESIGN.md §4b):
 //  - a slab belongs to exactly one pool and returns to it when its last
 //    slice (or writing ByteBuf) releases it;
 //  - slices never outlive their bytes: copying a slice bumps the count,
@@ -16,7 +17,12 @@
 //    handed out while any slice still points into it;
 //  - a *borrowed* slice (made from a raw span) owns nothing; producers of
 //    borrowed slices must keep the backing bytes alive themselves, and any
-//    layer that needs to retain one must promote it with BufSlice::copy_of.
+//    layer that needs to retain one must promote it with BufSlice::copy_of;
+//  - bytes a live slice views are never written: only a slab's sole owner
+//    writes it (a writing ByteBuf, try_prepend, the frame decoder's slide),
+//    except that the decoder appends past the frames it has emitted. A
+//    retained view therefore reads fixed bytes, which the stream transports
+//    rely on: they keep written frames as views until acknowledged.
 #pragma once
 
 #include <atomic>
@@ -54,7 +60,8 @@ struct SlabPoolStats {
   std::uint64_t acquires = 0;
   std::uint64_t releases = 0;  ///< slabs whose refcount reached zero
   /// Payload bytes duplicated slab-to-slab (BufSlice::copy_of, promotion of
-  /// borrowed views, ByteBuf compatibility reads). The zero-copy pipeline
+  /// borrowed views, ByteBuf compatibility reads, a stream transport's gather
+  /// of a segment straddling two writes). The zero-copy pipeline
   /// keeps this flat per message; the regression test pins it to zero across
   /// serialise -> frame -> decode -> deserialise.
   std::uint64_t payload_bytes_copied = 0;

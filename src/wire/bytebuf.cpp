@@ -173,20 +173,6 @@ std::uint64_t ByteBuf::read_varint() {
   }
 }
 
-std::vector<std::uint8_t> ByteBuf::read_bytes(std::size_t n) {
-  check_readable(n);
-  const std::uint8_t* p = readable_data() + read_index_;
-  std::vector<std::uint8_t> out(p, p + n);
-  read_index_ += n;
-  return out;
-}
-
-std::vector<std::uint8_t> ByteBuf::read_blob() {
-  const std::uint64_t n = read_varint();
-  if (n > readable_bytes()) throw std::out_of_range("ByteBuf: blob truncated");
-  return read_bytes(static_cast<std::size_t>(n));
-}
-
 BufSlice ByteBuf::read_blob_slice() {
   const std::uint64_t n64 = read_varint();
   if (n64 > readable_bytes()) {

@@ -18,7 +18,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "wire/buffer.hpp"
 
@@ -78,8 +77,6 @@ class ByteBuf {
   double read_f64();
   bool read_bool() { return read_u8() != 0; }
   std::uint64_t read_varint();
-  std::vector<std::uint8_t> read_bytes(std::size_t n);
-  std::vector<std::uint8_t> read_blob();
   /// Zero-copy blob read: returns a slice sharing the backing slab when this
   /// buffer wraps an owning slice; falls back to a counted copy for borrowed
   /// or writing buffers (so the result is always safe to retain).

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.hpp"
+#include "netsim/network.hpp"
+#include "sim/simulator.hpp"
+#include "transport/connection.hpp"
 #include "transport/reassembly.hpp"
-#include "transport/ring_buffer.hpp"
 
 namespace kmsg::transport {
 namespace {
@@ -13,79 +17,120 @@ std::vector<std::uint8_t> bytes(std::initializer_list<int> xs) {
   return out;
 }
 
-// --- RingBuffer ---
+// --- StreamConnection's send queue ---
 
-TEST(RingBufferTest, WriteReadRelease) {
-  RingBuffer rb(16);
-  auto data = bytes({1, 2, 3, 4, 5});
-  EXPECT_EQ(rb.write(data), 5u);
-  EXPECT_EQ(rb.size(), 5u);
-  EXPECT_EQ(rb.read_at(0, 5), data);
-  EXPECT_EQ(rb.read_at(2, 2), bytes({3, 4}));
-  rb.release_until(3);
-  EXPECT_EQ(rb.base(), 3u);
-  EXPECT_EQ(rb.size(), 2u);
-  EXPECT_EQ(rb.read_at(3, 2), bytes({4, 5}));
+/// The stream core alone: a one-host world, the five protocol hooks stubbed,
+/// and the send side opened up for inspection.
+class SendQueue final : public StreamConnection {
+ public:
+  SendQueue(netsim::Host& host, std::size_t capacity)
+      : StreamConnection(host, host.id(), 1, /*passive=*/false,
+                         netsim::IpProto::kTcp, 0, capacity, 1024) {}
+
+  using StreamConnection::notify_writable;
+  using StreamConnection::payload_at;
+  using StreamConnection::release_acked;
+  using StreamConnection::send_end;
+  std::uint64_t snd_una() const { return snd_una_; }
+
+ private:
+  void on_datagram(const netsim::Datagram&) override {}
+  void kick() override {}
+  void close_when_drained() override {}
+  std::shared_ptr<const netsim::DatagramBody> shutdown_packet() const override {
+    return nullptr;
+  }
+  void cancel_timers() override {}
+};
+
+struct OneHost {
+  sim::Simulator sim;
+  netsim::Network net{sim};
+  netsim::Host& host = net.add_host();
+};
+
+std::vector<std::uint8_t> bytes_of(const wire::BufSlice& s) {
+  return {s.span().begin(), s.span().end()};
 }
 
-TEST(RingBufferTest, PartialWriteWhenFull) {
-  RingBuffer rb(4);
-  auto data = bytes({1, 2, 3, 4, 5, 6});
-  EXPECT_EQ(rb.write(data), 4u);
-  EXPECT_EQ(rb.free_space(), 0u);
-  EXPECT_EQ(rb.write(data), 0u);
-  rb.release_until(2);
-  EXPECT_EQ(rb.write(data), 2u);
-  EXPECT_EQ(rb.read_at(4, 2), bytes({1, 2}));
-}
-
-TEST(RingBufferTest, WrapAroundPreservesContent) {
-  // Property: the retained window always equals the corresponding slice of
-  // the full byte history, across arbitrary write/release interleavings
-  // (exercising wrap-around many times at capacity 8).
-  RingBuffer rb(8);
+TEST(SendQueueTest, RetainedRangesMatchTheWrittenHistory) {
+  // Property: every retained range reads back as the same range of the full
+  // byte history, across arbitrary interleavings of writes through both
+  // overloads and cumulative releases — including ranges that straddle
+  // writes, which payload_at gathers.
+  OneHost world;
+  SendQueue q(world.host, 64);
   Rng rng(1);
   std::vector<std::uint8_t> history;  // every byte ever accepted
+  const auto matches = [&](std::uint64_t at, std::size_t len) {
+    const wire::BufSlice got = q.payload_at(at, len);
+    return got.size() == len &&
+           std::equal(got.span().begin(), got.span().end(),
+                      history.begin() + static_cast<std::ptrdiff_t>(at));
+  };
   for (int round = 0; round < 500; ++round) {
-    const std::size_t n = 1 + rng.next_below(5);
-    std::vector<std::uint8_t> chunk(n);
+    std::vector<std::uint8_t> chunk(1 + rng.next_below(20));
     for (auto& b : chunk) b = static_cast<std::uint8_t>(rng.next());
-    const std::size_t written = rb.write(chunk);
+    const std::size_t written = rng.next_bool(0.5)
+                                    ? q.write(chunk)
+                                    : q.write(wire::BufSlice::copy_of(chunk));
     history.insert(history.end(), chunk.begin(),
                    chunk.begin() + static_cast<std::ptrdiff_t>(written));
-    ASSERT_EQ(rb.end(), history.size());
-    if (rb.size() > 0) {
-      const auto window = rb.read_at(rb.base(), rb.size());
-      for (std::size_t i = 0; i < window.size(); ++i) {
-        ASSERT_EQ(window[i], history[static_cast<std::size_t>(rb.base()) + i])
-            << "round " << round << " index " << i;
-      }
+    ASSERT_EQ(q.send_end(), history.size());
+    const std::uint64_t una = q.snd_una();
+    const std::size_t unacked = q.unacked_bytes();
+    ASSERT_EQ(una + unacked, q.send_end());
+    if (unacked > 0) {
+      ASSERT_TRUE(matches(una, unacked)) << "round " << round;
+      const std::uint64_t at = una + rng.next_below(unacked);
+      const auto len = static_cast<std::size_t>(
+          1 + rng.next_below(q.send_end() - at));
+      ASSERT_TRUE(matches(at, len))
+          << "round " << round << " [" << at << ", +" << len << ")";
     }
-    rb.release_until(rb.base() + rng.next_below(rb.size() + 1));
+    const std::uint64_t release = rng.next_below(unacked + 1);
+    if (release > 0) q.release_acked(una + release);
   }
 }
 
-TEST(RingBufferTest, ReadOutsideRangeThrows) {
-  RingBuffer rb(8);
-  rb.write(bytes({1, 2, 3}));
-  EXPECT_THROW(rb.read_at(0, 4), std::out_of_range);
-  rb.release_until(2);
-  EXPECT_THROW(rb.read_at(1, 1), std::out_of_range);
-  EXPECT_NO_THROW(rb.read_at(2, 1));
+TEST(SendQueueTest, FullBufferAcceptsAPrefixThenSignalsRoom) {
+  OneHost world;
+  SendQueue q(world.host, 4);
+  int writable = 0;
+  q.set_on_writable([&writable] { ++writable; });
+  const auto data = bytes({1, 2, 3, 4, 5, 6});
+  EXPECT_EQ(q.write(data), 4u);
+  EXPECT_EQ(q.writable_bytes(), 0u);
+  EXPECT_EQ(q.write(wire::BufSlice::copy_of(data)), 0u);
+  q.notify_writable();
+  EXPECT_EQ(writable, 0);  // still full
+  q.release_acked(2);
+  EXPECT_EQ(q.writable_bytes(), 2u);
+  q.notify_writable();
+  EXPECT_EQ(writable, 1);
+  EXPECT_EQ(q.write(wire::BufSlice::copy_of(data)), 2u);
+  EXPECT_EQ(bytes_of(q.payload_at(2, 4)), bytes({3, 4, 1, 2}));
+  q.notify_writable();  // the short write wants room, but none is free
+  EXPECT_EQ(writable, 1);
 }
 
-TEST(RingBufferTest, ReleaseClamped) {
-  RingBuffer rb(8);
-  rb.write(bytes({1, 2, 3}));
-  rb.release_until(100);  // clamped to end
-  EXPECT_EQ(rb.base(), 3u);
-  EXPECT_TRUE(rb.empty());
-  rb.release_until(0);  // cannot go backwards
-  EXPECT_EQ(rb.base(), 3u);
+TEST(SendQueueTest, PayloadOutsideTheUnackedStreamThrows) {
+  OneHost world;
+  SendQueue q(world.host, 8);
+  q.write(bytes({1, 2, 3}));
+  EXPECT_THROW(q.payload_at(0, 4), std::out_of_range);
+  EXPECT_THROW(q.payload_at(3, 1), std::out_of_range);
+  q.release_acked(2);
+  EXPECT_THROW(q.payload_at(1, 1), std::out_of_range);
+  EXPECT_EQ(bytes_of(q.payload_at(2, 1)), bytes({3}));
+  q.release_acked(4);  // a FIN's sequence number, one past the data
+  EXPECT_EQ(q.unacked_bytes(), 0u);
+  EXPECT_THROW(q.payload_at(3, 1), std::out_of_range);
 }
 
-TEST(RingBufferTest, ZeroCapacityRejected) {
-  EXPECT_THROW(RingBuffer(0), std::invalid_argument);
+TEST(SendQueueTest, ZeroCapacityRejected) {
+  OneHost world;
+  EXPECT_THROW(SendQueue(world.host, 0), std::invalid_argument);
 }
 
 // --- ReassemblyBuffer ---

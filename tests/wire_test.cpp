@@ -73,7 +73,8 @@ TEST(ByteBufTest, StringAndBlob) {
   std::vector<std::uint8_t> blob{1, 2, 3, 4};
   buf.write_blob(blob);
   EXPECT_EQ(buf.read_string(), "hello kompics");
-  EXPECT_EQ(buf.read_blob(), blob);
+  EXPECT_EQ(to_vec(buf.read_blob_slice()), blob);
+  EXPECT_TRUE(buf.exhausted());
 }
 
 TEST(ByteBufTest, ReadPastEndThrows) {
@@ -88,7 +89,7 @@ TEST(ByteBufTest, ReadPastEndThrows) {
 TEST(ByteBufTest, TruncatedBlobThrows) {
   ByteBuf buf;
   buf.write_varint(100);  // claims 100 bytes, none present
-  EXPECT_THROW(buf.read_blob(), std::out_of_range);
+  EXPECT_THROW(buf.read_blob_slice(), std::out_of_range);
 }
 
 TEST(ByteBufTest, SkipAndIndices) {

@@ -4,6 +4,8 @@
 //    recycles a slab that a live slice still pins;
 //  - the serialise -> frame -> decode -> deserialise path moves no payload
 //    bytes after the initial serialisation write (SlabPool copy counters);
+//  - the stream transports send views of the written slices: a segment
+//    copies only when it straddles two writes;
 //  - the simulator schedules and runs events without heap allocations once
 //    its containers are warm (counting global operator new).
 #include <gtest/gtest.h>
@@ -16,7 +18,11 @@
 
 #include "apps/messages.hpp"
 #include "messaging/serialization.hpp"
+#include "netsim/topology.hpp"
 #include "sim/simulator.hpp"
+#include "transport/ledbat.hpp"
+#include "transport/tcp.hpp"
+#include "transport/udt.hpp"
 #include "wire/codec.hpp"
 #include "wire/framing.hpp"
 
@@ -231,6 +237,82 @@ TEST(ZeroCopyPathTest, EndToEndMovesNoPayloadBytes) {
       << "payload was copied after the initial serialisation write";
   EXPECT_EQ(stats.grow_bytes_copied, 0u)
       << "serialisation buffer was sized wrong and had to grow";
+}
+
+// --- Transport send path: segments alias the written frames ---
+
+/// Writes 64 retained 65,000-byte frames through one `Conn` over a clean
+/// EU-VPC pair. The connection pins each frame until the peer acknowledges
+/// all of it, then lets go; its segments are views of the frames, so the only
+/// payload copies are the gathers of segments straddling two frames. First
+/// transmissions partition the stream, so at most one per frame boundary
+/// straddles; UDP's policer on EU-VPC makes UDT and LEDBAT resend, and a
+/// resent segment may straddle again. Each gather is at most one MSS.
+template <typename Conn, typename Listener>
+void expect_segments_alias_written_frames() {
+  constexpr std::size_t kFrames = 64;
+  constexpr std::size_t kFrameBytes = 65'000;
+  constexpr std::uint64_t kTotal = kFrames * kFrameBytes;
+  sim::Simulator sim;
+  netsim::Network net(sim, 1);
+  auto& a = net.add_host();
+  auto& b = net.add_host();
+  net.add_duplex_link(a.id(), b.id(),
+                      netsim::link_config_for(netsim::Setup::kEuVpc));
+  std::vector<std::uint8_t> received;
+  std::shared_ptr<Conn> server;
+  Listener listener(b, 80, typename Conn::Config{}, [&](std::shared_ptr<Conn> c) {
+    server = std::move(c);
+    server->set_on_data([&](std::span<const std::uint8_t> d) {
+      received.insert(received.end(), d.begin(), d.end());
+    });
+  });
+  auto client = Conn::connect(a, b.id(), 80);
+
+  std::vector<BufSlice> frames;
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    frames.push_back(apps::make_payload_slice(i * kFrameBytes, kFrameBytes));
+  }
+  const std::uint64_t copied0 = SlabPool::instance().stats().payload_bytes_copied;
+  for (const BufSlice& f : frames) ASSERT_EQ(client->write(f), kFrameBytes);
+
+  const TimePoint limit = TimePoint::zero() + Duration::seconds(30.0);
+  while (client->stats().bytes_acked < kTotal && sim.now() < limit) {
+    sim.run_until(sim.now() + Duration::millis(1));
+    const std::uint64_t acked = client->stats().bytes_acked;
+    for (std::size_t i = 0; i < kFrames; ++i) {
+      if ((i + 1) * kFrameBytes > acked) {
+        ASSERT_GT(frames[i].ref_count(), 1u) << "frame " << i << " released early";
+      }
+    }
+  }
+  ASSERT_EQ(client->stats().bytes_acked, kTotal);
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    EXPECT_EQ(frames[i].ref_count(), 1u) << "frame " << i << " still pinned";
+  }
+  EXPECT_EQ(received.size(), kTotal);
+  EXPECT_TRUE(apps::verify_payload(0, received));
+  const std::uint64_t copied =
+      SlabPool::instance().stats().payload_bytes_copied - copied0;
+  const std::uint64_t straddles =
+      kFrames - 1 + client->stats().segments_retransmitted;
+  EXPECT_LE(copied, straddles * netsim::kDefaultMtuPayload)
+      << "segments copied more than the straddles between frames";
+}
+
+TEST(ZeroCopySendTest, TcpSegmentsAliasWrittenFrames) {
+  expect_segments_alias_written_frames<transport::TcpConnection,
+                                       transport::TcpListener>();
+}
+
+TEST(ZeroCopySendTest, UdtSegmentsAliasWrittenFrames) {
+  expect_segments_alias_written_frames<transport::UdtConnection,
+                                       transport::UdtListener>();
+}
+
+TEST(ZeroCopySendTest, LedbatSegmentsAliasWrittenFrames) {
+  expect_segments_alias_written_frames<transport::LedbatConnection,
+                                       transport::LedbatListener>();
 }
 
 // --- Payload generator: one hash per 8-byte word ---
