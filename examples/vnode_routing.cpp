@@ -9,52 +9,16 @@
 #include <cstdio>
 #include <string>
 
+#include "apps/chat.hpp"
 #include "apps/experiment.hpp"
 #include "messaging/virtual_network.hpp"
 
 using namespace kmsg;
 using namespace kmsg::messaging;
+using apps::ChatMsg;
+using apps::register_chat;
 
 namespace {
-
-constexpr std::uint32_t kChatTypeId = 0x40;
-
-class ChatMsg final : public Msg {
- public:
-  ChatMsg(BasicHeader h, std::string text, Route route = {})
-      : header_(h), text_(std::move(text)), route_(std::move(route)) {}
-  const Header& header() const override { return header_; }
-  std::uint32_t type_id() const override { return kChatTypeId; }
-  const std::string& text() const { return text_; }
-  const Route& route() const { return route_; }
-  const BasicHeader& basic_header() const { return header_; }
-
- private:
-  BasicHeader header_;
-  std::string text_;
-  Route route_;  // remaining relay hops (vnode ids encoded as addresses)
-};
-
-void register_chat(SerializerRegistry& reg) {
-  reg.register_type(
-      kChatTypeId,
-      [](const Msg& m, wire::ByteBuf& buf) {
-        const auto& c = dynamic_cast<const ChatMsg&>(m);
-        buf.write_string(c.text());
-        buf.write_varint(c.route().hops().size());
-        for (const auto& hop : c.route().hops()) hop.serialize(buf);
-        buf.write_varint(c.route().next_index());
-      },
-      [](const BasicHeader& h, wire::ByteBuf& buf) -> MsgPtr {
-        auto text = buf.read_string();
-        const auto n = buf.read_varint();
-        std::vector<Address> hops;
-        for (std::uint64_t i = 0; i < n; ++i) hops.push_back(Address::deserialize(buf));
-        const auto next = static_cast<std::size_t>(buf.read_varint());
-        return kompics::make_event<ChatMsg>(h, std::move(text),
-                                               Route{std::move(hops), next});
-      });
-}
 
 /// A chat room living in one virtual node. Forwards messages that still have
 /// relay hops left; prints the ones addressed to it.

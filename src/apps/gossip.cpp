@@ -139,7 +139,7 @@ void GossipNode::on_heartbeat_timer() {
     dg.proto = netsim::IpProto::kUdp;
     dg.wire_bytes = netsim::kIpUdpHeaderBytes + kHeartbeatPayloadBytes;
     dg.body = body;
-    host().send(dg);
+    host().send(std::move(dg));
     ++local_.heartbeats_sent;
   }
   if (before_deadline(overlay_.config_.heartbeat_period)) {
@@ -172,10 +172,10 @@ void GossipNode::forward_rumor(std::uint32_t rumor, std::uint8_t hop) {
     dg.src_port = kGossipPort;
     dg.dst_port = kGossipPort;
     dg.proto = netsim::IpProto::kUdp;
-    dg.wire_bytes =
-        netsim::kIpUdpHeaderBytes + overlay_.config_.rumor_payload_bytes;
+    dg.wire_bytes = netsim::wire_size(netsim::kIpUdpHeaderBytes +
+                                      overlay_.config_.rumor_payload_bytes);
     dg.body = shared;
-    host().send(dg);
+    host().send(std::move(dg));
     ++local_.rumors_forwarded;
   }
 }

@@ -121,4 +121,33 @@ class EventArena {
   }
 };
 
+/// EventArena as a standard allocator, for std::allocate_shared: the
+/// shared_ptr control block and the object share one pooled block, so a
+/// recycled object costs no global allocation. Like the arena, it is safe
+/// when the last reference drops on another thread than the first: the
+/// block joins that thread's cache.
+template <typename T>
+struct ArenaAllocator {
+  using value_type = T;
+  static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+
+  ArenaAllocator() noexcept = default;
+  template <typename U>
+  ArenaAllocator(const ArenaAllocator<U>&) noexcept {}
+
+  T* allocate(std::size_t n) {
+    const std::size_t bytes = n * sizeof(T);
+    return static_cast<T*>(
+        EventArena::acquire(bytes, EventArena::class_for(bytes)));
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    EventArena::release(p, EventArena::class_for(n * sizeof(T)));
+  }
+
+  template <typename U>
+  bool operator==(const ArenaAllocator<U>&) const noexcept {
+    return true;
+  }
+};
+
 }  // namespace kmsg

@@ -28,10 +28,16 @@
 // before every event at level > L, and slots within a level are disjoint
 // ascending time ranges) makes that minimum the global minimum.
 //
-// Cancellation is lazy: the wheel stores the caller's slot/generation tag
-// and the caller discards stale nodes when they pop out. A cancelled node
-// can therefore make next_at() report an earlier time than the next live
-// event — a conservative-early bound, same contract as the old binary heap.
+// Removal. Slot lists are doubly linked and every node records its home
+// (level, slot), so unlink() takes a pending node out of its slot in O(1):
+// a cancelled event leaves the wheel at once instead of riding the cascade
+// down to its deadline. A node already drained into the ready list cannot
+// be unlinked; there
+// cancellation stays lazy: the caller marks the node's slot/generation tag
+// (the wheel stores it and hands it back on pop) and discards the node when
+// it pops out. (The thread-pool scheduler cancels lazily throughout.) A
+// lazily cancelled node can make next_at() report an earlier time than the
+// next live event — a conservative-early bound.
 //
 // Nodes are pooled in chunks owned by the wheel; steady-state scheduling
 // performs no heap allocation.
@@ -58,13 +64,18 @@ class TimingWheel {
   static constexpr int kLevels = 9;  // 9 * 6 + 10 = 64 bits covered
   static constexpr std::int64_t kNoEvent =
       std::numeric_limits<std::int64_t>::max();
+  /// Node::level of a node drained into the ready list.
+  static constexpr std::uint8_t kReadyLevel = 0xff;
 
   struct Node {
     Node* next;
+    Node* prev;         // slot list back link; nullptr at the slot's head
     std::int64_t at;    // absolute nanoseconds
     std::uint64_t seq;  // scheduling order, tiebreak within an instant
     std::uint32_t slot;  // caller's cancellation tag (slot table index)
     std::uint32_t gen;   // caller's cancellation tag (generation)
+    std::uint8_t level;  // home level, or kReadyLevel once drained
+    std::uint8_t idx;    // home slot within the level
     Payload payload;
   };
 
@@ -84,26 +95,45 @@ class TimingWheel {
     }
   }
 
-  /// Schedules a payload. `seq` must be unique per (at, seq) — the caller's
-  /// monotone scheduling counter. slot/gen are opaque cancellation tags
-  /// handed back on pop().
-  void schedule(std::int64_t at, std::uint64_t seq, std::uint32_t slot,
-                std::uint32_t gen, Payload payload) {
-    Node* n = acquire();
+  /// Schedules a payload and returns its node, which stays valid until it
+  /// is popped or unlinked. `seq` must be unique per (at, seq) — the
+  /// caller's monotone scheduling counter. slot/gen are opaque cancellation
+  /// tags handed back on pop().
+  Node* schedule(std::int64_t at, std::uint64_t seq, std::uint32_t slot,
+                 std::uint32_t gen, Payload&& payload) {
+    Node* n = acquire(std::move(payload));
     n->at = at;
     n->seq = seq;
     n->slot = slot;
     n->gen = gen;
-    n->payload = std::move(payload);
     ++size_;
     if (at < drained_until_) {
       // Past (or current-instant) insert: the home slot was already drained.
       // Merge into the sorted ready list so (at, seq) order still holds.
+      n->level = kReadyLevel;
       auto it = std::upper_bound(ready_.begin(), ready_.end(), n, later);
       ready_.insert(it, n);
-      return;
+      return n;
     }
     place(n);
+    return n;
+  }
+
+  /// Takes a pending node out of its slot in O(1) and returns true; the
+  /// caller then recycle()s it. Returns false, leaving the node in place,
+  /// when it was already drained into the ready list.
+  bool unlink(Node* n) {
+    if (n->level == kReadyLevel) return false;
+    Node*& head = slots_[n->level][n->idx];
+    if (n->prev != nullptr) {
+      n->prev->next = n->next;
+    } else {
+      head = n->next;
+    }
+    if (n->next != nullptr) n->next->prev = n->prev;
+    if (head == nullptr) occupancy_[n->level] &= ~(std::uint64_t{1} << n->idx);
+    --size_;
+    return true;
   }
 
   /// Earliest pending timestamp, or kNoEvent. Conservative-early when the
@@ -124,10 +154,12 @@ class TimingWheel {
     return kNoEvent;
   }
 
-  /// Detaches and returns the next node in (at, seq) order, or nullptr.
-  /// The caller runs or discards it, then must recycle() it.
-  Node* pop() {
-    if (!fill_ready()) return nullptr;
+  /// Detaches and returns the next node in (at, seq) order if it is due at
+  /// or before `limit`, else nullptr. The caller runs or discards it, then
+  /// must recycle() it. Slots starting after `limit` are left alone, so one
+  /// scan does what next_at() followed by pop() would.
+  Node* pop(std::int64_t limit = kNoEvent) {
+    if (!fill_ready(limit) || ready_.back()->at > limit) return nullptr;
     Node* n = ready_.back();
     ready_.pop_back();
     --size_;
@@ -151,8 +183,10 @@ class TimingWheel {
 
  private:
   /// Ensures ready_ holds the head node (draining/cascading slots as
-  /// needed). Returns false when the wheel is empty.
-  bool fill_ready() {
+  /// needed). Returns false when the wheel is empty or, without touching
+  /// it, when the next occupied slot starts after `limit`: no event in it
+  /// (or, by the level ordering, anywhere else) is due by then.
+  bool fill_ready(std::int64_t limit = kNoEvent) {
     while (ready_.empty()) {
       int level = 0;
       std::uint64_t mask = 0;
@@ -162,11 +196,17 @@ class TimingWheel {
       }
       if (level == kLevels) return false;
       const int idx = std::countr_zero(mask);
+      const int shift = kSlotBits * level;
+      const std::int64_t slot_span = std::int64_t{1} << (shift + kSlotBits);
+      const std::int64_t slot_tick =
+          (cur_tick_ & ~(slot_span - 1)) | (std::int64_t{idx} << shift);
+      if (limit < (slot_tick << kGranularityBits)) return false;
       if (level == 0) {
-        cur_tick_ = (cur_tick_ & ~std::int64_t{kSlots - 1}) | idx;
+        cur_tick_ = slot_tick;
         drained_until_ = (cur_tick_ + 1) << kGranularityBits;
         for (Node* n = detach(0, idx); n != nullptr;) {
           Node* next = n->next;
+          n->level = kReadyLevel;
           ready_.push_back(n);
           n = next;
         }
@@ -175,10 +215,7 @@ class TimingWheel {
       }
       // Cascade: advance the cursor to the start of this level-L slot and
       // re-home its nodes; each lands at a level strictly below L.
-      const int shift = kSlotBits * level;
-      const std::int64_t slot_span = std::int64_t{1} << (shift + kSlotBits);
-      cur_tick_ =
-          (cur_tick_ & ~(slot_span - 1)) | (std::int64_t{idx} << shift);
+      cur_tick_ = slot_tick;
       for (Node* n = detach(level, idx); n != nullptr;) {
         Node* next = n->next;
         place(n);
@@ -208,8 +245,13 @@ class TimingWheel {
         diff == 0 ? 0 : (63 - std::countl_zero(diff)) / kSlotBits;
     const int idx =
         static_cast<int>((tick >> (kSlotBits * level)) & (kSlots - 1));
-    n->next = slots_[level][idx];
-    slots_[level][idx] = n;
+    Node*& head = slots_[level][idx];
+    n->level = static_cast<std::uint8_t>(level);
+    n->idx = static_cast<std::uint8_t>(idx);
+    n->prev = nullptr;
+    n->next = head;
+    if (head != nullptr) head->prev = n;
+    head = n;
     occupancy_[level] |= std::uint64_t{1} << idx;
   }
 
@@ -230,11 +272,12 @@ class TimingWheel {
     alignas(Node) std::byte bytes[kChunkNodes * sizeof(Node)];
   };
 
-  Node* acquire() {
+  Node* acquire(Payload&& payload) {
     if (free_ == nullptr) grow();
     FreeNode* f = free_;
     free_ = f->next;
-    return ::new (static_cast<void*>(f)) Node{};
+    return ::new (static_cast<void*>(f))
+        Node{nullptr, nullptr, 0, 0, 0, 0, 0, 0, std::move(payload)};
   }
 
   void destroy(Node* n) {

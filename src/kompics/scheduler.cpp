@@ -18,14 +18,13 @@ void SimulationScheduler::schedule(ComponentCore* core) {
   // dispatch on the non-atomic refcount path even while a thread pool is
   // alive elsewhere in the process (a simulation is driven from one thread
   // by contract).
-  sim_.schedule_after(Duration::zero(), [core] {
+  sim_.post_after(Duration::zero(), [core] {
     detail::ScopedPlainRefs scope(true);
     core->execute();
   });
 }
 
-TimerHandle SimulationScheduler::schedule_delayed(Duration delay,
-                                                  std::function<void()> fn) {
+TimerHandle SimulationScheduler::schedule_delayed(Duration delay, SmallFn fn) {
   auto handle =
       sim_.schedule_after(delay, [f = std::move(fn)]() mutable {
         detail::ScopedPlainRefs scope(true);
@@ -310,8 +309,7 @@ void ThreadPoolScheduler::worker_loop(std::stop_token st,
   detail::t_worker = nullptr;
 }
 
-TimerHandle ThreadPoolScheduler::schedule_delayed(Duration delay,
-                                                  std::function<void()> fn) {
+TimerHandle ThreadPoolScheduler::schedule_delayed(Duration delay, SmallFn fn) {
   if (delay < Duration::zero()) delay = Duration::zero();
   const std::int64_t at = (clock_.now() + delay).as_nanos();
   // Callbacks armed from a local-mode execution context capture state that
@@ -331,7 +329,7 @@ TimerHandle ThreadPoolScheduler::schedule_delayed(Duration delay,
     slot = timer_slots_.acquire();
     gen = timer_slots_.slots[slot].gen;
     timers_.schedule(at, timer_seq_++, slot, gen,
-                     TimerFn{SmallFn(std::move(fn)), home});
+                     TimerFn{std::move(fn), home});
     // Only wake the (single) timer thread when the new deadline became the
     // earliest — it is already sleeping towards `before` otherwise.
     wake = at < before;

@@ -29,10 +29,11 @@
 // A component is enqueued at most once (ComponentCore::scheduled_ flag) and
 // is executed by one thread at a time, which is Kompics' concurrency model.
 //
-// Delayed callbacks return a value-type TimerHandle (slot/generation pair,
-// mirroring sim::EventHandle) instead of a heap-allocating std::function —
-// arming a timer performs no allocation beyond the scheduler's pooled wheel
-// node. Both schedulers store their timers in a hierarchical timing wheel
+// Delayed callbacks are SmallFn closures and return a value-type TimerHandle
+// (slot/generation pair, mirroring sim::EventHandle) — arming a timer
+// performs no allocation beyond the scheduler's pooled wheel node and, for a
+// closure over SmallFn's inline size, its recycled block. Both schedulers
+// store their timers in a hierarchical timing wheel
 // (common/timing_wheel.hpp): O(1) arm and cancel. Callbacks armed from a
 // local-mode execution context are routed back to the arming worker before
 // they run (their captures are thread-confined); all others run inline on
@@ -44,7 +45,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -97,8 +97,7 @@ class Scheduler {
   /// Enqueues a component for execution.
   virtual void schedule(ComponentCore* core) = 0;
   /// Schedules `fn` to run after `delay` (timer facility backing).
-  virtual TimerHandle schedule_delayed(Duration delay,
-                                       std::function<void()> fn) = 0;
+  virtual TimerHandle schedule_delayed(Duration delay, SmallFn fn) = 0;
   /// Cancels a delayed callback by its slot/generation pair (the backing of
   /// TimerHandle::cancel). No-op when it already fired or was cancelled.
   virtual void cancel_timer(std::uint32_t slot, std::uint32_t gen) = 0;
@@ -117,8 +116,7 @@ class SimulationScheduler final : public Scheduler {
  public:
   explicit SimulationScheduler(sim::Simulator& sim) : sim_(sim) {}
   void schedule(ComponentCore* core) override;
-  TimerHandle schedule_delayed(Duration delay,
-                               std::function<void()> fn) override;
+  TimerHandle schedule_delayed(Duration delay, SmallFn fn) override;
   void cancel_timer(std::uint32_t slot, std::uint32_t gen) override;
   const Clock& clock() const override { return sim_; }
   sim::Simulator& simulator() { return sim_; }
@@ -206,8 +204,7 @@ class ThreadPoolScheduler final : public Scheduler {
   ~ThreadPoolScheduler() override;
 
   void schedule(ComponentCore* core) override;
-  TimerHandle schedule_delayed(Duration delay,
-                               std::function<void()> fn) override;
+  TimerHandle schedule_delayed(Duration delay, SmallFn fn) override;
   void cancel_timer(std::uint32_t slot, std::uint32_t gen) override;
   const Clock& clock() const override { return clock_; }
   void shutdown() override;
@@ -279,8 +276,9 @@ class ThreadPoolScheduler final : public Scheduler {
   std::atomic<std::size_t> inject_size_{0};
 
   // Timers: a timing wheel of TimerFn payloads keyed by steady-clock
-  // nanoseconds, with lazy cancellation through a slot/generation table
-  // (same scheme as the simulator). All guarded by timer_mutex_.
+  // nanoseconds, with lazy cancellation through a slot/generation table: a
+  // cancelled callback is still destroyed on its home worker when it comes
+  // due (the simulator unlinks instead). All guarded by timer_mutex_.
   std::mutex timer_mutex_;
   std::condition_variable_any timer_cv_;
   TimingWheel<TimerFn> timers_;

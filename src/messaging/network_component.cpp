@@ -462,6 +462,8 @@ void NetworkComponent::drain(Session& s) {
       }
       s.queued_bytes -= m.payload_bytes;
     }
+    s.spare_msgs = std::move(w.msgs);
+    s.spare_msgs.clear();
     s.wire.reset();
     // The completed frame freed room: waiting messages enter in order.
     while (!s.waiting.empty() &&
@@ -504,7 +506,7 @@ bool NetworkComponent::should_build(Session& s) {
 
 void NetworkComponent::build_wire_frame(Session& s) {
   s.coalesce_timer.cancel();
-  std::vector<PendingMsg> msgs;
+  std::vector<PendingMsg> msgs = std::move(s.spare_msgs);
   msgs.push_back(std::move(s.queue.front()));
   s.queue.pop_front();
   if (config_.enable_coalescing) {

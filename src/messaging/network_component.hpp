@@ -226,6 +226,8 @@ class NetworkComponent final : public kompics::ComponentDefinition {
     std::shared_ptr<transport::StreamConnection> conn;
     std::deque<PendingMsg> queue;       // not yet framed
     std::optional<WireFrame> wire;      // frame in flight, built at drain
+    std::vector<PendingMsg> spare_msgs;  // emptied msgs of the last frame,
+                                         // reused by the next
     std::size_t queued_bytes = 0;       // queue + wire accounting (capped)
     std::deque<PendingMsg> waiting;     // notified, over the cap, in order
     std::unique_ptr<DeltaEncoder> delta;  // non-null when enable_delta

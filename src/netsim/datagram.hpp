@@ -8,8 +8,15 @@
 // protocol headers structured while the byte accounting stays exact.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <stdexcept>
+#include <utility>
+
+#include "common/arena.hpp"
+#include "common/small_fn.hpp"
 
 namespace kmsg::netsim {
 
@@ -24,14 +31,26 @@ struct DatagramBody {
   virtual ~DatagramBody() = default;
 };
 
+/// Makes a packet body in a recycled block (see ArenaAllocator): every
+/// transport engine allocates its bodies here, so a warm engine sends and
+/// receives packets without the global allocator. A body whose last
+/// reference drops on another shard's thread returns to that thread's cache.
+template <typename Body, typename... Args>
+std::shared_ptr<Body> make_body(Args&&... args) {
+  return std::allocate_shared<Body>(ArenaAllocator<Body>{},
+                                    std::forward<Args>(args)...);
+}
+
 struct Datagram {
   HostId src = 0;
   HostId dst = 0;
   Port src_port = 0;
   Port dst_port = 0;
   IpProto proto = IpProto::kUdp;
-  /// Total simulated on-the-wire size (headers + payload), in bytes.
-  std::size_t wire_bytes = 0;
+  /// Total simulated on-the-wire size (headers + payload), in bytes. 32
+  /// bits keep a Datagram at 40 bytes, so a closure carrying one and a
+  /// pointer fits SmallFn's inline buffer.
+  std::uint32_t wire_bytes = 0;
   /// Set by a faulty link: the datagram suffered bit errors in flight. The
   /// receiving transport decides the consequence — UDP-style checksums drop
   /// the datagram, stream transports surface flipped payload bytes so the
@@ -39,6 +58,18 @@ struct Datagram {
   bool corrupted = false;
   std::shared_ptr<const DatagramBody> body;
 };
+// With a pointer beside it, a Datagram fills SmallFn's inline buffer: the
+// link's serialisation and arrival closures stay out of the block pool.
+static_assert(sizeof(Datagram) + sizeof(void*) <= kSmallFnInline);
+
+/// `bytes` as a Datagram::wire_bytes value; throws std::length_error when it
+/// does not fit 32 bits.
+inline std::uint32_t wire_size(std::size_t bytes) {
+  if (bytes > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("datagram wire size exceeds 32 bits");
+  }
+  return static_cast<std::uint32_t>(bytes);
+}
 
 /// IPv4+transport header overhead assumed for wire-size accounting.
 inline constexpr std::size_t kIpUdpHeaderBytes = 28;

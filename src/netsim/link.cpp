@@ -51,7 +51,7 @@ void Link::drop_queued_host_down() {
   queued_bytes_ = 0;
 }
 
-void Link::send(const Datagram& dg) {
+void Link::send(Datagram&& dg) {
   ++stats_.datagrams_sent;
   if (!up_) {
     ++stats_.drops_link_down;
@@ -70,24 +70,29 @@ void Link::send(const Datagram& dg) {
     ++stats_.drops_random;
     return;
   }
-  if (queued_bytes_ + dg.wire_bytes > config_.queue_capacity_bytes) {
+  const std::size_t bytes = dg.wire_bytes;
+  if (queued_bytes_ + bytes > config_.queue_capacity_bytes) {
     ++stats_.drops_queue_full;
     return;
   }
-  Datagram queued = dg;
   if (config_.corrupt_rate > 0.0 && rng_.next_bool(config_.corrupt_rate)) {
-    queued.corrupted = true;
+    dg.corrupted = true;
     ++stats_.corrupted;
   }
-  queue_.push_back(queued);
-  queued_bytes_ += queued.wire_bytes;
+  // A duplicate queues behind the original, so it needs room for both. The
+  // two are equal, so which of them goes first does not matter.
   if (config_.duplicate_rate > 0.0 && rng_.next_bool(config_.duplicate_rate) &&
-      queued_bytes_ + queued.wire_bytes <= config_.queue_capacity_bytes) {
-    queue_.push_back(queued);
-    queued_bytes_ += queued.wire_bytes;
+      queued_bytes_ + 2 * bytes <= config_.queue_capacity_bytes) {
     ++stats_.duplicated;
+    queue_.push_back(dg);
+    queued_bytes_ += bytes;
   }
-  if (!transmitting_) start_transmission();
+  if (transmitting_) {
+    queue_.push_back(std::move(dg));
+    queued_bytes_ += bytes;
+    return;
+  }
+  transmit(std::move(dg));
 }
 
 void Link::start_transmission() {
@@ -95,37 +100,44 @@ void Link::start_transmission() {
     transmitting_ = false;
     return;
   }
-  transmitting_ = true;
-  const Datagram dg = queue_.front();
+  Datagram dg = std::move(queue_.front());
   queue_.pop_front();
   queued_bytes_ -= dg.wire_bytes;
+  transmit(std::move(dg));
+}
 
+void Link::transmit(Datagram&& dg) {
+  transmitting_ = true;
   const Duration tx = Duration::seconds(static_cast<double>(dg.wire_bytes) /
                                         config_.bandwidth_bytes_per_sec);
-  sim_.schedule_after(tx, [this, dg] {
-    // Serialisation finished: the datagram enters flight; the transmitter is
-    // free for the next queued datagram.
-    Duration prop = config_.propagation_delay;
-    if (config_.reorder_rate > 0.0 && config_.reorder_jitter > Duration::zero() &&
-        rng_.next_bool(config_.reorder_rate)) {
-      // Extra uniform delay: datagrams serialised later can now land first.
-      prop += Duration::nanos(static_cast<std::int64_t>(rng_.next_below(
-          static_cast<std::uint64_t>(config_.reorder_jitter.as_nanos()) + 1)));
-      ++stats_.reordered;
-    }
-    // Delivered-stats are bumped here, on the sender's shard, rather than at
-    // arrival: the arrival may execute on another shard's thread, and LinkStats
-    // is single-writer by design. Run-end totals are identical either way.
-    ++stats_.datagrams_delivered;
-    stats_.bytes_delivered += dg.wire_bytes;
-    // Hand off to the Network with a sender-computed, layout-invariant
-    // delivery key: same-instant arrivals sort the same way no matter which
-    // shard (or thread) schedules them.
-    const std::uint64_t key =
-        key_base_ | (send_counter_++ & sim::kDeliveryCounterMask);
-    schedule_delivery_(sim_.now() + prop, key, dg);
-    start_transmission();
+  sim_.post_after(tx, [this, dg = std::move(dg)]() mutable {
+    on_serialised(std::move(dg));
   });
+}
+
+void Link::on_serialised(Datagram&& dg) {
+  // Serialisation finished: the datagram enters flight; the transmitter is
+  // free for the next queued datagram.
+  Duration prop = config_.propagation_delay;
+  if (config_.reorder_rate > 0.0 && config_.reorder_jitter > Duration::zero() &&
+      rng_.next_bool(config_.reorder_rate)) {
+    // Extra uniform delay: datagrams serialised later can now land first.
+    prop += Duration::nanos(static_cast<std::int64_t>(rng_.next_below(
+        static_cast<std::uint64_t>(config_.reorder_jitter.as_nanos()) + 1)));
+    ++stats_.reordered;
+  }
+  // Delivered-stats are bumped here, on the sender's shard, rather than at
+  // arrival: the arrival may execute on another shard's thread, and LinkStats
+  // is single-writer by design. Run-end totals are identical either way.
+  ++stats_.datagrams_delivered;
+  stats_.bytes_delivered += dg.wire_bytes;
+  // Hand off to the Network with a sender-computed, layout-invariant
+  // delivery key: same-instant arrivals sort the same way no matter which
+  // shard (or thread) schedules them.
+  const std::uint64_t key =
+      key_base_ | (send_counter_++ & sim::kDeliveryCounterMask);
+  schedule_delivery_(sim_.now() + prop, key, std::move(dg));
+  start_transmission();
 }
 
 }  // namespace kmsg::netsim

@@ -85,7 +85,7 @@ class Link {
   /// schedules the arrival itself: in a sharded world the arrival may belong
   /// to another shard's simulator, and only the Network knows the routing.
   using ScheduleDeliveryFn =
-      std::function<void(TimePoint at, std::uint64_t key, const Datagram&)>;
+      std::function<void(TimePoint at, std::uint64_t key, Datagram&&)>;
 
   /// `key_base` is sim::delivery_key_base(src, dst) for this directed link;
   /// the link ORs its monotone send counter into it so every delivery
@@ -94,8 +94,9 @@ class Link {
        ScheduleDeliveryFn schedule_delivery, Rng rng);
 
   /// Offers a datagram to the link; may drop (down, policer, loss, queue
-  /// overflow), corrupt, or duplicate it.
-  void send(const Datagram& dg);
+  /// overflow), corrupt, or duplicate it. An idle link starts serialising it
+  /// at once; a busy one queues it.
+  void send(Datagram&& dg);
 
   const LinkConfig& config() const { return config_; }
   const LinkStats& stats() const { return stats_; }
@@ -132,7 +133,14 @@ class Link {
   void drop_queued_host_down();
 
  private:
+  /// Serialises the next queued datagram, or marks the link idle.
   void start_transmission();
+  /// Puts `dg` on the wire: it finishes serialising after wire_bytes /
+  /// bandwidth, then propagates.
+  void transmit(Datagram&& dg);
+  /// `dg` left the transmitter: hands it to the Network, which schedules
+  /// its arrival, and starts the next queued datagram.
+  void on_serialised(Datagram&& dg);
   bool policer_admit(const Datagram& dg);
 
   sim::Simulator& sim_;
@@ -143,7 +151,7 @@ class Link {
   LinkStats stats_;
   std::uint64_t send_counter_ = 0;  ///< per-delivery key counter
 
-  std::deque<Datagram> queue_;
+  std::deque<Datagram> queue_;  ///< empty whenever transmitting_ is false
   std::size_t queued_bytes_ = 0;
   bool transmitting_ = false;
   bool up_ = true;

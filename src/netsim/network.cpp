@@ -40,7 +40,7 @@ void Host::send(Datagram dg) {
     return;
   }
   dg.src = id_;
-  net_.route(dg);
+  net_.route(std::move(dg));
 }
 
 void Host::crash() {
@@ -106,18 +106,20 @@ Link& Network::add_link(HostId src, HostId dst, LinkConfig config) {
   sim::Simulator& src_sim = simulator_on(src_shard);
   // The delivery hook re-materialises the arrival on the destination's
   // shard, carrying the link's sender-computed key so same-instant arrivals
-  // order identically in every shard layout.
+  // order identically in every shard layout. The arrival closure (a host
+  // pointer and the datagram, 48 bytes) fits SmallFn's inline buffer.
+  Host* to = hosts_.at(dst).get();
   Link::ScheduleDeliveryFn hook;
   if (ssim_ != nullptr) {
-    hook = [this, src_shard, dst_shard, dst](TimePoint at, std::uint64_t key,
-                                             const Datagram& dg) {
+    hook = [this, src_shard, dst_shard, to](TimePoint at, std::uint64_t key,
+                                            Datagram&& dg) {
       ssim_->post(src_shard, dst_shard, at, key,
-                  [this, dst, dg] { hosts_.at(dst)->deliver(dg); });
+                  [to, dg = std::move(dg)] { to->deliver(dg); });
     };
   } else {
-    hook = [this, dst](TimePoint at, std::uint64_t key, const Datagram& dg) {
-      sim_->schedule_at_keyed(at, key,
-                              [this, dst, dg] { hosts_.at(dst)->deliver(dg); });
+    hook = [this, to](TimePoint at, std::uint64_t key, Datagram&& dg) {
+      sim_->post_at_keyed(at, key,
+                          [to, dg = std::move(dg)] { to->deliver(dg); });
     };
   }
   auto link = std::make_unique<Link>(src_sim, config,
@@ -227,7 +229,7 @@ void Network::for_each_link(
   for (auto& [key, l] : links_) fn(key.first, key.second, *l);
 }
 
-void Network::route(const Datagram& dg) {
+void Network::route(Datagram&& dg) {
   // Runs on the sender's shard; all state touched here is owned by it.
   const unsigned shard = shard_of(dg.src);
   ShardState& state = shard_state_[shard];
@@ -242,7 +244,7 @@ void Network::route(const Datagram& dg) {
     KMSG_DEBUG("netsim") << "no route " << dg.src << " -> " << dg.dst;
     return;
   }
-  l->send(dg);
+  l->send(std::move(dg));
 }
 
 }  // namespace kmsg::netsim

@@ -154,7 +154,7 @@ class Network {
   /// Routes a datagram: looks up the (src,dst) link and offers it. Datagrams
   /// with no link are counted as routing drops (no implicit connectivity);
   /// datagrams crossing an active partition are counted as partition drops.
-  void route(const Datagram& dg);
+  void route(Datagram&& dg);
 
   std::uint64_t routing_drops() const;
   std::uint64_t partition_drops() const;

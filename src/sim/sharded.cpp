@@ -136,7 +136,7 @@ Duration ShardedSimulator::lookahead(unsigned from, unsigned to) const {
 void ShardedSimulator::post(unsigned from, unsigned to, TimePoint at,
                             std::uint64_t key, SmallFn fn) {
   if (from == to) {
-    shards_[to]->sim.schedule_at_keyed(at, key, std::move(fn));
+    shards_[to]->sim.post_at_keyed(at, key, std::move(fn));
     return;
   }
   shards_[to]->inbound[from]->push(at.as_nanos(), key, std::move(fn));
@@ -190,8 +190,8 @@ bool ShardedSimulator::advance(unsigned i, std::int64_t end_ns) {
     s.inbound[j]->drain_into(s.drain_buf);
   }
   for (auto& item : s.drain_buf) {
-    s.sim.schedule_at_keyed(TimePoint::from_nanos(item.at), item.key,
-                            std::move(item.fn));
+    s.sim.post_at_keyed(TimePoint::from_nanos(item.at), item.key,
+                        std::move(item.fn));
   }
   s.drain_buf.clear();
 

@@ -133,19 +133,21 @@ class ShardedSimulator {
   std::uint64_t run_until(TimePoint until, unsigned threads = 0);
 
   /// Repeats run_until with a doubling horizon, starting at `first_bound`,
-  /// until the world is quiescent (all wheels and queues empty). Workloads
-  /// must eventually stop self-perpetuating (e.g. stop re-arming periodic
-  /// timers) for this to terminate. Returns events executed.
+  /// until the world is quiescent (no live event in any wheel, all queues
+  /// empty). Workloads must eventually stop self-perpetuating (e.g. stop
+  /// re-arming periodic timers) for this to terminate. Returns events
+  /// executed.
   std::uint64_t run_to_quiescence(TimePoint first_bound, unsigned threads = 0);
 
-  /// True when every shard's wheel and every inbound queue is empty. Only
-  /// meaningful between runs (no workers active).
+  /// True when no shard's wheel holds a live event and every inbound queue
+  /// is empty. Only meaningful between runs (no workers active).
   bool idle() const;
 
   /// Events executed across all shards since construction.
   std::uint64_t executed() const;
 
-  /// Sum of pending events across wheels (queued remote events excluded).
+  /// Sum of pending live events across wheels (queued remote events
+  /// excluded).
   std::size_t pending() const;
 
  private:

@@ -10,8 +10,17 @@
 // O(1) schedule and cancel instead of the old binary heap's O(log n), with
 // the (time, sequence) firing order preserved by sorting each due slot as it
 // drains. Closures are stored as SmallFn (small-buffer optimised, see
-// common/small_fn.hpp) directly inside pooled wheel nodes, and cancellation
-// uses a slot/generation table shared by all handles of a simulator.
+// common/small_fn.hpp) directly inside pooled wheel nodes.
+//
+// Cancellation is eager. A handle names a slot in a table shared by all
+// handles of a simulator; the slot points at the event's wheel node, so
+// cancel() unlinks the node and recycles it (destroying the closure) at
+// once. Only an event already drained for the tick being run stays in the
+// wheel, marked, until it pops out and is discarded. So pending(), idle()
+// and run() see live events only: run() returns once the last live event
+// ran, however many cancelled timers were armed beyond it. post_after and
+// post_at_keyed schedule events nobody cancels, taking no slot and building
+// no handle.
 // Steady-state scheduling is allocation-free; the only allocations are
 // amortised pool/container growth.
 #pragma once
@@ -71,16 +80,29 @@ constexpr std::uint64_t delivery_key_base(std::uint32_t src_lane,
   return delivery_key(src_lane, dst_lane, 0);
 }
 
+class Simulator;
+
+/// A pending event's node in the simulator's wheel.
+using EventNode = TimingWheel<SmallFn>::Node;
+
 namespace detail {
 
-/// One slot per in-flight event. The generation counter disambiguates
-/// handles from earlier events that recycled the same slot.
+/// One slot per cancellable pending event. The generation counter
+/// disambiguates handles from earlier events that recycled the same slot.
+/// For the simulator, `node` is the event's wheel node, which cancel()
+/// unlinks, and `owner` the simulator itself: ~Simulator clears it, so a
+/// handle that outlives its simulator cancels nothing. `state` marks an
+/// event cancelled while it waits in the ready list. (The thread-pool
+/// scheduler tags its timers through a table of its own and cancels by
+/// `state` alone.)
 struct SlotTable {
   enum State : std::uint8_t { kLive = 0, kCancelled = 1 };
   struct Slot {
     std::uint32_t gen = 0;
     std::uint8_t state = kLive;
+    EventNode* node = nullptr;
   };
+  Simulator* owner = nullptr;
   std::vector<Slot> slots;
   std::vector<std::uint32_t> free;
 
@@ -98,6 +120,7 @@ struct SlotTable {
   void release(std::uint32_t i) {
     ++slots[i].gen;
     slots[i].state = kLive;
+    slots[i].node = nullptr;
     free.push_back(i);
   }
   bool is_cancelled(std::uint32_t i, std::uint32_t gen) const {
@@ -109,25 +132,16 @@ struct SlotTable {
 
 /// Handle to a scheduled event; allows cancellation. Copies address the same
 /// underlying event (cancelling any copy cancels the event). A
-/// default-constructed handle is inert.
+/// default-constructed handle is inert, and so is a handle whose simulator
+/// is gone.
 class EventHandle {
  public:
   EventHandle() = default;
   /// Cancels the event if it has not fired yet. Idempotent.
-  void cancel() {
-    if (!table_) return;
-    auto& slot = table_->slots[slot_];
-    if (slot.gen == gen_) {
-      slot.state = detail::SlotTable::kCancelled;
-      cancelled_ = true;
-    }
-  }
+  void cancel();
   bool valid() const { return static_cast<bool>(table_); }
-  /// True when this handle (or the event, while still queued) was cancelled.
-  bool cancelled() const {
-    if (cancelled_) return true;
-    return table_ && table_->is_cancelled(slot_, gen_);
-  }
+  /// True when cancel() on this handle found the event pending.
+  bool cancelled() const { return cancelled_; }
 
   /// Slot-table coordinates (for embedding in scheduler timer handles).
   std::uint32_t slot() const { return slot_; }
@@ -148,7 +162,10 @@ class EventHandle {
 /// time source is needed.
 class Simulator final : public Clock {
  public:
-  Simulator() : slots_(std::make_shared<detail::SlotTable>()) {}
+  Simulator() : slots_(std::make_shared<detail::SlotTable>()) {
+    slots_->owner = this;
+  }
+  ~Simulator() override { slots_->owner = nullptr; }
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -157,27 +174,38 @@ class Simulator final : public Clock {
   /// Schedules `fn` to run at absolute time `at`. Scheduling in the past
   /// (including "now") is clamped to now and runs after already-queued events
   /// for the current instant.
-  EventHandle schedule_at(TimePoint at, SmallFn fn);
+  EventHandle schedule_at(TimePoint at, SmallFn fn) {
+    return insert(at, next_seq_++, std::move(fn));
+  }
 
   /// Schedules `fn` to run after `delay` from now.
   EventHandle schedule_after(Duration delay, SmallFn fn) {
-    return schedule_at(now_ + delay, std::move(fn));
+    return insert(now_ + delay, next_seq_++, std::move(fn));
   }
 
-  /// Schedules `fn` at `at` with an explicit ordering key (see the key-band
+  /// schedule_after for an event that is never cancelled: the same firing
+  /// order, without a slot or a handle (a handle holds a shared_ptr, two
+  /// atomic operations per copy).
+  void post_after(Duration delay, SmallFn fn) {
+    post(now_ + delay, next_seq_++, std::move(fn));
+  }
+
+  /// Posts `fn` at `at` with an explicit ordering key (see the key-band
   /// commentary above). Same-instant events fire in ascending key order;
-  /// plain schedule_at uses the band-0 scheduling counter. (at, key) must be
-  /// unique per simulator — delivery_key() guarantees this for band 1.
-  EventHandle schedule_at_keyed(TimePoint at, std::uint64_t key, SmallFn fn);
+  /// schedule_at and post_after use the band-0 scheduling counter. (at, key)
+  /// must be unique per simulator — delivery_key() guarantees this for
+  /// band 1. Like post_after, it takes no slot and returns no handle.
+  void post_at_keyed(TimePoint at, std::uint64_t key, SmallFn fn) {
+    post(at, key, std::move(fn));
+  }
 
   /// Cancels a scheduled event by slot-table coordinates (the by-value
   /// equivalent of EventHandle::cancel, used by kompics::TimerHandle).
-  void cancel(std::uint32_t slot, std::uint32_t gen) {
-    auto& s = slots_->slots[slot];
-    if (s.gen == gen) s.state = detail::SlotTable::kCancelled;
-  }
+  /// Returns false when the event was no longer pending.
+  bool cancel(std::uint32_t slot, std::uint32_t gen);
 
-  /// Runs until the queue is empty. Returns the number of events executed.
+  /// Runs until no live event is left. Returns the number of events
+  /// executed.
   std::uint64_t run();
 
   /// Runs events with time <= until. Stops with the clock advanced to
@@ -193,24 +221,46 @@ class Simulator final : public Clock {
   /// Executes the single next event, if any. Returns false when idle.
   bool step();
 
-  bool idle() const { return wheel_.empty(); }
-  std::size_t pending() const { return wheel_.size(); }
+  /// Live events only: cancelled ones are not counted.
+  bool idle() const { return pending() == 0; }
+  std::size_t pending() const { return wheel_.size() - cancelled_ready_; }
   std::uint64_t executed() const { return executed_; }
 
-  /// Time of the next *live* scheduled event; TimePoint::max() when idle.
-  /// Lazily-cancelled events are skipped (and reclaimed) rather than
-  /// reported, so horizon exchange in the sharded engine never stalls on a
-  /// dead event. Non-const because the scan drops cancelled heads.
+  /// Time of the next live scheduled event; TimePoint::max() when idle.
+  /// Cancelled events in the ready list are skipped (and reclaimed) rather
+  /// than reported, so horizon exchange in the sharded engine never stalls
+  /// on a dead event. Non-const because the scan drops cancelled heads.
   TimePoint next_event_time();
 
  private:
   using Wheel = TimingWheel<SmallFn>;
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+
+  // The closure is passed on by reference and moved once, into its node.
+  EventHandle insert(TimePoint at, std::uint64_t key, SmallFn&& fn);
+  void post(TimePoint at, std::uint64_t key, SmallFn&& fn);
+  /// True for an event cancelled while it waited in the ready list.
+  bool dead(const EventNode* node) const;
+  /// Takes a popped node's slot back.
+  void retire(EventNode* node);
+  /// Recycles a popped dead node without running it.
+  void discard(EventNode* node);
+  /// Runs a popped live node's event in place, then recycles the node.
+  void fire(EventNode* node);
 
   TimePoint now_ = TimePoint::zero();
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
+  std::size_t cancelled_ready_ = 0;  // cancelled events in the ready list
   std::shared_ptr<detail::SlotTable> slots_;
   Wheel wheel_;
 };
+
+inline void EventHandle::cancel() {
+  if (table_ && table_->owner != nullptr &&
+      table_->owner->cancel(slot_, gen_)) {
+    cancelled_ = true;
+  }
+}
 
 }  // namespace kmsg::sim

@@ -44,14 +44,18 @@ std::size_t StreamConnection::write(std::span<const std::uint8_t> data) {
 
 std::size_t StreamConnection::write(wire::BufSlice data) {
   if (state_ == ConnState::kClosed || state_ == ConnState::kClosing) return 0;
-  const std::size_t n = std::min(data.size(), writable_bytes());
+  const std::size_t size = data.size();
+  const std::size_t n = std::min(size, writable_bytes());
   if (n > 0) {
-    // to_owned keeps an owning view and copies a borrowed one (write(span)).
-    send_q_.emplace_back(send_end_, data.slice(0, n).to_owned());
+    if (n < size) data = data.slice(0, n);
+    // An owning view is kept as it is; a borrowed one (write(span)) is
+    // copied.
+    send_q_.emplace_back(send_end_,
+                         data.owning() ? std::move(data) : data.to_owned());
     send_end_ += n;
   }
   stats_.bytes_written += n;
-  if (n < data.size()) want_writable_ = true;
+  if (n < size) want_writable_ = true;
   if (state_ == ConnState::kEstablished) kick();
   return n;
 }
@@ -68,7 +72,7 @@ void StreamConnection::emit(std::shared_ptr<const netsim::DatagramBody> body,
   dg.src_port = local_port_;
   dg.dst_port = peer_port_;
   dg.proto = proto_;
-  dg.wire_bytes = payload_bytes + header_bytes_;
+  dg.wire_bytes = netsim::wire_size(payload_bytes + header_bytes_);
   dg.body = std::move(body);
   host_.send(std::move(dg));
 }
@@ -126,10 +130,10 @@ void StreamConnection::notify_writable() {
 }
 
 void StreamConnection::deliver(std::uint64_t seq,
-                               std::span<const std::uint8_t> payload) {
-  // In-order segments reach the application as spans of the segment's own
-  // payload — no reassembly copy on the common path.
-  reasm_.offer_span(seq, payload, [this](std::span<const std::uint8_t> run) {
+                               const wire::BufSlice& payload) {
+  // Segments reach the application as spans of their own payload, and are
+  // parked out of order as views of it: no reassembly copy.
+  reasm_.offer(seq, payload, [this](std::span<const std::uint8_t> run) {
     stats_.bytes_delivered += run.size();
     if (on_data_) on_data_(run);
   });

@@ -163,8 +163,9 @@ class StreamConnection : public std::enable_shared_from_this<StreamConnection> {
   /// buffer has room again.
   void notify_writable();
 
-  /// Offers a received segment for in-order delivery to the data callback.
-  void deliver(std::uint64_t seq, std::span<const std::uint8_t> payload);
+  /// Offers a received segment's payload for in-order delivery to the data
+  /// callback; an out-of-order one is parked as a view of it.
+  void deliver(std::uint64_t seq, const wire::BufSlice& payload);
   /// Replaces `payload` by a copy with one bit flipped, chosen by `seq`: a
   /// bit error that escaped the transport checksum, left for the
   /// wire-framing CRC to catch. The sender's bytes stay intact.

@@ -86,11 +86,11 @@ void LedbatConnection::cancel_timers() {
 
 std::shared_ptr<const netsim::DatagramBody> LedbatConnection::shutdown_packet()
     const {
-  return std::make_shared<LedbatShutdown>();
+  return netsim::make_body<LedbatShutdown>();
 }
 
 void LedbatConnection::send_handshake(bool response) {
-  auto hs = std::make_shared<LedbatHandshake>();
+  auto hs = netsim::make_body<LedbatHandshake>();
   hs->response = response;
   emit(std::move(hs), 0);
 }
@@ -131,7 +131,7 @@ void LedbatConnection::pump() {
 
 void LedbatConnection::send_segment(std::uint64_t seq, std::size_t len,
                                     bool retransmit) {
-  auto pkt = std::make_shared<LedbatData>();
+  auto pkt = netsim::make_body<LedbatData>();
   pkt->seq = seq;
   pkt->send_ts_ns = simulator().now().as_nanos();
   pkt->payload = payload_at(seq, len);
@@ -228,8 +228,8 @@ void LedbatConnection::handle_ack(const LedbatAck& pkt) {
 void LedbatConnection::handle_data(const LedbatData& pkt) {
   const Duration one_way =
       simulator().now() - TimePoint::from_nanos(pkt.send_ts_ns);
-  deliver(pkt.seq, pkt.payload.span());
-  auto ack = std::make_shared<LedbatAck>();
+  deliver(pkt.seq, pkt.payload);
+  auto ack = netsim::make_body<LedbatAck>();
   ack->ack_to = reasm_.expected();
   ack->window = static_cast<std::uint32_t>(
       std::min<std::size_t>(reasm_.available(), 0xffffffffu));
@@ -241,7 +241,9 @@ void LedbatConnection::on_datagram(const netsim::Datagram& dg) {
   // LEDBAT runs over UDP whose checksum catches in-flight bit errors; the
   // loss is repaired by the retransmission machinery like any other drop.
   if (dg.corrupted) return;
-  if (auto hs = std::dynamic_pointer_cast<const LedbatHandshake>(dg.body)) {
+  // The arrival event owns `dg` until this handler returns.
+  const netsim::DatagramBody* body = dg.body.get();
+  if (const auto* hs = dynamic_cast<const LedbatHandshake*>(body)) {
     if (!passive_ && hs->response && state() == ConnState::kConnecting) {
       peer_port_ = dg.src_port;
       enter_established();
@@ -251,11 +253,11 @@ void LedbatConnection::on_datagram(const netsim::Datagram& dg) {
     return;
   }
   if (state() == ConnState::kConnecting) return;
-  if (auto data = std::dynamic_pointer_cast<const LedbatData>(dg.body)) {
+  if (const auto* data = dynamic_cast<const LedbatData*>(body)) {
     handle_data(*data);
-  } else if (auto ack = std::dynamic_pointer_cast<const LedbatAck>(dg.body)) {
+  } else if (const auto* ack = dynamic_cast<const LedbatAck*>(body)) {
     handle_ack(*ack);
-  } else if (std::dynamic_pointer_cast<const LedbatShutdown>(dg.body)) {
+  } else if (dynamic_cast<const LedbatShutdown*>(body) != nullptr) {
     finish_close();
   }
 }

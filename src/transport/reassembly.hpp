@@ -6,11 +6,13 @@
 // the paper hit with UDT's 12 MB default buffers on high-BDP links) and
 // contiguous prefixes are surrendered to the application.
 //
-// The span-based offer_span is the zero-copy path: a segment arriving in
-// order is handed to the sink as the caller's own span (no intermediate
-// vector), and parked segments that become contiguous are delivered as one
-// sink call each, straight out of their parked storage. Only out-of-order
-// segments are copied (they must be parked somewhere).
+// offer() copies nothing on the stream transports' path: a segment arriving
+// in order is handed to the sink as a span of the segment's own payload, an
+// out-of-order segment is parked as a sub-slice of it — a view that shares
+// the sender's slab, which the sender keeps until the bytes are acknowledged
+// anyway — and parked segments that become contiguous are delivered as one
+// sink call each, straight out of that view. Only a borrowed slice is copied
+// when parked, since its bytes may not outlive the call.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +20,8 @@
 #include <span>
 #include <utility>
 #include <vector>
+
+#include "wire/buffer.hpp"
 
 namespace kmsg::transport {
 
@@ -49,39 +53,34 @@ class ReassemblyBuffer {
   /// Offers a segment [at, at+data.size()). Newly contiguous runs of bytes
   /// are surrendered in order through `sink(std::span<const std::uint8_t>)`,
   /// possibly more than once per call. An in-order segment reaches the sink
-  /// as (a trim of) the caller's own span — no copy; only out-of-order
-  /// segments are copied into parking storage. The sink must not re-enter
-  /// this buffer. Duplicate and overlapping bytes are trimmed; segments that
-  /// would exceed the buffering budget are dropped (counted in drops()).
+  /// as (a trim of) its own bytes; an out-of-order one is parked as a
+  /// sub-slice of `data` (BufSlice::to_owned: a view of an owning slice, a
+  /// copy of a borrowed one). The sink must not re-enter this buffer.
+  /// Duplicate and overlapping bytes are trimmed; segments that would exceed
+  /// the buffering budget are dropped (counted in drops()).
   template <typename Sink>
-  void offer_span(std::uint64_t at, std::span<const std::uint8_t> data,
-                  Sink&& sink) {
+  void offer(std::uint64_t at, const wire::BufSlice& data, Sink&& sink) {
     if (data.empty()) return;
     const std::uint64_t seg_end = at + data.size();
     if (seg_end > highest_seen_) highest_seen_ = seg_end;
 
     // Trim anything already delivered.
     if (seg_end <= expected_) return;
-    if (at < expected_) {
-      data = data.subspan(static_cast<std::size_t>(expected_ - at));
-      at = expected_;
-    }
-
-    if (at == expected_) {
+    if (at <= expected_) {
       // Fast path: extends the contiguous prefix — deliver in place.
-      expected_ += data.size();
-      sink(data);
+      const auto skip = static_cast<std::size_t>(expected_ - at);
+      expected_ = seg_end;
+      sink(data.span().subspan(skip));
       absorb(sink);
       return;
     }
-    park(at, data, seg_end);
+    park(at, data);
   }
 
  private:
-  /// Parks an out-of-order segment (one counted copy), trimming overlap
-  /// against already-parked neighbours.
-  void park(std::uint64_t at, std::span<const std::uint8_t> data,
-            std::uint64_t seg_end);
+  /// Parks an out-of-order segment, trimming overlap against already-parked
+  /// neighbours.
+  void park(std::uint64_t at, const wire::BufSlice& data);
 
   /// Surrenders parked segments made contiguous by an advance of expected_.
   template <typename Sink>
@@ -90,14 +89,13 @@ class ReassemblyBuffer {
       auto it = segments_.begin();
       if (it == segments_.end() || it->first > expected_) break;
       auto node = segments_.extract(it);
-      const auto& seg = node.mapped();
+      const wire::BufSlice& seg = node.mapped();
       buffered_ -= seg.size();
       const std::uint64_t it_end = node.key() + seg.size();
       if (it_end > expected_) {
         const auto skip = static_cast<std::size_t>(expected_ - node.key());
         expected_ = it_end;
-        sink(std::span<const std::uint8_t>{seg.data() + skip,
-                                           seg.size() - skip});
+        sink(seg.span().subspan(skip));
       }
     }
   }
@@ -107,7 +105,7 @@ class ReassemblyBuffer {
   std::size_t buffered_ = 0;
   std::uint64_t drops_ = 0;
   std::uint64_t highest_seen_ = 0;
-  std::map<std::uint64_t, std::vector<std::uint8_t>> segments_;
+  std::map<std::uint64_t, wire::BufSlice> segments_;
 };
 
 }  // namespace kmsg::transport

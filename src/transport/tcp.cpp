@@ -80,7 +80,7 @@ void TcpConnection::cancel_timers() {
 
 std::shared_ptr<const netsim::DatagramBody> TcpConnection::shutdown_packet()
     const {
-  auto rst = std::make_shared<TcpSegment>();
+  auto rst = netsim::make_body<TcpSegment>();
   rst->flags = kRst;
   return rst;
 }
@@ -100,7 +100,7 @@ void TcpConnection::announce() {
 
 std::shared_ptr<TcpSegment> TcpConnection::make_segment(std::uint8_t flags,
                                                         std::uint64_t seq) {
-  auto seg = std::make_shared<TcpSegment>();
+  auto seg = netsim::make_body<TcpSegment>();
   seg->flags = flags;
   seg->seq = seq;
   seg->ack = reasm_.expected();
@@ -391,18 +391,20 @@ void TcpConnection::enter_established() {
 }
 
 void TcpConnection::on_datagram(const netsim::Datagram& dg) {
-  auto seg = std::dynamic_pointer_cast<const TcpSegment>(dg.body);
-  if (!seg) return;
+  // The arrival event owns `dg` until this handler returns.
+  const auto* seg = dynamic_cast<const TcpSegment*>(dg.body.get());
+  if (seg == nullptr) return;
 
+  std::shared_ptr<TcpSegment> mutated;
   if (dg.corrupted) {
     // Header-only segments damaged in flight are caught by the transport
     // checksum and discarded (loss recovery covers them). Payload-bearing
     // segments model checksum-escaping bit errors: the header stays intact
     // but a payload bit flips, leaving detection to the wire-framing CRC.
     if (seg->payload.empty()) return;
-    auto mutated = std::make_shared<TcpSegment>(*seg);
+    mutated = netsim::make_body<TcpSegment>(*seg);
     flip_payload_bit(seg->seq, mutated->payload);
-    seg = std::move(mutated);
+    seg = mutated.get();
   }
 
   if (seg->flags & kRst) {
@@ -443,7 +445,7 @@ void TcpConnection::handle_established(const TcpSegment& seg) {
   if (!seg.sack_holes.empty()) handle_sack(seg.sack_holes);
 
   if (!seg.payload.empty()) {
-    deliver(seg.seq, seg.payload.span());
+    deliver(seg.seq, seg.payload);
     // Acknowledge all data (also out-of-order: dup ACKs drive fast rexmit).
     send_ack();
   }

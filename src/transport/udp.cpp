@@ -63,7 +63,7 @@ bool UdpEndpoint::send(netsim::HostId dst, netsim::Port dst_port,
       payload.empty() ? 1 : (payload.size() + mtu - 1) / mtu);
   const std::uint64_t id = next_message_id_++;
   for (std::uint32_t i = 0; i < count; ++i) {
-    auto frag = std::make_shared<UdpFragment>();
+    auto frag = netsim::make_body<UdpFragment>();
     frag->message_id = id;
     frag->index = i;
     frag->count = count;
@@ -75,7 +75,8 @@ bool UdpEndpoint::send(netsim::HostId dst, netsim::Port dst_port,
     dg.src_port = port_;
     dg.dst_port = dst_port;
     dg.proto = netsim::IpProto::kUdp;
-    dg.wire_bytes = len + netsim::kIpUdpHeaderBytes + kFragHeaderBytes;
+    dg.wire_bytes =
+        netsim::wire_size(len + netsim::kIpUdpHeaderBytes + kFragHeaderBytes);
     dg.body = std::move(frag);
     host_.send(std::move(dg));
     ++stats_.fragments_sent;

@@ -97,11 +97,11 @@ void UdtConnection::cancel_timers() {
 
 std::shared_ptr<const netsim::DatagramBody> UdtConnection::shutdown_packet()
     const {
-  return std::make_shared<UdtShutdown>();
+  return netsim::make_body<UdtShutdown>();
 }
 
 void UdtConnection::send_handshake(bool response) {
-  auto hs = std::make_shared<UdtHandshake>();
+  auto hs = netsim::make_body<UdtHandshake>();
   hs->response = response;
   hs->avail = reasm_.available();
   emit(std::move(hs), 0);
@@ -203,7 +203,7 @@ std::size_t UdtConnection::send_one(bool probe_head, bool probe_tail) {
 void UdtConnection::send_data_packet(std::uint64_t seq, std::size_t len,
                                      bool retransmit, bool probe_head,
                                      bool probe_tail) {
-  auto pkt = std::make_shared<UdtData>();
+  auto pkt = netsim::make_body<UdtData>();
   pkt->seq = seq;
   pkt->probe_head = probe_head;
   pkt->probe_tail = probe_tail;
@@ -376,12 +376,12 @@ void UdtConnection::estimate_bandwidth(const UdtData& pkt) {
 void UdtConnection::handle_data(const UdtData& pkt) {
   estimate_bandwidth(pkt);
   const std::uint64_t prev_highest = reasm_.highest_seen();
-  deliver(pkt.seq, pkt.payload.span());
+  deliver(pkt.seq, pkt.payload);
   // Immediate NAK on first gap detection (UDT sends NAK as soon as a
   // sequence discontinuity is observed). Register the hole for paced
   // re-NAKs.
   if (pkt.seq > prev_highest) {
-    auto nak = std::make_shared<UdtNak>();
+    auto nak = netsim::make_body<UdtNak>();
     nak->ranges.emplace_back(prev_highest, pkt.seq);
     emit(std::move(nak), 8);
     const Duration base = kSynInterval * 4;
@@ -402,7 +402,7 @@ void UdtConnection::ack_timer_fire() {
   recv_bytes_mark_ = stats_.bytes_delivered;
   recv_rate_mark_ = now;
 
-  auto ack = std::make_shared<UdtAck>();
+  auto ack = netsim::make_body<UdtAck>();
   ack->ack_to = reasm_.expected();
   ack->avail = reasm_.available();
   ack->est_bandwidth = est_bandwidth_;
@@ -431,7 +431,7 @@ void UdtConnection::send_nak_now() {
   // duplicate retransmissions (ruinous on high-RTT paths).
   const TimePoint now = simulator().now();
   const Duration base = kSynInterval * 4;
-  auto nak = std::make_shared<UdtNak>();
+  auto nak = netsim::make_body<UdtNak>();
   for (const auto& range : ranges) {
     auto [it, inserted] =
         nak_backoff_.try_emplace(range.first, NakBackoff{now + base, base});
@@ -448,21 +448,23 @@ void UdtConnection::send_nak_now() {
 }
 
 void UdtConnection::on_datagram(const netsim::Datagram& dg) {
+  // The arrival event owns `dg` until this handler returns.
+  const netsim::DatagramBody* body = dg.body.get();
   if (dg.corrupted) {
     // Same model as TCP: corrupted control packets are caught by the UDP
     // checksum and dropped; corrupted data packets model checksum-escaping
     // bit errors — flip one payload bit and let the framing CRC catch it.
-    auto data = std::dynamic_pointer_cast<const UdtData>(dg.body);
+    const auto* data = dynamic_cast<const UdtData*>(body);
     if (!data || data->payload.empty() || state() == ConnState::kConnecting) {
       return;
     }
-    auto mutated = std::make_shared<UdtData>(*data);
+    auto mutated = netsim::make_body<UdtData>(*data);
     flip_payload_bit(data->seq, mutated->payload);
     handle_data(*mutated);
     return;
   }
 
-  if (auto hs = std::dynamic_pointer_cast<const UdtHandshake>(dg.body)) {
+  if (const auto* hs = dynamic_cast<const UdtHandshake*>(body)) {
     if (!passive_ && hs->response && state() == ConnState::kConnecting) {
       peer_port_ = dg.src_port;
       flow_window_bytes_ = std::max<std::uint64_t>(hs->avail, kMss);
@@ -474,13 +476,13 @@ void UdtConnection::on_datagram(const netsim::Datagram& dg) {
   }
   if (state() == ConnState::kConnecting) return;
 
-  if (auto data = std::dynamic_pointer_cast<const UdtData>(dg.body)) {
+  if (const auto* data = dynamic_cast<const UdtData*>(body)) {
     handle_data(*data);
-  } else if (auto ack = std::dynamic_pointer_cast<const UdtAck>(dg.body)) {
+  } else if (const auto* ack = dynamic_cast<const UdtAck*>(body)) {
     handle_ack(*ack);
-  } else if (auto nak = std::dynamic_pointer_cast<const UdtNak>(dg.body)) {
+  } else if (const auto* nak = dynamic_cast<const UdtNak*>(body)) {
     handle_nak(*nak);
-  } else if (std::dynamic_pointer_cast<const UdtShutdown>(dg.body)) {
+  } else if (dynamic_cast<const UdtShutdown*>(body) != nullptr) {
     finish_close();
   }
 }

@@ -140,9 +140,10 @@ TEST(SendQueueTest, ZeroCapacityRejected) {
 std::vector<std::uint8_t> offer(ReassemblyBuffer& rb, std::uint64_t at,
                                 const std::vector<std::uint8_t>& data) {
   std::vector<std::uint8_t> out;
-  rb.offer_span(at, data, [&out](std::span<const std::uint8_t> run) {
-    out.insert(out.end(), run.begin(), run.end());
-  });
+  rb.offer(at, wire::BufSlice::borrowed(data),
+           [&out](std::span<const std::uint8_t> run) {
+             out.insert(out.end(), run.begin(), run.end());
+           });
   return out;
 }
 
@@ -223,6 +224,48 @@ TEST(ReassemblyTest, MissingRangesIncludesDroppedBytes) {
   ASSERT_EQ(ranges.size(), 1u);
   // The dropped range still counts as missing, so NAKs re-request it.
   EXPECT_EQ(ranges[0], std::make_pair(std::uint64_t{0}, std::uint64_t{13}));
+}
+
+TEST(ReassemblyTest, ParkingAnOwningSliceCopiesNothing) {
+  // Segments carry views of the sender's slab; parking one out of order
+  // keeps a sub-view of that slab instead of copying its bytes.
+  const auto payload = bytes({1, 2, 3, 4, 5, 6});
+  const wire::BufSlice seg = wire::BufSlice::copy_of(payload);
+  ASSERT_EQ(seg.ref_count(), 1u);
+  const std::uint64_t copied0 =
+      wire::SlabPool::instance().stats().payload_bytes_copied;
+  ReassemblyBuffer rb(1024);
+  std::vector<std::uint8_t> out;
+  const auto sink = [&out](std::span<const std::uint8_t> run) {
+    out.insert(out.end(), run.begin(), run.end());
+  };
+  rb.offer(2, seg, sink);
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(seg.ref_count(), 2u);  // the parked view pins the slab
+  EXPECT_EQ(wire::SlabPool::instance().stats().payload_bytes_copied, copied0);
+  const auto head = bytes({9, 9});
+  rb.offer(0, wire::BufSlice::borrowed(head), sink);
+  EXPECT_EQ(out, bytes({9, 9, 1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(seg.ref_count(), 1u);  // delivered: the view is gone
+}
+
+TEST(ReassemblyTest, ParkingABorrowedSliceCopiesIt) {
+  // A borrowed view's bytes may not outlive the call: parking copies them.
+  auto payload = bytes({1, 2, 3});
+  const std::uint64_t copied0 =
+      wire::SlabPool::instance().stats().payload_bytes_copied;
+  ReassemblyBuffer rb(1024);
+  std::vector<std::uint8_t> out;
+  const auto sink = [&out](std::span<const std::uint8_t> run) {
+    out.insert(out.end(), run.begin(), run.end());
+  };
+  rb.offer(1, wire::BufSlice::borrowed(payload), sink);
+  EXPECT_EQ(wire::SlabPool::instance().stats().payload_bytes_copied,
+            copied0 + payload.size());
+  std::fill(payload.begin(), payload.end(), 0);  // the caller reuses its bytes
+  const auto head = bytes({7});
+  rb.offer(0, wire::BufSlice::borrowed(head), sink);
+  EXPECT_EQ(out, bytes({7, 1, 2, 3}));
 }
 
 TEST(ReassemblyTest, RandomizedStreamReconstruction) {

@@ -10,6 +10,13 @@ additionally gated on it with --bytes-threshold (default 5%). Byte counts are
 deterministic — they do not depend on build type or host load — so this gate
 is a hard failure even when the timing gate is soft.
 
+allocs_per_op is gated the same way on the single-threaded rows (those
+without a gate_metric): a row fails when it reads more than 5% plus 0.05
+above its committed after_allocs_per_op. The 0.05 absorbs the harness's own
+amortised allocations, which are spread over a host-dependent iteration
+count. The threaded rows' counts depend on thread interleaving, so they only
+warn, as their timings do.
+
 The committed file is the curated trajectory format ({"benchmarks": {name:
 {"after_ns_per_op": ...}}}); the fresh file is raw google-benchmark output
 ({"benchmarks": [{"name": ..., "real_time": ...}]}). Both shapes are accepted
@@ -26,6 +33,10 @@ benchmarks have no baseline yet and retired ones have no current number.
 import argparse
 import json
 import sys
+
+# allocs_per_op limit: committed value * (1 + pct/100) + slack.
+ALLOCS_THRESHOLD_PCT = 5.0
+ALLOCS_SLACK = 0.05
 
 
 def load(path):
@@ -89,6 +100,24 @@ def bytes_per_msg(doc):
         for name, e in benches.items():
             v = e.get("after_bytes_per_msg")
             if isinstance(v, (int, float)) and v > 0:
+                out[name] = float(v)
+    return out
+
+
+def allocs_per_op(doc):
+    """Returns {benchmark name: allocs_per_op} from either JSON shape."""
+    benches = doc.get("benchmarks")
+    out = {}
+    if isinstance(benches, list):  # raw: user counters are direct keys
+        for b in benches:
+            name = b.get("name")
+            v = b.get("allocs_per_op")
+            if name is not None and isinstance(v, (int, float)) and v >= 0:
+                out[name] = float(v)
+    elif isinstance(benches, dict):  # curated trajectory format
+        for name, e in benches.items():
+            v = e.get("after_allocs_per_op")
+            if isinstance(v, (int, float)) and v >= 0:
                 out[name] = float(v)
     return out
 
@@ -176,10 +205,44 @@ def main():
             byte_regressions.append((name, delta_pct))
             marker = "  <-- BYTES REGRESSION"
         print(f"{name}: {b:.1f} -> {f:.1f} bytes/msg ({delta_pct:+.1f}%){marker}")
+    # Allocation gate: hard on the single-threaded rows in every build type.
+    fresh_allocs = allocs_per_op(fresh_doc)
+    base_allocs = allocs_per_op(base_doc)
+    alloc_regressions = []
+    alloc_warnings = []
+    for name in sorted(set(fresh_allocs) & set(base_allocs)):
+        b, f = base_allocs[name], fresh_allocs[name]
+        limit = b * (1.0 + ALLOCS_THRESHOLD_PCT / 100.0) + ALLOCS_SLACK
+        threaded = "gate_metric" in base.get(name, {})
+        marker = ""
+        if f > limit:
+            if threaded:
+                alloc_warnings.append((name, b, f))
+                marker = "  <-- allocs regression (soft, threaded)"
+            else:
+                alloc_regressions.append((name, b, f))
+                marker = "  <-- ALLOCS REGRESSION"
+        print(f"{name}: {b:.3f} -> {f:.3f} allocs/op (limit {limit:.3f})"
+              f"{marker}")
+    if alloc_warnings:
+        summary = ", ".join(f"{n} {b:.3f} -> {f:.3f}"
+                            for n, b, f in alloc_warnings)
+        print(f"bench regression WARNING (threaded allocs/op, not enforced): "
+              f"{summary}", file=sys.stderr)
+
+    failed = False
     if byte_regressions:
         summary = ", ".join(f"{n} +{d:.1f}%" for n, d in byte_regressions)
         print(f"bench regression FAILURE (>{args.bytes_threshold:.0f}% "
               f"bytes/msg): {summary}", file=sys.stderr)
+        failed = True
+    if alloc_regressions:
+        summary = ", ".join(f"{n} {b:.3f} -> {f:.3f}"
+                            for n, b, f in alloc_regressions)
+        print(f"bench regression FAILURE (>{ALLOCS_THRESHOLD_PCT:.0f}% + "
+              f"{ALLOCS_SLACK} allocs/op): {summary}", file=sys.stderr)
+        failed = True
+    if failed:
         sys.exit(1)
 
     if regressions:

@@ -7,7 +7,8 @@
 // this file reads from the same bytes. Valid inputs — plain and coalesced
 // frames, snappy blocks, delta keyframes and diffs (the 63-field maximum
 // schema included), and the serialised form of every app, supervision and
-// reliable-channel message — are mutated with bit flips, byte overwrites,
+// reliable-channel message and of the vnode example's chat message, with and
+// without a route — are mutated with bit flips, byte overwrites,
 // truncation, insertion and deletion. Seeds and the iteration budget are
 // fixed, so every run decodes the same inputs, and a failure names its
 // target, seed and iteration on one line: from a failed check, or from a
@@ -24,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/chat.hpp"
 #include "apps/messages.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
@@ -213,6 +215,7 @@ std::shared_ptr<messaging::SerializerRegistry> make_registry() {
   apps::register_app_delta_schemas(*reg);
   messaging::register_supervision_serializers(*reg);
   messaging::register_reliable_serializers(*reg);
+  apps::register_chat(*reg);
   reg->register_delta_schema(
       kWideTypeId,
       messaging::DeltaSchema{std::vector<messaging::FieldKind>(
@@ -428,6 +431,15 @@ TEST_F(DecoderFuzzTest, DeltaDecoderAfterKeyframe) {
 TEST_F(DecoderFuzzTest, DeserializeEveryMessageType) {
   std::vector<Bytes> inputs;
   for (const wire::BufSlice& m : every_message(*reg_)) inputs.push_back(bytes_of(m));
+  // The chat message reads a route of any length: one without hops, one
+  // relayed across two.
+  const BasicHeader chat_header{kSrc, kDst, Transport::kTcp};
+  const apps::ChatMsg chat{chat_header, "hello lobby"};
+  const apps::ChatMsg routed{
+      chat_header, "routed hello",
+      messaging::Route{{kDst.with_vnode(1), kDst.with_vnode(3)}, 1}};
+  inputs.push_back(bytes_of(*reg_->serialize(chat)));
+  inputs.push_back(bytes_of(*reg_->serialize(routed)));
 
   for (const std::uint64_t seed : kSeeds) {
     Rng rng(seed);
@@ -446,6 +458,14 @@ TEST_F(DecoderFuzzTest, DeserializeEveryMessageType) {
               dynamic_cast<const messaging::ReliableEnvelope*>(msg.get())) {
         ASSERT_LE(e->payload().size(), input.size()) << case_line();
         touch(e->payload().span());
+      }
+      if (const auto* c = dynamic_cast<const apps::ChatMsg*>(msg.get())) {
+        // Every hop is read off the input, at least one byte each.
+        ASSERT_LE(c->text().size() + c->route().hops().size(), input.size())
+            << case_line();
+        touch({reinterpret_cast<const std::uint8_t*>(c->text().data()),
+               c->text().size()});
+        if (c->route().has_next()) g_sink += c->route().next_hop().vnode;
       }
     }
   }

@@ -134,14 +134,14 @@ TEST(DeliveryKeys, BandZeroBeforeBandOneAtSameInstant) {
   Simulator sim;
   std::vector<int> order;
   const TimePoint t = TimePoint::from_nanos(100);
-  sim.schedule_at_keyed(t, kmsg::sim::delivery_key(3, 1, 0),
-                        [&order] { order.push_back(100); });
+  sim.post_at_keyed(t, kmsg::sim::delivery_key(3, 1, 0),
+                    [&order] { order.push_back(100); });
   sim.schedule_at(t, [&order] { order.push_back(1); });
-  sim.schedule_at_keyed(t, kmsg::sim::delivery_key(2, 1, 7),
-                        [&order] { order.push_back(27); });
+  sim.post_at_keyed(t, kmsg::sim::delivery_key(2, 1, 7),
+                    [&order] { order.push_back(27); });
   sim.schedule_at(t, [&order] { order.push_back(2); });
-  sim.schedule_at_keyed(t, kmsg::sim::delivery_key(2, 1, 3),
-                        [&order] { order.push_back(23); });
+  sim.post_at_keyed(t, kmsg::sim::delivery_key(2, 1, 3),
+                    [&order] { order.push_back(23); });
   sim.run();
   // Locals in scheduling order first, then deliveries in (src, counter) order.
   EXPECT_EQ(order, (std::vector<int>{1, 2, 23, 27, 100}));

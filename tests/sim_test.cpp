@@ -165,10 +165,10 @@ TEST(SimulatorTest, KeyedSchedulingOrdersSameInstantEvents) {
   Simulator sim;
   std::vector<int> order;
   const TimePoint t = TimePoint::from_nanos(50);
-  sim.schedule_at_keyed(t, delivery_key(9, 1, 2), [&] { order.push_back(92); });
-  sim.schedule_at_keyed(t, delivery_key(4, 1, 0), [&] { order.push_back(40); });
+  sim.post_at_keyed(t, delivery_key(9, 1, 2), [&] { order.push_back(92); });
+  sim.post_at_keyed(t, delivery_key(4, 1, 0), [&] { order.push_back(40); });
   sim.schedule_at(t, [&] { order.push_back(0); });  // band 0 wins the instant
-  sim.schedule_at_keyed(t, delivery_key(4, 1, 1), [&] { order.push_back(41); });
+  sim.post_at_keyed(t, delivery_key(4, 1, 1), [&] { order.push_back(41); });
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{0, 40, 41, 92}));
 }
@@ -186,6 +186,85 @@ TEST(SimulatorTest, ManyEventsStressDeterminism) {
     return order;
   };
   EXPECT_EQ(run(), run());
+}
+
+TEST(SimulatorTest, CancelUnlinksAnEventStillInItsSlot) {
+  Simulator sim;
+  bool ran = false;
+  auto far = sim.schedule_after(Duration::seconds(1.0), [&] { ran = true; });
+  sim.schedule_after(Duration::millis(1), [] {});
+  EXPECT_EQ(sim.pending(), 2u);
+  far.cancel();
+  // Gone at once, not when its deadline comes round.
+  EXPECT_EQ(sim.pending(), 1u);
+  EXPECT_TRUE(far.cancelled());
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_FALSE(ran);
+  EXPECT_TRUE(sim.idle());
+  EXPECT_EQ(sim.now().as_nanos(), Duration::millis(1).as_nanos());
+  far.cancel();  // idempotent
+  EXPECT_EQ(sim.executed(), 1u);
+}
+
+TEST(SimulatorTest, CancelAnEventAlreadyInTheReadyList) {
+  // next_event_time() drains the due tick into the ready list; an event
+  // cancelled there stays until it pops, but no longer counts as pending.
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_after(Duration::millis(5), [&] { order.push_back(1); });
+  auto second = sim.schedule_after(Duration::millis(5), [&] { order.push_back(2); });
+  EXPECT_EQ(sim.next_event_time().as_nanos(), Duration::millis(5).as_nanos());
+  second.cancel();
+  EXPECT_TRUE(second.cancelled());
+  EXPECT_EQ(sim.pending(), 1u);
+  EXPECT_FALSE(sim.idle());
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_TRUE(sim.idle());
+}
+
+TEST(SimulatorTest, CancelFromACallbackAtTheSameInstant) {
+  Simulator sim;
+  std::vector<int> order;
+  EventHandle self;
+  EventHandle later;
+  self = sim.schedule_after(Duration::millis(2), [&] {
+    order.push_back(1);
+    self.cancel();   // already running: a no-op
+    later.cancel();  // same instant, drained with us: discarded when popped
+    EXPECT_EQ(sim.pending(), 0u);
+    EXPECT_TRUE(sim.idle());
+  });
+  later = sim.schedule_after(Duration::millis(2), [&] { order.push_back(2); });
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_FALSE(self.cancelled());
+  EXPECT_TRUE(later.cancelled());
+}
+
+TEST(SimulatorTest, CancelAfterTheSimulatorIsGoneIsANoop) {
+  EventHandle h;
+  {
+    Simulator sim;
+    h = sim.schedule_after(Duration::millis(1), [] {});
+  }
+  h.cancel();
+  EXPECT_FALSE(h.cancelled());
+  EXPECT_TRUE(h.valid());
+}
+
+TEST(SimulatorTest, PostsFireInScheduleOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  const TimePoint t = TimePoint::from_nanos(100);
+  sim.schedule_at(t, [&] { order.push_back(2); });
+  sim.post_after(Duration::nanos(100), [&] { order.push_back(3); });
+  sim.post_at_keyed(t, delivery_key(1, 2, 0), [&] { order.push_back(5); });
+  sim.post_after(Duration::nanos(50), [&] { order.push_back(0); });
+  sim.schedule_after(Duration::nanos(100), [&] { order.push_back(4); });
+  EXPECT_EQ(sim.pending(), 5u);
+  EXPECT_EQ(sim.run(), 5u);
+  EXPECT_EQ(order, (std::vector<int>{0, 2, 3, 4, 5}));
 }
 
 }  // namespace
