@@ -1,7 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the building blocks whose costs
 // determine middleware throughput: ByteBuf encoding, the snappy-like codec,
 // frame decoding, message (de)serialisation, protocol-selection policies,
-// Sarsa(λ) steps, simulator event dispatch and Kompics event handling.
+// Sarsa(λ) steps, simulator event dispatch and Kompics event handling, and
+// the bulk path's per-byte kernels: payload generation and checking and the
+// frame CRC.
 //
 // Every benchmark additionally reports allocs_per_op / alloc_bytes_per_op via
 // the replaced global operator new below, so allocation regressions on the
@@ -537,6 +539,28 @@ void BM_PayloadGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_PayloadGeneration);
 
+void BM_PayloadVerify(benchmark::State& state) {
+  const wire::BufSlice chunk = apps::make_payload_slice(0, 65000);
+  AllocScope allocs(state);
+  for (auto _ : state) {
+    bool ok = apps::verify_payload(0, chunk.span());
+    benchmark::DoNotOptimize(ok);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 65000);
+}
+BENCHMARK(BM_PayloadVerify);
+
+void BM_Crc32(benchmark::State& state) {
+  const auto bytes = random_bytes(65000, 11);
+  AllocScope allocs(state);
+  for (auto _ : state) {
+    std::uint32_t crc = wire::crc32(bytes);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 65000);
+}
+BENCHMARK(BM_Crc32);
+
 }  // namespace
 
 // Build-type annotation (bench credibility): the schema check refuses numbers
@@ -559,6 +583,12 @@ int main(int argc, char** argv) {
 #else
   benchmark::AddCustomContext("kmsg_sanitized", "no");
 #endif
+  // The kernel paths this CPU runs: rows timed on other paths are not
+  // comparable to the committed numbers.
+  benchmark::AddCustomContext("kmsg_crc32_fold_width",
+                              std::to_string(wire::crc32_fold_width()));
+  benchmark::AddCustomContext("kmsg_payload_kernel_width",
+                              std::to_string(apps::payload_kernel_width()));
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -171,9 +171,13 @@ void register_app_delta_schemas(messaging::SerializerRegistry& registry);
 /// p of the transfer is byte p & 7 (little-endian) of the splitmix64 output
 /// for word p >> 3, so it depends only on the global position and any
 /// receiver can verify content without sharing state with the sender. One
-/// hash covers 8 bytes; both functions handle whole words at once.
+/// hash covers 8 bytes; both functions handle whole words at once, 8 words
+/// per vector where payload_kernel_width() is 512.
 wire::BufSlice make_payload_slice(std::uint64_t offset, std::size_t len);
 /// Checks every byte of `data` against the payload at absolute `offset`.
 bool verify_payload(std::uint64_t offset, std::span<const std::uint8_t> data);
+/// Bits the payload generator and verifier handle per step on this CPU,
+/// checked once: 512 (AVX512F and AVX512DQ) or 64 (one word).
+unsigned payload_kernel_width();
 
 }  // namespace kmsg::apps

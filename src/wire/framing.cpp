@@ -79,6 +79,9 @@ std::uint32_t crc_sliced(std::uint32_t c, const std::uint8_t* p,
 /// Shortest 16-byte-aligned run worth folding: the fold loads four blocks
 /// before its first step.
 constexpr std::size_t kFoldMinBytes = 64;
+/// Shortest 16-byte-aligned run the 512-bit fold takes: it loads four
+/// 64-byte vectors before its first step.
+constexpr std::size_t kFold512MinBytes = 256;
 
 // Carry-less-multiply folding (Gopal et al., "Fast CRC Computation for
 // Generic Polynomials Using PCLMULQDQ Instruction", Intel 2009), in the
@@ -88,7 +91,8 @@ constexpr std::size_t kFoldMinBytes = 64;
 // its value 64 bytes down the message without changing its remainder mod P.
 // The four are then folded into one at a 16-byte distance, that one is
 // reduced to 64 and 32 bits, and a Barrett step takes it mod P. Each
-// constant is x^e mod P, bit-reflected and shifted left by one.
+// constant is x^e mod P, bit-reflected and shifted left by one; moving a
+// value d bits down pairs e = d + 32 (low half) with e = d - 32 (high half).
 constexpr long long kFold4x128Lo = 0x154442bd4;  // e = 4*128 + 32
 constexpr long long kFold4x128Hi = 0x1c6e41596;  // e = 4*128 - 32
 constexpr long long kFold1x128Lo = 0x1751997d0;  // e = 128 + 32
@@ -96,12 +100,41 @@ constexpr long long kFold1x128Hi = 0x0ccaa009e;  // e = 128 - 32
 constexpr long long kFold64 = 0x163cd6124;       // e = 64
 constexpr long long kPoly = 0x1db710641;         // P, reflected
 constexpr long long kBarrettMu = 0x1f7011641;    // x^64 / P, reflected
+// The 512-bit fold: four 64-byte accumulators move 256 bytes per step, and
+// the last one's four 128-bit lanes move 48, 32 and 16 bytes onto lane 3.
+constexpr long long kFold4x512Lo = 0x11542778a;  // e = 16*128 + 32
+constexpr long long kFold4x512Hi = 0x1322d1430;  // e = 16*128 - 32
+constexpr long long kFold3x128Lo = 0x03db1ecdc;  // e = 3*128 + 32
+constexpr long long kFold3x128Hi = 0x174359406;  // e = 3*128 - 32
+constexpr long long kFold2x128Lo = 0x0f1da05aa;  // e = 2*128 + 32
+constexpr long long kFold2x128Hi = 0x15a546366;  // e = 2*128 - 32
 
 __attribute__((target("pclmul,sse4.1"))) inline __m128i fold_block(
     __m128i acc, __m128i k, __m128i next) {
   const __m128i lo = _mm_clmulepi64_si128(acc, k, 0x00);
   const __m128i hi = _mm_clmulepi64_si128(acc, k, 0x11);
   return _mm_xor_si128(_mm_xor_si128(lo, hi), next);
+}
+
+/// Folds the 16-byte blocks at `b` (n bytes, a multiple of 16) into the
+/// accumulator `x0`, then reduces it to the 32-bit CRC state.
+__attribute__((target("pclmul,sse4.1"))) std::uint32_t finish_folded(
+    __m128i x0, const __m128i* b, std::size_t n) {
+  __m128i k = _mm_set_epi64x(kFold1x128Hi, kFold1x128Lo);
+  for (; n >= 16; n -= 16, ++b) x0 = fold_block(x0, k, _mm_load_si128(b));
+
+  // 128 -> 64 bits (appending 32 zero bits), then 64 -> 32.
+  const __m128i mask32 = _mm_set_epi32(0, -1, 0, -1);
+  x0 = _mm_xor_si128(_mm_srli_si128(x0, 8), _mm_clmulepi64_si128(k, x0, 0x01));
+  __m128i x1 = _mm_srli_si128(x0, 4);
+  x0 = _mm_clmulepi64_si128(_mm_and_si128(x0, mask32),
+                            _mm_set_epi64x(0, kFold64), 0x00);
+  x0 = _mm_xor_si128(x0, x1);
+  // Barrett reduction mod P.
+  k = _mm_set_epi64x(kBarrettMu, kPoly);
+  x1 = _mm_clmulepi64_si128(_mm_and_si128(x0, mask32), k, 0x10);
+  x1 = _mm_clmulepi64_si128(_mm_and_si128(x1, mask32), k, 0x00);
+  return static_cast<std::uint32_t>(_mm_extract_epi32(_mm_xor_si128(x0, x1), 1));
 }
 
 /// Advances the running CRC state over `n` bytes at the 16-byte-aligned `p`;
@@ -127,20 +160,62 @@ __attribute__((target("pclmul,sse4.1"))) std::uint32_t crc_folded(
   x0 = fold_block(x0, k, x1);
   x0 = fold_block(x0, k, x2);
   x0 = fold_block(x0, k, x3);
-  for (; n >= 16; n -= 16, ++b) x0 = fold_block(x0, k, _mm_load_si128(b));
+  return finish_folded(x0, b, n);
+}
 
-  // 128 -> 64 bits (appending 32 zero bits), then 64 -> 32.
-  const __m128i mask32 = _mm_set_epi32(0, -1, 0, -1);
-  x0 = _mm_xor_si128(_mm_srli_si128(x0, 8), _mm_clmulepi64_si128(k, x0, 0x01));
-  x1 = _mm_srli_si128(x0, 4);
-  x0 = _mm_clmulepi64_si128(_mm_and_si128(x0, mask32),
-                            _mm_set_epi64x(0, kFold64), 0x00);
-  x0 = _mm_xor_si128(x0, x1);
-  // Barrett reduction mod P.
-  k = _mm_set_epi64x(kBarrettMu, kPoly);
-  x1 = _mm_clmulepi64_si128(_mm_and_si128(x0, mask32), k, 0x10);
-  x1 = _mm_clmulepi64_si128(_mm_and_si128(x1, mask32), k, 0x00);
-  return static_cast<std::uint32_t>(_mm_extract_epi32(_mm_xor_si128(x0, x1), 1));
+/// fold_block on four 128-bit lanes at once, each with its own constants.
+__attribute__((target("avx512f,vpclmulqdq"))) inline __m512i fold_512(
+    __m512i acc, __m512i k, __m512i next) {
+  return _mm512_ternarylogic_epi64(_mm512_clmulepi64_epi128(acc, k, 0x00),
+                                   _mm512_clmulepi64_epi128(acc, k, 0x11),
+                                   next, 0x96);  // a ^ b ^ c
+}
+
+/// crc_folded at 512 bits: four 64-byte accumulators take 256 bytes per
+/// step, collapse into one at a 64-byte distance, which then takes 64 bytes
+/// per step; its lanes fold onto one 128-bit accumulator for finish_folded.
+/// `p` is 16-byte aligned; n is a multiple of 16 and at least
+/// kFold512MinBytes.
+__attribute__((target("avx512f,vpclmulqdq,pclmul,sse4.1"))) std::uint32_t
+crc_folded_512(std::uint32_t c, const std::uint8_t* p, std::size_t n) {
+  __m512i x0 = _mm512_xor_si512(
+      _mm512_loadu_si512(p),
+      _mm512_zextsi128_si512(_mm_cvtsi32_si128(static_cast<int>(c))));
+  __m512i x1 = _mm512_loadu_si512(p + 64);
+  __m512i x2 = _mm512_loadu_si512(p + 128);
+  __m512i x3 = _mm512_loadu_si512(p + 192);
+  p += 256;
+  n -= 256;
+  __m512i k = _mm512_set_epi64(kFold4x512Hi, kFold4x512Lo, kFold4x512Hi,
+                               kFold4x512Lo, kFold4x512Hi, kFold4x512Lo,
+                               kFold4x512Hi, kFold4x512Lo);
+  for (; n >= 256; n -= 256, p += 256) {
+    x0 = fold_512(x0, k, _mm512_loadu_si512(p));
+    x1 = fold_512(x1, k, _mm512_loadu_si512(p + 64));
+    x2 = fold_512(x2, k, _mm512_loadu_si512(p + 128));
+    x3 = fold_512(x3, k, _mm512_loadu_si512(p + 192));
+  }
+  k = _mm512_set_epi64(kFold4x128Hi, kFold4x128Lo, kFold4x128Hi, kFold4x128Lo,
+                       kFold4x128Hi, kFold4x128Lo, kFold4x128Hi, kFold4x128Lo);
+  x0 = fold_512(x0, k, x1);
+  x0 = fold_512(x0, k, x2);
+  x0 = fold_512(x0, k, x3);
+  for (; n >= 64; n -= 64, p += 64) x0 = fold_512(x0, k, _mm512_loadu_si512(p));
+  // Lanes 0-2 move onto lane 3, which is blended in as it is (its zero
+  // constants would give zero), and the four lanes are XORed together.
+  // Through memory: GCC 12's lane extracts trip a false -Wuninitialized.
+  k = _mm512_set_epi64(0, 0, kFold1x128Hi, kFold1x128Lo, kFold2x128Hi,
+                       kFold2x128Lo, kFold3x128Hi, kFold3x128Lo);
+  __m128i lanes[4] = {};
+  _mm512_storeu_si512(
+      lanes, _mm512_mask_blend_epi64(
+                 0xC0,
+                 _mm512_xor_si512(_mm512_clmulepi64_epi128(x0, k, 0x00),
+                                  _mm512_clmulepi64_epi128(x0, k, 0x11)),
+                 x0));
+  const __m128i one = _mm_xor_si128(_mm_xor_si128(lanes[0], lanes[1]),
+                                    _mm_xor_si128(lanes[2], lanes[3]));
+  return finish_folded(one, reinterpret_cast<const __m128i*>(p), n);
 }
 #endif
 
@@ -177,16 +252,21 @@ std::uint32_t get_u32(const std::uint8_t* p) {
 
 }  // namespace
 
-bool crc32_folds() {
+unsigned crc32_fold_width() {
 #if KMSG_CRC_CLMUL
-  static const bool folds = [] {
+  static const unsigned width = [] {
     __builtin_cpu_init();
-    return __builtin_cpu_supports("pclmul") &&
-           __builtin_cpu_supports("sse4.1");
+    if (!__builtin_cpu_supports("pclmul") || !__builtin_cpu_supports("sse4.1")) {
+      return 0u;
+    }
+    return __builtin_cpu_supports("vpclmulqdq") &&
+                   __builtin_cpu_supports("avx512f")
+               ? 512u
+               : 128u;
   }();
-  return folds;
+  return width;
 #else
-  return false;
+  return 0;
 #endif
 }
 
@@ -195,13 +275,17 @@ std::uint32_t crc32(std::span<const std::uint8_t> data) {
   const std::uint8_t* p = data.data();
   std::size_t n = data.size();
 #if KMSG_CRC_CLMUL
-  if (n >= kFoldMinBytes && crc32_folds()) {
+  const unsigned width = n >= kFoldMinBytes ? crc32_fold_width() : 0;
+  if (width != 0) {
     // Tables up to the first 16-byte boundary, folding over the aligned
     // bulk, tables again for the last < 16 bytes.
     const std::size_t head = -reinterpret_cast<std::uintptr_t>(p) & 15u;
     const std::size_t bulk = (n - head) & ~std::size_t{15};
     if (bulk >= kFoldMinBytes) {
-      c = crc_folded(crc_sliced(c, p, head), p + head, bulk);
+      c = crc_sliced(c, p, head);
+      c = width == 512 && bulk >= kFold512MinBytes
+              ? crc_folded_512(c, p + head, bulk)
+              : crc_folded(c, p + head, bulk);
       p += head + bulk;
       n -= head + bulk;
     }

@@ -13,9 +13,10 @@
 // coalesced frame's CRC is inverted, which puts the flag under the check.
 // A maximum frame size guards against corrupted-length runaway allocation,
 // and the CRC catches bit errors that escaped the transport's checksum (the
-// netsim chaos layer injects exactly those). The CRC folds with PCLMULQDQ
-// where the CPU has it and falls back to slicing-by-8 tables; both give the
-// same value, so the choice never shows on the wire. A CRC mismatch poisons
+// netsim chaos layer injects exactly those). The CRC folds 512 bits per
+// carry-less multiply with VPCLMULQDQ, or 128 with PCLMULQDQ, chosen once
+// from what the CPU has, and falls back to slicing-by-8 tables; every path
+// gives the same value, so the choice never shows on the wire. A CRC mismatch poisons
 // the decoder: once any byte of the stream is untrusted, frame boundaries
 // are untrusted too, so the only safe recovery is tearing the connection
 // down and re-establishing the session (which the messaging layer does).
@@ -57,19 +58,22 @@ inline constexpr std::size_t kFrameHeaderBytes = 8;
 BufSlice encode_wire_coalesced(std::span<const BufSlice> subs,
                                std::size_t headroom = kFrameHeaderBytes);
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected) of a byte span. On a CPU with
-/// PCLMULQDQ and SSE4.1 it folds the 16-byte-aligned bulk of the span with
-/// carry-less multiplication once that bulk reaches 64 bytes; shorter spans,
-/// the unaligned ends and CPUs without the instructions take crc32_sliced.
-/// Both paths give the same value for every input.
+/// CRC-32 (IEEE 802.3 polynomial, reflected) of a byte span. It folds the
+/// 16-byte-aligned bulk of the span with carry-less multiplication: 512
+/// bits at a time once that bulk reaches 256 bytes on a CPU with VPCLMULQDQ
+/// and AVX512F, 128 bits at a time once it reaches 64 bytes on a CPU with
+/// PCLMULQDQ and SSE4.1. Shorter spans, the unaligned ends and CPUs without
+/// the instructions take crc32_sliced. Every path gives the same value for
+/// every input.
 std::uint32_t crc32(std::span<const std::uint8_t> data);
 
 /// The table-driven (slicing-by-8) CRC-32: crc32's portable path, and the
 /// reference the tests hold the folding path to.
 std::uint32_t crc32_sliced(std::span<const std::uint8_t> data);
 
-/// Whether crc32 folds with PCLMULQDQ on this CPU (checked once).
-bool crc32_folds();
+/// The widest fold crc32 uses on this CPU, checked once: 512 (VPCLMULQDQ
+/// and AVX512F), 128 (PCLMULQDQ and SSE4.1) or 0 (tables only).
+unsigned crc32_fold_width();
 
 /// Prepends the length + CRC header to a payload (returns a new vector).
 std::vector<std::uint8_t> encode_frame(std::span<const std::uint8_t> payload);

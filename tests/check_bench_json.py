@@ -43,8 +43,11 @@ REQUIRED_BENCHMARKS = [
     "BM_SmallMsgWireDelta",
     "BM_SmallMsgWireCoalesce",
     "BM_SmallMsgWireBoth",
-    # The bulk workloads' test-data generator (one splitmix64 per 8 bytes).
+    # The bulk path's per-byte kernels: the test-data generator and checker
+    # (one splitmix64 per 8 bytes) and the frame CRC, over one 65 kB chunk.
     "BM_PayloadGeneration",
+    "BM_PayloadVerify",
+    "BM_Crc32",
 ]
 REQUIRED_FIELDS = ["name", "real_time", "cpu_time", "time_unit", "iterations"]
 REQUIRED_COUNTERS = ["allocs_per_op", "alloc_bytes_per_op"]

@@ -24,9 +24,12 @@ on either side so the script also works for raw-vs-raw comparisons.
 
 The timing gate is only a hard failure for plain Release builds on the host
 class the baseline was stamped on. Under sanitizers, any non-Release build
-type, or a CPU count (the fresh context.num_cpus) other than the baseline's
-machine.num_cpus, the timings are not comparable to the committed numbers, so
-the diff is printed and regressions are reported as warnings (exit 0).
+type, a CPU count (the fresh context.num_cpus) other than the baseline's
+machine.num_cpus, or per-byte kernel paths (the CRC's fold width and the
+payload kernel's width, which the binary reads from CPUID) other than the
+baseline's, the timings are not comparable to the committed numbers, so the
+diff is printed and regressions are reported as warnings (exit 0). The
+bytes gate and the single-threaded rows' allocs gate stay hard on any host.
 Benchmarks present on only one side are reported but never fatal — new
 benchmarks have no baseline yet and retired ones have no current number.
 """
@@ -132,6 +135,22 @@ def num_cpus(doc):
     return None
 
 
+# Kernel paths chosen at run time; each is a width in bits.
+KERNEL_PATHS = ("crc32_fold_width", "payload_kernel_width")
+
+
+def kernel_paths(doc):
+    """The kernel paths a run was stamped with: context.kmsg_<path> in raw
+    google-benchmark output, machine.<path> in the curated trajectory. A
+    path the document does not record reads None."""
+    ctx, machine = doc.get("context", {}), doc.get("machine", {})
+    out = {}
+    for path in KERNEL_PATHS:
+        v = ctx.get(f"kmsg_{path}", machine.get(path))
+        out[path] = None if v is None else str(v)
+    return out
+
+
 def soft_reason(fresh_doc, base_doc):
     """Why the fresh timings are not comparable to the baseline's, or None."""
     ctx = fresh_doc.get("context", {})
@@ -143,6 +162,11 @@ def soft_reason(fresh_doc, base_doc):
     fresh_cpus, base_cpus = num_cpus(fresh_doc), num_cpus(base_doc)
     if fresh_cpus != base_cpus:
         return f"{fresh_cpus}-CPU host vs a {base_cpus}-CPU baseline"
+    fresh_paths, base_paths = kernel_paths(fresh_doc), kernel_paths(base_doc)
+    if fresh_paths != base_paths:
+        diff = ", ".join(f"{p} {fresh_paths[p]} vs {base_paths[p]}"
+                         for p in KERNEL_PATHS if fresh_paths[p] != base_paths[p])
+        return f"kernel paths differ from the baseline's ({diff})"
     return None
 
 

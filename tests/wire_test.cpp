@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <span>
 
@@ -399,7 +400,12 @@ TEST(FramingTest, Crc32KnownVector) {
 }
 
 TEST(FramingTest, Crc32FoldingMatchesSlicedReference) {
-  if (!crc32_folds()) GTEST_SKIP() << "CPU lacks PCLMULQDQ/SSE4.1";
+  // crc32 takes the 512-bit fold once the 16-byte-aligned bulk reaches 256
+  // bytes, the 128-bit fold from 64 bytes, and the tables below that; a CPU
+  // without the 512-bit instructions folds every bulk 128 bits at a time.
+  const unsigned width = crc32_fold_width();
+  std::printf("crc32 fold width on this CPU: %u bits\n", width);
+  if (width == 0) GTEST_SKIP() << "CPU lacks PCLMULQDQ/SSE4.1: nothing folds";
   constexpr std::size_t kMaxLen = 70'000;
   constexpr std::size_t kOffsets = 64;
   Rng rng(47);
@@ -409,11 +415,13 @@ TEST(FramingTest, Crc32FoldingMatchesSlicedReference) {
     const std::span<const std::uint8_t> s{buf.data() + at, len};
     ASSERT_EQ(crc32(s), crc32_sliced(s)) << "offset " << at << " len " << len;
   };
-  // Every start alignment around the 64-byte folding threshold, where the
-  // aligned bulk appears, grows by one block, or is cut by the unaligned
-  // head and tail.
+  // Every start alignment, including each of a 64-byte vector's, meets
+  // every length through both thresholds and several 256-byte steps: the
+  // aligned bulk appears, grows by one block, crosses into the 512-bit
+  // fold, leaves every remainder of 64- and 16-byte blocks, and is cut by
+  // every unaligned head and tail.
   for (std::size_t at = 0; at < kOffsets; ++at) {
-    for (std::size_t len = 0; len <= 192; ++len) check(at, len);
+    for (std::size_t len = 0; len <= 1'100; ++len) check(at, len);
   }
   // Seeded random lengths up to past a 64 KiB frame, at random alignments.
   for (int i = 0; i < 1500; ++i) {

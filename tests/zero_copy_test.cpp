@@ -6,17 +6,22 @@
 //    bytes after the initial serialisation write (SlabPool copy counters);
 //  - the stream transports send views of the written slices: a segment
 //    copies only when it straddles two writes;
+//  - the payload generator and verifier, on every kernel path, match the
+//    payload's byte-wise definition at every alignment and length;
 //  - the simulator schedules and runs events without heap allocations once
 //    its containers are warm (counting global operator new).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <string>
 #include <vector>
 
 #include "apps/messages.hpp"
+#include "common/rng.hpp"
 #include "messaging/serialization.hpp"
 #include "netsim/topology.hpp"
 #include "sim/simulator.hpp"
@@ -315,7 +320,7 @@ TEST(ZeroCopySendTest, LedbatSegmentsAliasWrittenFrames) {
                                        transport::LedbatListener>();
 }
 
-// --- Payload generator: one hash per 8-byte word ---
+// --- Payload generator: one hash per 8-byte word, 8 words per vector ---
 
 TEST(PayloadTest, VerifiesChunksGeneratedAtAnyOffset) {
   for (const std::uint64_t offset :
@@ -336,7 +341,9 @@ TEST(PayloadTest, VerifiesChunksGeneratedAtAnyOffset) {
 
 TEST(PayloadTest, RejectsEverySingleByteFlip) {
   // 2^40 + 3 leaves a 5-byte unaligned head; 65,000 bytes later a 3-byte
-  // tail follows the last whole word.
+  // tail follows the last whole word. The 8,124 whole words between them
+  // make 1,015 8-word vectors, which the vector verifier tests in blocks of
+  // 256 words (31 full blocks and one of 23 vectors), and 4 words after.
   const std::uint64_t offset = (std::uint64_t{1} << 40) + 3;
   const BufSlice chunk = apps::make_payload_slice(offset, 65'000);
   std::vector<std::uint8_t> bytes(chunk.data(), chunk.data() + chunk.size());
@@ -346,6 +353,16 @@ TEST(PayloadTest, RejectsEverySingleByteFlip) {
   // A window straddling a word boundary (offset + 32,501 is a multiple of 8).
   for (std::size_t i = 32'490; i < 32'512; ++i) positions.push_back(i);
   for (std::size_t i = 64'984; i < 65'000; ++i) positions.push_back(i);  // tail
+  // One byte in each lane of the first two vectors, and in the words at
+  // each edge of the first block, the last full block, the partial block
+  // and the scalar words after it.
+  constexpr std::size_t kHead = 5;
+  std::vector<std::size_t> words;
+  for (std::size_t w = 0; w < 16; ++w) words.push_back(w);
+  for (const std::size_t w : {255, 256, 7'935, 7'936, 8'119, 8'120, 8'123}) {
+    words.push_back(w);
+  }
+  for (const std::size_t w : words) positions.push_back(kHead + 8 * w + w % 8);
   for (const std::size_t i : positions) {
     for (const std::uint8_t mask : {0x01, 0x80}) {
       bytes[i] ^= mask;
@@ -354,6 +371,45 @@ TEST(PayloadTest, RejectsEverySingleByteFlip) {
     }
   }
   EXPECT_TRUE(apps::verify_payload(offset, bytes));
+}
+
+/// The payload's definition, one byte at a time: byte p is byte p & 7 of
+/// splitmix64(p >> 3), little-endian.
+std::vector<std::uint8_t> reference_payload(std::uint64_t offset,
+                                            std::size_t len) {
+  std::vector<std::uint8_t> out(len);
+  for (std::size_t i = 0; i < len; ++i) {
+    std::uint64_t word = (offset + i) >> 3;
+    out[i] = static_cast<std::uint8_t>(splitmix64(word) >>
+                                       (8 * ((offset + i) & 7)));
+  }
+  return out;
+}
+
+TEST(PayloadTest, MatchesTheReferenceAtEveryAlignmentAndLength) {
+  // Every head (offsets 0-15 and 2^40 + 3) meets every length up to
+  // 75 words: no vectors, one to nine 8-word vectors with each remainder of
+  // the four-vector steps, and every 0-7 words and 0-7 bytes after them.
+  std::printf("payload kernel width on this CPU: %u bits\n",
+              apps::payload_kernel_width());
+  std::vector<std::uint64_t> offsets;
+  for (std::uint64_t o = 0; o < 16; ++o) offsets.push_back(o);
+  offsets.push_back((std::uint64_t{1} << 40) + 3);
+  for (const std::uint64_t offset : offsets) {
+    const std::vector<std::uint8_t> ref = reference_payload(offset, 600);
+    for (std::size_t len = 0; len <= 600; ++len) {
+      const BufSlice got = apps::make_payload_slice(offset, len);
+      ASSERT_EQ(got.size(), len);
+      ASSERT_TRUE(std::equal(got.data(), got.data() + len, ref.begin()))
+          << "offset " << offset << " len " << len;
+      ASSERT_TRUE(apps::verify_payload(offset, got.span()))
+          << "offset " << offset << " len " << len;
+    }
+  }
+  const BufSlice chunk = apps::make_payload_slice(12'345, 65'000);
+  const std::vector<std::uint8_t> ref = reference_payload(12'345, 65'000);
+  EXPECT_TRUE(std::equal(chunk.data(), chunk.data() + chunk.size(),
+                         ref.begin(), ref.end()));
 }
 
 TEST(PayloadTest, ChunkStaysIncompressible) {
