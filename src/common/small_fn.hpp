@@ -2,8 +2,8 @@
 // built for the simulator's event hot path. Closures up to kSmallFnInline
 // bytes (enough for a handful of captured pointers, or a whole
 // std::function) live inline in the SmallFn object — scheduling such an
-// event performs zero heap allocations. Larger closures fall back to a
-// thread-local block pool, so even the oversize path recycles memory
+// event performs zero heap allocations. Larger closures live in a block of
+// the arena (common/arena.hpp), so even the oversize path recycles memory
 // instead of hitting the global allocator per event.
 #pragma once
 
@@ -12,71 +12,11 @@
 #include <type_traits>
 #include <utility>
 
+#include "common/arena.hpp"
+
 namespace kmsg {
 
 inline constexpr std::size_t kSmallFnInline = 48;
-
-namespace detail {
-
-// Fixed-size block pool for SmallFn heap fallbacks. Thread-local freelist:
-// the simulator is single-threaded, and the thread-pool scheduler's timer
-// closures are created and destroyed on a small set of threads, so per-thread
-// caching needs no locks. Blocks above kBlockBytes bypass the pool.
-class FnBlockPool {
- public:
-  static constexpr std::size_t kBlockBytes = 256;
-  static constexpr std::size_t kMaxCached = 64;
-
-  static void* acquire(std::size_t n) {
-    if (n > kBlockBytes) return ::operator new(n);
-    auto& fl = freelist();
-    if (fl.count > 0) {
-      Node* node = fl.head;
-      fl.head = node->next;
-      --fl.count;
-      return node;
-    }
-    return ::operator new(kBlockBytes);
-  }
-
-  static void release(void* p, std::size_t n) noexcept {
-    if (n > kBlockBytes) {
-      ::operator delete(p);
-      return;
-    }
-    auto& fl = freelist();
-    if (fl.count >= kMaxCached) {
-      ::operator delete(p);
-      return;
-    }
-    Node* node = static_cast<Node*>(p);
-    node->next = fl.head;
-    fl.head = node;
-    ++fl.count;
-  }
-
- private:
-  struct Node {
-    Node* next;
-  };
-  struct Freelist {
-    Node* head = nullptr;
-    std::size_t count = 0;
-    ~Freelist() {
-      while (head != nullptr) {
-        Node* n = head;
-        head = n->next;
-        ::operator delete(n);
-      }
-    }
-  };
-  static Freelist& freelist() {
-    thread_local Freelist fl;
-    return fl;
-  }
-};
-
-}  // namespace detail
 
 class SmallFn {
  public:
@@ -94,7 +34,9 @@ class SmallFn {
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
       vt_ = &inline_vtable<Fn>;
     } else {
-      void* block = detail::FnBlockPool::acquire(sizeof(Fn));
+      // Arena blocks carry operator new's default alignment.
+      static_assert(alignof(Fn) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+      void* block = Arena::acquire(sizeof(Fn), kHeapClass<Fn>);
       ::new (block) Fn(std::forward<F>(f));
       *reinterpret_cast<void**>(storage_) = block;
       vt_ = &heap_vtable<Fn>;
@@ -148,6 +90,9 @@ class SmallFn {
       [](void* s) noexcept { static_cast<Fn*>(s)->~Fn(); }};
 
   template <typename Fn>
+  static constexpr std::uint8_t kHeapClass = Arena::class_for(sizeof(Fn));
+
+  template <typename Fn>
   static constexpr VTable heap_vtable{
       [](void* s) { (**static_cast<Fn**>(s))(); },
       [](void* dst, void* src) noexcept {
@@ -156,7 +101,7 @@ class SmallFn {
       [](void* s) noexcept {
         Fn* f = *static_cast<Fn**>(s);
         f->~Fn();
-        detail::FnBlockPool::release(f, sizeof(Fn));
+        Arena::release(f, kHeapClass<Fn>);
       }};
 
   void reset() noexcept {

@@ -18,8 +18,8 @@ constexpr std::uint8_t kMailboxNodeClass = 0;  // 32-byte class
 using detail::MailboxNode;
 
 MailboxNode* make_node(PortInstance* at, EventPtr ev) {
-  static_assert(sizeof(MailboxNode) <= EventArena::kClassBytes[kMailboxNodeClass]);
-  void* block = EventArena::acquire(sizeof(MailboxNode), kMailboxNodeClass);
+  static_assert(sizeof(MailboxNode) <= Arena::class_bytes(kMailboxNodeClass));
+  void* block = Arena::acquire(sizeof(MailboxNode), kMailboxNodeClass);
   auto* node = ::new (block) MailboxNode;
   node->at = at;
   node->ev = std::move(ev);
@@ -28,7 +28,7 @@ MailboxNode* make_node(PortInstance* at, EventPtr ev) {
 
 void free_node(MailboxNode* node) {
   node->~MailboxNode();
-  EventArena::release(node, kMailboxNodeClass);
+  Arena::release(node, kMailboxNodeClass);
 }
 
 }  // namespace

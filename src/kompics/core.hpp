@@ -49,7 +49,7 @@ class ThreadPoolScheduler;
 
 namespace detail {
 
-/// Intrusive mailbox node, carved from the EventArena (32-byte class).
+/// Intrusive mailbox node, carved from the Arena (32-byte class).
 /// Shared between a component's private FIFO (plain pointer swizzling on the
 /// home thread) and its public Vyukov MPSC queue (atomic exchange), and
 /// chained thread-locally in the scheduler's outbox for batched cross-core

@@ -9,9 +9,9 @@
 // handle that is one pointer wide and performs no control-block allocation.
 //
 // make_event<E>() is the only factory. It carves the event out of the
-// size-classed EventArena (thread-local freelists, ASan-poisoned while
-// cached) and stamps the type id used by the devirtualized dispatch tables
-// in core.hpp. Events constructed any other way (e.g. on the stack in tests)
+// size-classed Arena (thread-local freelists, ASan-poisoned while cached)
+// and stamps the type id used by the devirtualized dispatch tables in
+// core.hpp. Events constructed any other way (e.g. on the stack in tests)
 // keep type id 0 ("unknown") and are simply never adopted by an EventRef.
 #pragma once
 
@@ -162,7 +162,7 @@ struct KompicsEvent {
                   reinterpret_cast<const char*>(this) - off))
             : const_cast<void*>(dynamic_cast<const void*>(this));
     this->~KompicsEvent();
-    EventArena::release(block, cls);
+    Arena::release(block, cls);
   }
 
   mutable std::atomic<std::uint32_t> refs_{1};
@@ -284,13 +284,15 @@ template <typename E, typename... Args>
 EventRef<E> make_event(Args&&... args) {
   static_assert(std::is_base_of_v<KompicsEvent, E>,
                 "events must derive from KompicsEvent");
-  constexpr std::uint8_t cls = EventArena::class_for(sizeof(E));
-  void* block = EventArena::acquire(sizeof(E), cls);
+  // Arena blocks carry operator new's default alignment.
+  static_assert(alignof(E) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+  constexpr std::uint8_t cls = Arena::class_for(sizeof(E));
+  void* block = Arena::acquire(sizeof(E), cls);
   E* e;
   try {
     e = ::new (block) E(std::forward<Args>(args)...);
   } catch (...) {
-    EventArena::release(block, cls);
+    Arena::release(block, cls);
     throw;
   }
   KompicsEvent* base = e;

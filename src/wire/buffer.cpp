@@ -1,103 +1,45 @@
 #include "wire/buffer.hpp"
 
-#include <bit>
 #include <new>
 
 namespace kmsg::wire {
 
 // --- SlabPool ---
 
-SlabPool::~SlabPool() { trim(); }
-
 SlabPool& SlabPool::instance() {
-  // Leaked on purpose: slices owned by static-lifetime objects may release
-  // after any static pool would have been destroyed.
-  static SlabPool* pool = new SlabPool();
-  return *pool;
-}
-
-std::uint32_t SlabPool::class_for(std::size_t capacity) {
-  if (capacity > kMaxClassBytes) return kUnpooledClass;
-  std::size_t c = kMinClassBytes;
-  std::uint32_t cls = 0;
-  while (c < capacity) {
-    c <<= 1;
-    ++cls;
-  }
-  return cls;
-}
-
-std::size_t SlabPool::class_capacity(std::uint32_t cls) {
-  return kMinClassBytes << cls;
-}
-
-Slab* SlabPool::allocate(std::size_t capacity, std::uint32_t cls) {
-  void* mem = ::operator new(sizeof(Slab) + capacity);
-  Slab* slab = new (mem) Slab{this, {1}, cls, capacity};
-  return slab;
+  // Trivially destructible, so never destroyed: slices owned by
+  // static-lifetime objects may release (and count) during static
+  // destruction.
+  static SlabPool pool;
+  return pool;
 }
 
 Slab* SlabPool::acquire(std::size_t min_capacity) {
-  if (min_capacity == 0) min_capacity = 1;
-  const std::uint32_t cls = class_for(min_capacity);
-  if (cls == kUnpooledClass) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.acquires;
-    ++stats_.slabs_created;
-    return allocate(min_capacity, cls);
+  const std::size_t need = sizeof(Slab) + min_capacity;
+  const std::uint8_t cls = Arena::class_for(need);
+  const std::size_t block_bytes = Arena::block_bytes(need, cls);
+  void* block = Arena::take(cls);
+  if (block != nullptr) {
+    slabs_recycled_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    slabs_created_.fetch_add(1, std::memory_order_relaxed);
+    block = ::operator new(block_bytes);
   }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.acquires;
-    auto& freelist = free_[cls];
-    if (!freelist.empty()) {
-      Slab* slab = freelist.back();
-      freelist.pop_back();
-      ++stats_.slabs_recycled;
-      slab->refs.store(1, std::memory_order_relaxed);
-      return slab;
-    }
-    ++stats_.slabs_created;
-  }
-  return allocate(class_capacity(cls), cls);
-}
-
-void SlabPool::recycle(Slab* slab) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.releases;
-  if (slab->size_class != kUnpooledClass &&
-      free_[slab->size_class].size() < kMaxCachedPerClass) {
-    free_[slab->size_class].push_back(slab);
-    return;
-  }
-  ++stats_.slabs_destroyed;
-  slab->~Slab();
-  ::operator delete(slab);
-}
-
-void SlabPool::trim() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& freelist : free_) {
-    for (Slab* slab : freelist) {
-      ++stats_.slabs_destroyed;
-      slab->~Slab();
-      ::operator delete(slab);
-    }
-    freelist.clear();
-  }
+  return ::new (block) Slab{{1}, cls, block_bytes - sizeof(Slab)};
 }
 
 SlabPoolStats SlabPool::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  SlabPoolStats s = stats_;
+  SlabPoolStats s;
+  s.slabs_created = slabs_created_.load(std::memory_order_relaxed);
+  s.slabs_recycled = slabs_recycled_.load(std::memory_order_relaxed);
   s.payload_bytes_copied = payload_bytes_copied_.load(std::memory_order_relaxed);
   s.grow_bytes_copied = grow_bytes_copied_.load(std::memory_order_relaxed);
   return s;
 }
 
 void SlabPool::reset_stats() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  stats_ = {};
+  slabs_created_.store(0, std::memory_order_relaxed);
+  slabs_recycled_.store(0, std::memory_order_relaxed);
   payload_bytes_copied_.store(0, std::memory_order_relaxed);
   grow_bytes_copied_.store(0, std::memory_order_relaxed);
 }

@@ -1,17 +1,17 @@
 // Ref-counted slab buffers and zero-copy slices (the Netty pooled-ByteBuf
 // analogue for this middleware).
 //
-// A Slab is one contiguous heap block recycled through a SlabPool; a BufSlice
-// is a cheap (pointer, length) view that pins its slab via an intrusive
-// reference count. Payload bytes are written once into a slab — by the
-// serializer, the frame decoder, or a transport — and every later layer
-// (framing, codecs, session queues, transport send queues and segments,
-// deserialized message payloads) reads the same bytes in place through
-// slices.
+// A Slab is one block of the arena (common/arena.hpp): a 16-byte header
+// followed by its payload bytes. A BufSlice is a cheap (pointer, length) view
+// that pins its slab via an intrusive reference count. Payload bytes are
+// written once into a slab — by the serializer, the frame decoder, or a
+// transport — and every later layer (framing, codecs, session queues,
+// transport send queues and segments, deserialized message payloads) reads
+// the same bytes in place through slices.
 //
 // Ownership rules (see DESIGN.md §4b):
-//  - a slab belongs to exactly one pool and returns to it when its last
-//    slice (or writing ByteBuf) releases it;
+//  - a slab returns its block to the arena when its last slice (or writing
+//    ByteBuf, or frame decoder) drops it, on whichever thread that happens;
 //  - slices never outlive their bytes: copying a slice bumps the count,
 //    recycling only happens at count zero, and a recycled slab is never
 //    handed out while any slice still points into it;
@@ -28,20 +28,17 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
-#include <mutex>
 #include <span>
-#include <vector>
+
+#include "common/arena.hpp"
 
 namespace kmsg::wire {
 
-class SlabPool;
-
-/// One pooled allocation: this header, immediately followed by `capacity`
-/// payload bytes in the same heap block.
+/// One arena block: this header, immediately followed by `capacity` payload
+/// bytes.
 struct Slab {
-  SlabPool* pool;
   std::atomic<std::uint32_t> refs;
-  std::uint32_t size_class;  ///< pool bucket index; kUnpooledClass if exact
+  std::uint8_t arena_class;  ///< the block's Arena class (or Arena::kUnpooled)
   std::size_t capacity;
 
   std::uint8_t* bytes() noexcept {
@@ -50,15 +47,20 @@ struct Slab {
   const std::uint8_t* bytes() const noexcept {
     return reinterpret_cast<const std::uint8_t*>(this + 1);
   }
+
+  /// Drops one reference; the last one returns the block to the arena.
+  void unref() noexcept {
+    if (refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      Arena::release(this, arena_class);
+    }
+  }
 };
+static_assert(sizeof(Slab) == 16);
 
 /// Counters for the zero-copy regression tests and the benchmark harness.
 struct SlabPoolStats {
-  std::uint64_t slabs_created = 0;    ///< fresh heap allocations
-  std::uint64_t slabs_recycled = 0;   ///< acquisitions served from a freelist
-  std::uint64_t slabs_destroyed = 0;  ///< freed instead of cached
-  std::uint64_t acquires = 0;
-  std::uint64_t releases = 0;  ///< slabs whose refcount reached zero
+  std::uint64_t slabs_created = 0;   ///< acquisitions that reached operator new
+  std::uint64_t slabs_recycled = 0;  ///< acquisitions served from a cache
   /// Payload bytes duplicated slab-to-slab (BufSlice::copy_of, promotion of
   /// borrowed views, ByteBuf compatibility reads, a stream transport's gather
   /// of a segment straddling two writes). The zero-copy pipeline
@@ -70,50 +72,28 @@ struct SlabPoolStats {
   std::uint64_t grow_bytes_copied = 0;
 };
 
-/// Size-class slab allocator with per-class freelists. Thread-safe; slabs
-/// are cached on release and handed back out on acquire. Capacities above
-/// the largest class are allocated exactly and never cached.
+/// The slab layer over the arena: carves slabs and keeps the process-wide
+/// counters. Thread-safe without a lock: the blocks come from the calling
+/// thread's cache and the counters are relaxed atomics.
 class SlabPool {
  public:
-  static constexpr std::uint32_t kUnpooledClass = 0xFFFFFFFFu;
-
-  SlabPool() = default;
-  ~SlabPool();
-  SlabPool(const SlabPool&) = delete;
-  SlabPool& operator=(const SlabPool&) = delete;
-
   /// Returns a slab with capacity >= min_capacity and refcount 1.
   Slab* acquire(std::size_t min_capacity);
 
-  /// Takes back a slab whose refcount reached zero: caches it for reuse or
-  /// frees it. Called by slice/buffer destructors, never with live readers.
-  void recycle(Slab* slab);
-
   SlabPoolStats stats() const;
   void reset_stats();
-  /// Frees all cached slabs (live slabs are unaffected).
-  void trim();
 
   // Copy accounting (used by BufSlice / ByteBuf).
   void count_payload_copy(std::size_t n);
   void count_grow_copy(std::size_t n);
 
-  /// The process-wide pool used by ByteBuf, the frame codec and transports.
+  /// The process-wide slab layer used by ByteBuf, the frame codec and
+  /// transports.
   static SlabPool& instance();
 
  private:
-  static constexpr std::size_t kMinClassBytes = 64;
-  static constexpr std::size_t kMaxClassBytes = 1 << 20;  // 1 MiB
-  static constexpr std::size_t kNumClasses = 15;          // 64B .. 1MiB
-  static constexpr std::size_t kMaxCachedPerClass = 64;
-
-  static std::uint32_t class_for(std::size_t capacity);
-  static std::size_t class_capacity(std::uint32_t cls);
-  Slab* allocate(std::size_t capacity, std::uint32_t cls);
-
-  mutable std::mutex mutex_;
-  std::vector<Slab*> free_[kNumClasses];
-  SlabPoolStats stats_;
+  std::atomic<std::uint64_t> slabs_created_{0};
+  std::atomic<std::uint64_t> slabs_recycled_{0};
   std::atomic<std::uint64_t> payload_bytes_copied_{0};
   std::atomic<std::uint64_t> grow_bytes_copied_{0};
 };
@@ -201,9 +181,7 @@ class BufSlice {
 
   void release() noexcept {
     if (slab_) {
-      if (slab_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        slab_->pool->recycle(slab_);
-      }
+      slab_->unref();
       slab_ = nullptr;
     }
     data_ = nullptr;

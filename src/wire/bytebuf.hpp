@@ -116,9 +116,7 @@ class ByteBuf {
   void ensure(std::size_t extra);
   void release_write_slab() noexcept {
     if (wslab_) {
-      if (wslab_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        wslab_->pool->recycle(wslab_);
-      }
+      wslab_->unref();
       wslab_ = nullptr;
     }
   }

@@ -399,9 +399,7 @@ void FrameDecoder::emit_payload(BufSlice payload, bool coalesced) {
 
 void FrameDecoder::release_slab() noexcept {
   if (slab_) {
-    if (slab_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      slab_->pool->recycle(slab_);
-    }
+    slab_->unref();
     slab_ = nullptr;
   }
   start_ = end_ = 0;

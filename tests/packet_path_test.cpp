@@ -7,7 +7,8 @@
 // global allocator, and cancelled timers must not pile up in the event wheel.
 // A bulk transfer adds the per-byte work: 65 kB chunks generated, framed,
 // segmented, reassembled and verified, where a warm chunk must neither
-// allocate nor copy payload bytes beyond a bound.
+// allocate nor copy payload bytes beyond a bound. It runs over TCP, UDT and
+// the adaptive DATA path, whose interceptor picks a transport per chunk.
 // These counts depend only on the code, the compiler and the standard
 // library, never on the host's speed, so they are exact gates on any host.
 //
@@ -110,22 +111,43 @@ TEST(PacketPathTest, CancelledTimersLeaveTheWheel) {
   EXPECT_LE(most_pending, 200u);
 }
 
-// --- Bulk path: 4 MiB in 65,000-byte chunks on EU-VPC ---
+// --- Bulk path: 65,000-byte chunks over TCP and UDT on EU-VPC, and over
+// DATA on EU2US ---
 
-constexpr std::uint64_t kBulkBytes = 4 * 1024 * 1024;
 constexpr std::size_t kChunkBytes = 65'000;
-constexpr std::size_t kBulkChunks = (kBulkBytes + kChunkBytes - 1) / kChunkBytes;
-constexpr std::size_t kWarmChunks = 16;
 // A small window and send buffer spread the sender's work over the
 // transfer: with the defaults (96 chunks, 4 MiB) every chunk is generated,
 // framed and written before the first one arrives.
 constexpr std::size_t kWindowChunks = 4;
 constexpr std::size_t kSendBufferBytes = 256 * 1024;
 
+/// A transfer's size and the two arrivals between which its counts are
+/// read: after the first ones warmed the connections, and while the source
+/// still sends, so each counted chunk is both sent and received.
+struct BulkWindow {
+  std::uint64_t bytes;
+  std::size_t from_chunk;
+  std::size_t to_chunk;
+  std::size_t chunks() const {
+    return static_cast<std::size_t>((bytes + kChunkBytes - 1) / kChunkBytes);
+  }
+};
+
+/// TCP and UDT: 4 MiB (65 chunks), counted from the 16th arrival to the last.
+constexpr BulkWindow kStreamWindow{4 * 1024 * 1024, 16, 65};
+/// DATA: the interceptor releases its first 6 MiB (97 chunks) at once and
+/// the rest as acknowledgements return, so 16 MiB (259 chunks, about 4.6
+/// simulated seconds) are counted from the 112th arrival to the 160th, while
+/// the source sends 38 chunks.
+constexpr BulkWindow kDataWindow{16 * 1024 * 1024, 112, 160};
+
 /// Beside the DataSink, counts each chunk by its offset and reads both
-/// counters when the 16th and the last chunk arrive.
+/// counters when the window's first and last counted chunks arrive.
 class ChunkLog final : public kompics::ComponentDefinition {
  public:
+  explicit ChunkLog(BulkWindow window)
+      : arrivals(window.chunks(), 0), window_(window) {}
+
   void setup() override {
     net_ = &require<messaging::Network>();
     subscribe<DataChunkMsg>(*net_,
@@ -136,15 +158,15 @@ class ChunkLog final : public kompics::ComponentDefinition {
 
   std::size_t chunks = 0;
   /// Arrivals per chunk index; sized up front so logging never allocates.
-  std::vector<int> arrivals = std::vector<int>(kBulkChunks, 0);
+  std::vector<int> arrivals;
   bool misplaced = false;  ///< an offset off the chunk grid or past the end
-  std::uint64_t allocs_warm = 0, allocs_last = 0;
-  std::uint64_t copied_warm = 0, copied_last = 0;
+  std::uint64_t allocs_from = 0, allocs_to = 0;
+  std::uint64_t copied_from = 0, copied_to = 0;
 
  private:
   void on_chunk(const DataChunkMsg& c) {
     const std::uint64_t index = c.offset() / kChunkBytes;
-    if (c.offset() % kChunkBytes != 0 || index >= kBulkChunks) {
+    if (c.offset() % kChunkBytes != 0 || index >= arrivals.size()) {
       misplaced = true;
     } else {
       ++arrivals[index];
@@ -153,16 +175,17 @@ class ChunkLog final : public kompics::ComponentDefinition {
     const std::uint64_t allocs = g_allocs.load(std::memory_order_relaxed);
     const std::uint64_t copied =
         wire::SlabPool::instance().stats().payload_bytes_copied;
-    if (chunks == kWarmChunks) {
-      allocs_warm = allocs;
-      copied_warm = copied;
+    if (chunks == window_.from_chunk) {
+      allocs_from = allocs;
+      copied_from = copied;
     }
-    if (chunks == kBulkChunks) {
-      allocs_last = allocs;
-      copied_last = copied;
+    if (chunks == window_.to_chunk) {
+      allocs_to = allocs;
+      copied_to = copied;
     }
   }
 
+  BulkWindow window_;
   kompics::PortInstance* net_ = nullptr;
 };
 
@@ -171,17 +194,35 @@ struct BulkCounts {
   double copied_per_chunk = 0.0;
 };
 
-/// Sends kBulkBytes over `protocol` with the sink verifying every byte, and
-/// returns the two counts per chunk after the 16th.
-BulkCounts run_bulk(messaging::Transport protocol) {
+/// The TCP and UDT rows' setup: EU-VPC with small send buffers.
+ExperimentConfig stream_config() {
   ExperimentConfig cfg;
   cfg.net.tcp.send_buffer_bytes = kSendBufferBytes;
   cfg.net.udt.send_buffer_bytes = kSendBufferBytes;
+  return cfg;
+}
+
+/// The DATA row's setup, as in perfbench's adaptive_wan: EU2US through the
+/// adaptive interceptor, with UDT buffers at the paper's 100 MB.
+ExperimentConfig data_config() {
+  constexpr std::size_t kPaperUdtBufferBytes = 100 * 1024 * 1024;
+  ExperimentConfig cfg;
+  cfg.setup = netsim::Setup::kEu2Us;
+  cfg.use_data_network = true;
+  cfg.net.udt.send_buffer_bytes = kPaperUdtBufferBytes;
+  cfg.net.udt.recv_buffer_bytes = kPaperUdtBufferBytes;
+  return cfg;
+}
+
+/// Sends `window.bytes` over `protocol` with the sink verifying every byte,
+/// and returns the two counts per chunk over the window's arrivals.
+BulkCounts run_bulk(const ExperimentConfig& cfg, messaging::Transport protocol,
+                    BulkWindow window) {
   TwoNodeExperiment exp{cfg};
   DataSourceConfig scfg;
   scfg.self = exp.addr_a();
   scfg.dst = exp.addr_b();
-  scfg.total_bytes = kBulkBytes;
+  scfg.total_bytes = window.bytes;
   scfg.chunk_bytes = kChunkBytes;
   scfg.protocol = protocol;
   scfg.window_chunks = kWindowChunks;
@@ -190,38 +231,41 @@ BulkCounts run_bulk(messaging::Transport protocol) {
   kcfg.self = exp.addr_b();
   kcfg.verify_payload = true;
   auto& sink = exp.system().create<DataSink>("sink", kcfg);
-  auto& log = exp.system().create<ChunkLog>("log");
+  auto& log = exp.system().create<ChunkLog>("log", window);
   exp.connect_a(source.network());
   exp.connect_b(sink.network());
   exp.connect_b(log.network());
   exp.start();
+  const std::size_t chunks = window.chunks();
   const TimePoint limit = exp.simulator().now() + Duration::seconds(30.0);
-  while (log.chunks < kBulkChunks && exp.simulator().now() < limit) {
+  while (log.chunks < chunks && exp.simulator().now() < limit) {
     exp.run_for(Duration::millis(10));
   }
 
-  EXPECT_EQ(log.chunks, kBulkChunks);
+  EXPECT_EQ(log.chunks, chunks);
   EXPECT_FALSE(log.misplaced);
-  for (std::size_t i = 0; i < kBulkChunks; ++i) {
+  for (std::size_t i = 0; i < chunks; ++i) {
     EXPECT_EQ(log.arrivals[i], 1) << "chunk " << i;
   }
-  EXPECT_EQ(sink.chunks_received(), kBulkChunks);
-  EXPECT_EQ(sink.bytes_received(), kBulkBytes);
+  EXPECT_EQ(sink.chunks_received(), chunks);
+  EXPECT_EQ(sink.bytes_received(), window.bytes);
   EXPECT_EQ(sink.corrupt_chunks(), 0u);
-  constexpr double kCountedChunks = kBulkChunks - kWarmChunks;
-  return {static_cast<double>(log.allocs_last - log.allocs_warm) / kCountedChunks,
-          static_cast<double>(log.copied_last - log.copied_warm) / kCountedChunks};
+  const auto counted = static_cast<double>(window.to_chunk - window.from_chunk);
+  return {static_cast<double>(log.allocs_to - log.allocs_from) / counted,
+          static_cast<double>(log.copied_to - log.copied_from) / counted};
 }
 
 // Bounds from the counts the code read when they were set: TCP 4.16
-// allocations and no copied bytes per warm chunk, UDT 1.25 and 13,656. One
-// more allocation per sent chunk reads 5.06 and 2.10 and fails either
-// transport, and so does a new copy of more than about 1 kB of payload per
-// chunk.
+// allocations and no copied bytes per warm chunk, UDT 1.25 and 13,656, DATA
+// 1.65 and 6,484. One more allocation per sent chunk reads 5.06, 2.10 and
+// 2.44 and fails each row, and so does a new copy of more than about 1 kB of
+// payload per chunk.
 
 TEST(PacketPathTest, BulkTcpChunksStayWithinTheirCounts) {
-  run_bulk(messaging::Transport::kTcp);  // warms the pools and the arena
-  const BulkCounts c = run_bulk(messaging::Transport::kTcp);
+  // The first run warms the arena.
+  run_bulk(stream_config(), messaging::Transport::kTcp, kStreamWindow);
+  const BulkCounts c =
+      run_bulk(stream_config(), messaging::Transport::kTcp, kStreamWindow);
   std::printf("tcp: %.3f allocations and %.1f copied bytes per warm chunk\n",
               c.allocs_per_chunk, c.copied_per_chunk);
   EXPECT_LE(c.allocs_per_chunk, 4.6);
@@ -229,12 +273,25 @@ TEST(PacketPathTest, BulkTcpChunksStayWithinTheirCounts) {
 }
 
 TEST(PacketPathTest, BulkUdtChunksStayWithinTheirCounts) {
-  run_bulk(messaging::Transport::kUdt);  // warms the pools and the arena
-  const BulkCounts c = run_bulk(messaging::Transport::kUdt);
+  // The first run warms the arena.
+  run_bulk(stream_config(), messaging::Transport::kUdt, kStreamWindow);
+  const BulkCounts c =
+      run_bulk(stream_config(), messaging::Transport::kUdt, kStreamWindow);
   std::printf("udt: %.3f allocations and %.1f copied bytes per warm chunk\n",
               c.allocs_per_chunk, c.copied_per_chunk);
   EXPECT_LE(c.allocs_per_chunk, 1.7);
   EXPECT_LE(c.copied_per_chunk, 15'000.0);
+}
+
+TEST(PacketPathTest, BulkDataChunksStayWithinTheirCounts) {
+  // The first run warms the arena.
+  run_bulk(data_config(), messaging::Transport::kData, kDataWindow);
+  const BulkCounts c =
+      run_bulk(data_config(), messaging::Transport::kData, kDataWindow);
+  std::printf("data: %.3f allocations and %.1f copied bytes per warm chunk\n",
+              c.allocs_per_chunk, c.copied_per_chunk);
+  EXPECT_LE(c.allocs_per_chunk, 2.1);
+  EXPECT_LE(c.copied_per_chunk, 7'500.0);
 }
 
 }  // namespace
