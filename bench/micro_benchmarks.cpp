@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the building blocks whose costs
 // determine middleware throughput: ByteBuf encoding, the snappy-like codec,
-// frame decoding, message (de)serialisation, protocol-selection policies,
+// frame decoding (of copied chunks and of the segment views the bulk path
+// delivers), message (de)serialisation, protocol-selection policies,
 // Sarsa(λ) steps, simulator event dispatch and Kompics event handling, and
 // the bulk path's per-byte kernels: payload generation and checking and the
 // frame CRC.
@@ -157,6 +158,60 @@ void BM_FrameDecode(benchmark::State& state) {
                           static_cast<std::int64_t>(stream.size()));
 }
 BENCHMARK(BM_FrameDecode);
+
+// The bulk workloads' receive path: 65,008-byte frames (65,000-byte
+// payloads), each in a slab of its own as the sender wrote it, arrive as
+// 8,928-byte segments (the simulated path MTU's payload), and a segment
+// straddling two frames is two views, one of each, as the stream transports
+// send it. The decoder cuts each frame out of its slab in place, widening
+// its view of the unparsed bytes as the segments continue them; one op
+// decodes 16 frames. decoder_copied_per_op counts the bytes the decoder
+// copied into an accumulation slab, which check_bench_json.py requires to
+// be 0.
+void BM_FrameDecodeSegments(benchmark::State& state) {
+  constexpr std::size_t kFrames = 16;
+  constexpr std::size_t kPayloadBytes = 65'000;
+  constexpr std::size_t kSegmentBytes = 8'928;
+  std::vector<wire::BufSlice> frames;
+  std::size_t stream_bytes = 0;
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    frames.push_back(wire::encode_frame_slice(wire::BufSlice::copy_of(
+        random_bytes(kPayloadBytes, 100 + i), wire::kFrameHeaderBytes)));
+    stream_bytes += frames.back().size();
+  }
+  // The views the segments carry, in stream order.
+  std::vector<wire::BufSlice> views;
+  std::size_t in_segment = 0;
+  for (const wire::BufSlice& f : frames) {
+    for (std::size_t at = 0; at < f.size();) {
+      const std::size_t n = std::min(kSegmentBytes - in_segment, f.size() - at);
+      views.push_back(f.slice(at, n));
+      at += n;
+      in_segment = (in_segment + n) % kSegmentBytes;
+    }
+  }
+  wire::FrameDecoder dec;
+  std::uint64_t decoded = 0;
+  dec.set_on_frame([&decoded](wire::BufSlice) { ++decoded; });
+  const std::uint64_t copied0 =
+      wire::SlabPool::instance().stats().decoder_bytes_copied;
+  AllocScope allocs(state);
+  for (auto _ : state) {
+    for (const wire::BufSlice& v : views) dec.feed(v);
+    benchmark::DoNotOptimize(decoded);
+  }
+  const auto iters = std::max<std::int64_t>(state.iterations(), 1);
+  if (decoded != static_cast<std::uint64_t>(state.iterations()) * kFrames) {
+    state.SkipWithError("the decoder lost frames");
+  }
+  state.counters["decoder_copied_per_op"] = benchmark::Counter(
+      static_cast<double>(
+          wire::SlabPool::instance().stats().decoder_bytes_copied - copied0) /
+      static_cast<double>(iters));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(stream_bytes));
+}
+BENCHMARK(BM_FrameDecodeSegments);
 
 void BM_MessageSerializeRoundTrip(benchmark::State& state) {
   AllocScope allocs(state);

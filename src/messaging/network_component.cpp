@@ -697,7 +697,12 @@ void NetworkComponent::attach_inbound(
   Inbound* raw = in.get();
   in->decoder->set_on_frame(
       [this, raw](wire::BufSlice frame) { deliver_frame(std::move(frame), raw); });
-  conn->set_on_data([this, raw](std::span<const std::uint8_t> chunk) {
+  // Each run arrives as a view of the sender's written frame, so the decoder
+  // cuts frames out of it in place. A segment may hand over two runs: once
+  // one of them poisons the stream, the rest of it is ignored, so a poisoned
+  // stream is counted and aborted once.
+  conn->set_on_data([this, raw](const wire::BufSlice& chunk) {
+    if (raw->decoder->poisoned()) return;
     if (!raw->decoder->feed(chunk)) {
       stats_.frames_corrupt += raw->decoder->frames_corrupt();
       KMSG_ERROR("network") << "poisoned frame stream; aborting connection";

@@ -13,10 +13,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 
+#include "common/fifo.hpp"
 #include "common/rng.hpp"
 #include "netsim/datagram.hpp"
 #include "sim/simulator.hpp"
@@ -151,7 +151,7 @@ class Link {
   LinkStats stats_;
   std::uint64_t send_counter_ = 0;  ///< per-delivery key counter
 
-  std::deque<Datagram> queue_;  ///< empty whenever transmitting_ is false
+  Fifo<Datagram> queue_;  ///< empty whenever transmitting_ is false
   std::size_t queued_bytes_ = 0;
   bool transmitting_ = false;
   bool up_ = true;

@@ -1,6 +1,7 @@
 #include "transport/connection.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 
 #include "wire/bytebuf.hpp"
@@ -86,7 +87,7 @@ void StreamConnection::emit_data(
   if (retransmit) ++stats_.segments_retransmitted;
 }
 
-wire::BufSlice StreamConnection::payload_at(std::uint64_t seq,
+SegmentPayload StreamConnection::payload_at(std::uint64_t seq,
                                            std::size_t len) const {
   if (len == 0 || seq < snd_una_ || seq + len > send_end_) {
     throw std::out_of_range("payload_at outside the unacknowledged stream");
@@ -97,7 +98,12 @@ wire::BufSlice StreamConnection::payload_at(std::uint64_t seq,
       [](std::uint64_t s, const auto& w) { return s < w.first; });
   --it;
   auto off = static_cast<std::size_t>(seq - it->first);
-  if (off + len <= it->second.size()) return it->second.slice(off, len);
+  const std::size_t first = it->second.size() - off;
+  if (len <= first) return {it->second.slice(off, len)};
+  const wire::BufSlice& next = std::next(it)->second;
+  if (len - first <= next.size()) {
+    return {it->second.slice(off, first), next.slice(0, len - first)};
+  }
   wire::ByteBuf gather(len);
   for (std::size_t left = len; left > 0; ++it, off = 0) {
     const std::size_t n = std::min(left, it->second.size() - off);
@@ -130,20 +136,23 @@ void StreamConnection::notify_writable() {
 }
 
 void StreamConnection::deliver(std::uint64_t seq,
-                               const wire::BufSlice& payload) {
-  // Segments reach the application as spans of their own payload, and are
-  // parked out of order as views of it: no reassembly copy.
-  reasm_.offer(seq, payload, [this](std::span<const std::uint8_t> run) {
+                               const SegmentPayload& payload) {
+  // Segments reach the application as their own views, and are parked out
+  // of order as views of them: no reassembly copy.
+  reasm_.offer(seq, payload, [this](const wire::BufSlice& run) {
     stats_.bytes_delivered += run.size();
     if (on_data_) on_data_(run);
   });
 }
 
 void StreamConnection::flip_payload_bit(std::uint64_t seq,
-                                        wire::BufSlice& payload) {
+                                        SegmentPayload& payload) {
   wire::ByteBuf copy(payload.size());
   const std::span<std::uint8_t> bytes = copy.write_span(payload.size());
-  std::copy(payload.span().begin(), payload.span().end(), bytes.begin());
+  auto out = bytes.begin();
+  payload.for_each([&out](const wire::BufSlice& view) {
+    out = std::copy(view.span().begin(), view.span().end(), out);
+  });
   bytes[static_cast<std::size_t>(seq) % bytes.size()] ^=
       static_cast<std::uint8_t>(1u << (seq % 8));
   payload = std::move(copy).take_slice();

@@ -10,8 +10,10 @@
 //    peer;
 //  - the send side: the unacknowledged stream kept as the written slices
 //    themselves, addressed by absolute stream offset, `write`, the
-//    cumulative-ack release and the writable callback;
-//  - the receive side: in-order delivery through a ReassemblyBuffer;
+//    cumulative-ack release and the writable callback; a segment carries
+//    views of the one or two writes it spans;
+//  - the receive side: in-order delivery through a ReassemblyBuffer, each
+//    run of bytes handed on as a view of the segment that carried it;
 //  - the four user callbacks and the close/abort/finish_close life cycle.
 // Each engine derives from it and keeps only what differs between protocols
 // — packet formats, handshake, congestion control and loss recovery —
@@ -21,13 +23,13 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <span>
 #include <utility>
 
+#include "common/fifo.hpp"
 #include "common/time.hpp"
 #include "netsim/network.hpp"
 #include "transport/reassembly.hpp"
@@ -55,7 +57,8 @@ struct ConnStats {
 
 class StreamConnection : public std::enable_shared_from_this<StreamConnection> {
  public:
-  using DataFn = std::function<void(std::span<const std::uint8_t>)>;
+  using DataFn = std::function<void(const wire::BufSlice&)>;
+  using SpanDataFn = std::function<void(std::span<const std::uint8_t>)>;
   using PlainFn = std::function<void()>;
 
   virtual ~StreamConnection();
@@ -86,8 +89,16 @@ class StreamConnection : public std::enable_shared_from_this<StreamConnection> {
   const ConnStats& stats() const { return stats_; }
   netsim::Port local_port() const { return local_port_; }
 
-  /// Ordered delivery of received bytes.
+  /// Ordered delivery of received bytes, one run per call, each a view of
+  /// the segment that carried it (and so of the sender's written slab). The
+  /// callback may retain the view.
   void set_on_data(DataFn fn) { on_data_ = std::move(fn); }
+  /// As above for a callback that only reads each run.
+  void set_on_data(SpanDataFn fn) {
+    on_data_ = [fn = std::move(fn)](const wire::BufSlice& run) {
+      fn(run.span());
+    };
+  }
   /// Invoked when a full send buffer regained space.
   void set_on_writable(PlainFn fn) { on_writable_ = std::move(fn); }
   /// Invoked once on transition to kEstablished.
@@ -152,10 +163,11 @@ class StreamConnection : public std::enable_shared_from_this<StreamConnection> {
   /// Stream offset one past the last written byte.
   std::uint64_t send_end() const { return send_end_; }
   /// The `len` > 0 stream bytes at `seq`, within [snd_una_, send_end()), as
-  /// a view of the written slice; a range straddling two writes is gathered
-  /// into one pooled slab (a counted payload copy). Throws std::out_of_range
+  /// views of the written slices: one view, or two for a range straddling
+  /// two writes. A range spanning three or more writes is gathered into one
+  /// pooled slab (a counted payload copy). Throws std::out_of_range
   /// otherwise.
-  wire::BufSlice payload_at(std::uint64_t seq, std::size_t len) const;
+  SegmentPayload payload_at(std::uint64_t seq, std::size_t len) const;
   /// Advances snd_una_ to the cumulative ack `ack` (> snd_una_), releasing
   /// the fully acknowledged writes; returns the advance.
   std::uint64_t release_acked(std::uint64_t ack);
@@ -164,12 +176,12 @@ class StreamConnection : public std::enable_shared_from_this<StreamConnection> {
   void notify_writable();
 
   /// Offers a received segment's payload for in-order delivery to the data
-  /// callback; an out-of-order one is parked as a view of it.
-  void deliver(std::uint64_t seq, const wire::BufSlice& payload);
-  /// Replaces `payload` by a copy with one bit flipped, chosen by `seq`: a
-  /// bit error that escaped the transport checksum, left for the
+  /// callback; an out-of-order one is parked as views of it.
+  void deliver(std::uint64_t seq, const SegmentPayload& payload);
+  /// Replaces `payload` by a one-view copy with one bit flipped, chosen by
+  /// `seq`: a bit error that escaped the transport checksum, left for the
   /// wire-framing CRC to catch. The sender's bytes stay intact.
-  static void flip_payload_bit(std::uint64_t seq, wire::BufSlice& payload);
+  static void flip_payload_bit(std::uint64_t seq, SegmentPayload& payload);
 
   /// kConnecting -> kEstablished: fires the connected callback, then kick().
   void establish();
@@ -197,7 +209,7 @@ class StreamConnection : public std::enable_shared_from_this<StreamConnection> {
   std::size_t header_bytes_;
   /// The written slices not yet wholly acknowledged, each with the stream
   /// offset of its first byte; they cover [snd_una_, send_end_).
-  std::deque<std::pair<std::uint64_t, wire::BufSlice>> send_q_;
+  Fifo<std::pair<std::uint64_t, wire::BufSlice>> send_q_;
   const std::size_t send_capacity_;
   std::uint64_t send_end_ = 0;
   ConnState state_ = ConnState::kConnecting;

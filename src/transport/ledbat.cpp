@@ -31,7 +31,7 @@ struct LedbatHandshake : netsim::DatagramBody {
 struct LedbatData : netsim::DatagramBody {
   std::uint64_t seq = 0;
   std::int64_t send_ts_ns = 0;  ///< sender clock at emission
-  wire::BufSlice payload;  ///< a view of the sender's written bytes
+  SegmentPayload payload;  ///< views of the sender's written bytes
 };
 
 struct LedbatAck : netsim::DatagramBody {

@@ -4,7 +4,19 @@
 
 namespace kmsg::transport {
 
-void ReassemblyBuffer::park(std::uint64_t at, const wire::BufSlice& data) {
+SegmentPayload SegmentPayload::slice(std::size_t offset,
+                                     std::size_t len) const {
+  const std::size_t h = head.size();
+  if (offset >= h) return {tail.slice(offset - h, len)};
+  if (offset + len <= h) return {head.slice(offset, len)};
+  return {head.slice(offset, h - offset), tail.slice(0, offset + len - h)};
+}
+
+SegmentPayload SegmentPayload::to_owned() const {
+  return {head.to_owned(), tail.to_owned()};
+}
+
+void ReassemblyBuffer::park(std::uint64_t at, const SegmentPayload& data) {
   // The parked range is data[lo, hi), starting at stream offset at + lo.
   std::size_t lo = 0;
   std::size_t hi = data.size();

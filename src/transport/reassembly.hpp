@@ -6,24 +6,56 @@
 // the paper hit with UDT's 12 MB default buffers on high-BDP links) and
 // contiguous prefixes are surrendered to the application.
 //
-// offer() copies nothing on the stream transports' path: a segment arriving
-// in order is handed to the sink as a span of the segment's own payload, an
-// out-of-order segment is parked as a sub-slice of it — a view that shares
-// the sender's slab, which the sender keeps until the bytes are acknowledged
-// anyway — and parked segments that become contiguous are delivered as one
-// sink call each, straight out of that view. Only a borrowed slice is copied
-// when parked, since its bytes may not outlive the call.
+// offer() copies nothing on the stream transports' path. A segment's payload
+// is one view of a write, or two views when it straddles two writes
+// (SegmentPayload). A segment arriving in order reaches the sink as its own
+// views; an out-of-order one is parked as views of the same slabs — which
+// the sender keeps until the bytes are acknowledged anyway — and parked
+// segments that become contiguous are surrendered straight out of those
+// views. A parked segment is trimmed and budgeted as one unit, whatever its
+// number of views. Only a borrowed view is copied when parked, since its
+// bytes may not outlive the call.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <span>
 #include <utility>
 #include <vector>
 
 #include "wire/buffer.hpp"
 
 namespace kmsg::transport {
+
+/// A segment's stream bytes: a view of the write they lie in, or for a
+/// segment straddling two writes, a view of each, in stream order — as
+/// UDT's own packet points at the sender's buffer through an iovec pair
+/// instead of copying it. `tail` is empty unless `head` is not.
+struct SegmentPayload {
+  wire::BufSlice head;
+  wire::BufSlice tail;
+
+  SegmentPayload() = default;
+  /// One view (implicit: a single slice is a one-view payload).
+  SegmentPayload(wire::BufSlice one) : head(std::move(one)) {}
+  SegmentPayload(wire::BufSlice first, wire::BufSlice second)
+      : head(std::move(first)), tail(std::move(second)) {}
+
+  std::size_t size() const { return head.size() + tail.size(); }
+  bool empty() const { return head.empty(); }
+
+  /// Bytes [offset, offset + len) as views of the same slabs. Requires
+  /// offset + len <= size().
+  SegmentPayload slice(std::size_t offset, std::size_t len) const;
+  /// Owning version: each borrowed view becomes a counted copy.
+  SegmentPayload to_owned() const;
+
+  /// Calls fn(const wire::BufSlice&) on each non-empty view, in order.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    if (!head.empty()) fn(head);
+    if (!tail.empty()) fn(tail);
+  }
+};
 
 class ReassemblyBuffer {
  public:
@@ -50,18 +82,20 @@ class ReassemblyBuffer {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> missing_ranges(
       std::size_t max_ranges) const;
 
-  /// Offers a segment [at, at+data.size()). Newly contiguous runs of bytes
-  /// are surrendered in order through `sink(std::span<const std::uint8_t>)`,
-  /// possibly more than once per call. An in-order segment reaches the sink
-  /// as (a trim of) its own bytes; an out-of-order one is parked as a
-  /// sub-slice of `data` (BufSlice::to_owned: a view of an owning slice, a
-  /// copy of a borrowed one). The sink must not re-enter this buffer.
-  /// Duplicate and overlapping bytes are trimmed; segments that would exceed
-  /// the buffering budget are dropped (counted in drops()).
+  /// Offers a segment [at, at+data.size()). Newly contiguous bytes are
+  /// surrendered in order through `sink(const wire::BufSlice&)`, one view
+  /// per call, possibly several per offer. An in-order segment reaches the
+  /// sink as its own views, untouched when nothing of it was delivered
+  /// before (no reference-count traffic), else trimmed; an out-of-order one
+  /// is parked as views of the same slabs (SegmentPayload::to_owned). The
+  /// sink must not re-enter this buffer. Duplicate and overlapping bytes are
+  /// trimmed; segments that would exceed the buffering budget are dropped
+  /// (counted in drops()).
   template <typename Sink>
-  void offer(std::uint64_t at, const wire::BufSlice& data, Sink&& sink) {
-    if (data.empty()) return;
-    const std::uint64_t seg_end = at + data.size();
+  void offer(std::uint64_t at, const SegmentPayload& data, Sink&& sink) {
+    const std::size_t size = data.size();
+    if (size == 0) return;
+    const std::uint64_t seg_end = at + size;
     if (seg_end > highest_seen_) highest_seen_ = seg_end;
 
     // Trim anything already delivered.
@@ -70,7 +104,7 @@ class ReassemblyBuffer {
       // Fast path: extends the contiguous prefix — deliver in place.
       const auto skip = static_cast<std::size_t>(expected_ - at);
       expected_ = seg_end;
-      sink(data.span().subspan(skip));
+      surrender(data, skip, sink);
       absorb(sink);
       return;
     }
@@ -80,7 +114,19 @@ class ReassemblyBuffer {
  private:
   /// Parks an out-of-order segment, trimming overlap against already-parked
   /// neighbours.
-  void park(std::uint64_t at, const wire::BufSlice& data);
+  void park(std::uint64_t at, const SegmentPayload& data);
+
+  /// Hands the sink `seg`'s bytes from `skip` on: its own views when nothing
+  /// is skipped, else trimmed ones.
+  template <typename Sink>
+  static void surrender(const SegmentPayload& seg, std::size_t skip,
+                        Sink& sink) {
+    if (skip == 0) {
+      seg.for_each(sink);
+    } else {
+      seg.slice(skip, seg.size() - skip).for_each(sink);
+    }
+  }
 
   /// Surrenders parked segments made contiguous by an advance of expected_.
   template <typename Sink>
@@ -89,13 +135,14 @@ class ReassemblyBuffer {
       auto it = segments_.begin();
       if (it == segments_.end() || it->first > expected_) break;
       auto node = segments_.extract(it);
-      const wire::BufSlice& seg = node.mapped();
-      buffered_ -= seg.size();
-      const std::uint64_t it_end = node.key() + seg.size();
+      const SegmentPayload& seg = node.mapped();
+      const std::size_t size = seg.size();
+      buffered_ -= size;
+      const std::uint64_t it_end = node.key() + size;
       if (it_end > expected_) {
         const auto skip = static_cast<std::size_t>(expected_ - node.key());
         expected_ = it_end;
-        sink(seg.span().subspan(skip));
+        surrender(seg, skip, sink);
       }
     }
   }
@@ -105,7 +152,7 @@ class ReassemblyBuffer {
   std::size_t buffered_ = 0;
   std::uint64_t drops_ = 0;
   std::uint64_t highest_seen_ = 0;
-  std::map<std::uint64_t, wire::BufSlice> segments_;
+  std::map<std::uint64_t, SegmentPayload> segments_;
 };
 
 }  // namespace kmsg::transport

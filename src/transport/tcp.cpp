@@ -30,7 +30,7 @@ struct TcpSegment : netsim::DatagramBody {
   /// SACK blocks: the receiver's missing byte ranges (what it has NOT got),
   /// equivalent information to RFC 2018 blocks but hole-oriented.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> sack_holes;
-  wire::BufSlice payload;  ///< a view of the sender's written bytes
+  SegmentPayload payload;  ///< views of the sender's written bytes
 };
 
 TcpConnection::TcpConnection(netsim::Host& host, netsim::HostId peer,

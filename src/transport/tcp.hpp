@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <vector>
@@ -132,7 +131,7 @@ class TcpConnection final : public StreamConnection {
     TimePoint sent;
     bool retransmitted;
   };
-  std::deque<SegMeta> inflight_meta_;
+  Fifo<SegMeta> inflight_meta_;
 
   // CUBIC state (RFC 8312): window at the last congestion event and the
   // start of the current growth epoch.

@@ -17,7 +17,7 @@ struct UdtData : netsim::DatagramBody {
   std::uint64_t seq = 0;
   bool probe_head = false;  ///< first packet of a packet-pair probe
   bool probe_tail = false;  ///< second packet of a packet-pair probe
-  wire::BufSlice payload;  ///< a view of the sender's written bytes
+  SegmentPayload payload;  ///< views of the sender's written bytes
 };
 
 struct UdtAck : netsim::DatagramBody {

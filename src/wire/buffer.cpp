@@ -34,6 +34,8 @@ SlabPoolStats SlabPool::stats() const {
   s.slabs_recycled = slabs_recycled_.load(std::memory_order_relaxed);
   s.payload_bytes_copied = payload_bytes_copied_.load(std::memory_order_relaxed);
   s.grow_bytes_copied = grow_bytes_copied_.load(std::memory_order_relaxed);
+  s.decoder_bytes_copied =
+      decoder_bytes_copied_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -42,6 +44,7 @@ void SlabPool::reset_stats() {
   slabs_recycled_.store(0, std::memory_order_relaxed);
   payload_bytes_copied_.store(0, std::memory_order_relaxed);
   grow_bytes_copied_.store(0, std::memory_order_relaxed);
+  decoder_bytes_copied_.store(0, std::memory_order_relaxed);
 }
 
 void SlabPool::count_payload_copy(std::size_t n) {
@@ -50,6 +53,10 @@ void SlabPool::count_payload_copy(std::size_t n) {
 
 void SlabPool::count_grow_copy(std::size_t n) {
   grow_bytes_copied_.fetch_add(n, std::memory_order_relaxed);
+}
+
+void SlabPool::count_decoder_copy(std::size_t n) {
+  decoder_bytes_copied_.fetch_add(n, std::memory_order_relaxed);
 }
 
 // --- BufSlice ---

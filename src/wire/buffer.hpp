@@ -63,13 +63,18 @@ struct SlabPoolStats {
   std::uint64_t slabs_recycled = 0;  ///< acquisitions served from a cache
   /// Payload bytes duplicated slab-to-slab (BufSlice::copy_of, promotion of
   /// borrowed views, ByteBuf compatibility reads, a stream transport's gather
-  /// of a segment straddling two writes). The zero-copy pipeline
+  /// of a segment spanning three or more writes). The zero-copy pipeline
   /// keeps this flat per message; the regression test pins it to zero across
   /// serialise -> frame -> decode -> deserialise.
   std::uint64_t payload_bytes_copied = 0;
   /// Bytes moved because a writing ByteBuf outgrew its slab (tuning signal:
   /// a correct reserve() keeps this at zero on the hot path).
   std::uint64_t grow_bytes_copied = 0;
+  /// Bytes a FrameDecoder copied into its accumulation slab: chunks fed as
+  /// borrowed spans, and chunks that do not continue the decoder's pending
+  /// view in the same slab. Views of the sender's frames, which the stream
+  /// transports deliver, are decoded in place and add nothing here.
+  std::uint64_t decoder_bytes_copied = 0;
 };
 
 /// The slab layer over the arena: carves slabs and keeps the process-wide
@@ -86,6 +91,7 @@ class SlabPool {
   // Copy accounting (used by BufSlice / ByteBuf).
   void count_payload_copy(std::size_t n);
   void count_grow_copy(std::size_t n);
+  void count_decoder_copy(std::size_t n);
 
   /// The process-wide slab layer used by ByteBuf, the frame codec and
   /// transports.
@@ -96,6 +102,7 @@ class SlabPool {
   std::atomic<std::uint64_t> slabs_recycled_{0};
   std::atomic<std::uint64_t> payload_bytes_copied_{0};
   std::atomic<std::uint64_t> grow_bytes_copied_{0};
+  std::atomic<std::uint64_t> decoder_bytes_copied_{0};
 };
 
 /// Immutable view over a run of bytes. Owning slices pin a pooled slab;

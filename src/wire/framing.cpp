@@ -405,6 +405,13 @@ void FrameDecoder::release_slab() noexcept {
   start_ = end_ = 0;
 }
 
+bool FrameDecoder::parse_slice(const BufSlice& s, std::size_t& pos) {
+  return parse(s.data(), pos, s.size(),
+               [this, &s](std::size_t at, std::size_t len, bool coalesced) {
+                 emit_payload(s.slice(at, len), coalesced);
+               });
+}
+
 void FrameDecoder::append(std::span<const std::uint8_t> chunk) {
   if (chunk.empty()) return;
   SlabPool& pool = SlabPool::instance();
@@ -445,10 +452,16 @@ void FrameDecoder::append(std::span<const std::uint8_t> chunk) {
   }
   std::memcpy(slab_->bytes() + end_, chunk.data(), chunk.size());
   end_ += chunk.size();
+  pool.count_decoder_copy(chunk.size());
 }
 
 bool FrameDecoder::feed(std::span<const std::uint8_t> chunk) {
   if (poisoned_) return false;
+  if (!view_.empty()) {
+    // The pending view's bytes join the accumulation slab first.
+    const BufSlice pending = std::move(view_);
+    append(pending.span());
+  }
   append(chunk);
   if (!slab_) return true;  // empty chunk, nothing buffered
   return parse(slab_->bytes(), start_, end_,
@@ -461,22 +474,33 @@ bool FrameDecoder::feed(std::span<const std::uint8_t> chunk) {
 
 bool FrameDecoder::feed(const BufSlice& chunk) {
   if (poisoned_) return false;
-  if (buffered_bytes() == 0 && chunk.owning()) {
-    // Fast path: parse frames straight out of the caller's slab and emit
-    // them as sub-slices of it — zero bytes copied for complete frames.
+  if (chunk.empty()) return true;
+  if (!chunk.owning() || end_ != start_) return feed(chunk.span());
+  if (view_.empty()) {
+    // Nothing pending: parse frames straight out of the fed slice and keep
+    // an incomplete tail as a view of it. Whole frames cost no reference
+    // beyond the ones the emitted frames take.
     std::size_t pos = 0;
-    const bool ok =
-        parse(chunk.data(), pos, chunk.size(),
-              [this, &chunk](std::size_t at, std::size_t len, bool coalesced) {
-                emit_payload(chunk.slice(at, len), coalesced);
-              });
-    if (!ok) return false;
-    if (pos < chunk.size()) {
-      append(chunk.span().subspan(pos));  // buffer the incomplete tail only
-    }
+    if (!parse_slice(chunk, pos)) return false;
+    if (pos < chunk.size()) view_ = chunk.slice(pos, chunk.size() - pos);
     return true;
   }
-  return feed(chunk.span());
+  if (chunk.slab_ != view_.slab_ ||
+      chunk.data() != view_.data() + view_.size()) {
+    return feed(chunk.span());  // a join that is not contiguous
+  }
+  // The chunk continues the pending bytes in the same slab: widen the view
+  // (its reference already pins the slab), parse, and keep what is left.
+  view_.len_ += chunk.size();
+  std::size_t pos = 0;
+  if (!parse_slice(view_, pos)) return false;
+  if (pos == view_.size()) {
+    view_ = BufSlice{};
+  } else {
+    view_.data_ += pos;
+    view_.len_ -= pos;
+  }
+  return true;
 }
 
 }  // namespace kmsg::wire

@@ -24,15 +24,19 @@
 // Zero-copy model: encode_frame_slice writes the 8-byte header into the
 // payload slice's headroom in place when it solely owns its slab (the
 // serialiser reserves that headroom), so encoding a frame moves no payload
-// bytes. The decoder accumulates stream chunks in a pooled slab and emits
-// each frame as a BufSlice *view* into that slab; emitted frames pin the
-// slab via refcount. The slab is sized by the largest frame, not by the
-// stream: when a chunk does not fit, the decoder slides the not-yet-parsed
-// tail to the front of a slab it solely owns, swaps a slab pinned by
-// emitted frames for a pooled one of the same capacity, and grows only when
-// one frame outgrows the slab (DESIGN.md §4b). feed(BufSlice) additionally
-// parses frames directly out of the caller's slab when the decoder has no
-// buffered partial frame.
+// bytes. feed(BufSlice) parses frames straight out of the slab it is fed and
+// emits each as a BufSlice *view* of it; the unparsed bytes stay a view of
+// that slab too, which widens while the next chunk continues it in the same
+// slab. A stream transport hands the decoder views of the sender's written
+// frames (DESIGN.md §4b), so a frame spread over many segments is decoded
+// where it was written. Only a borrowed span (feed(span)) or a join that is
+// not contiguous is copied, into the decoder's accumulation slab, whose
+// frames are emitted as views of it and pin it via refcount. That slab is
+// sized by the largest frame, not by the stream: when a chunk does not fit,
+// the decoder slides the not-yet-parsed tail to the front of a slab it
+// solely owns, swaps a slab pinned by emitted frames for a pooled one of the
+// same capacity, and grows only when one frame outgrows the slab.
+// SlabPoolStats::decoder_bytes_copied counts what it copies.
 #pragma once
 
 #include <cstdint>
@@ -86,9 +90,9 @@ std::vector<std::uint8_t> encode_frame(std::span<const std::uint8_t> payload);
 BufSlice encode_frame_slice(BufSlice payload, bool coalesced = false);
 
 /// Incremental frame decoder: feed arbitrary stream chunks; complete frames
-/// are emitted through the callback in order as slices of the decoder's
-/// accumulation slab (or of the fed slice on the zero-copy fast path). The
-/// callback may retain the slice — it pins the backing slab.
+/// are emitted through the callback in order as slices of the fed slab (or
+/// of the decoder's accumulation slab on the copying path). The callback may
+/// retain the slice — it pins the backing slab.
 class FrameDecoder {
  public:
   using FrameFn = std::function<void(BufSlice)>;
@@ -111,23 +115,28 @@ class FrameDecoder {
   /// or each message of a coalesced frame as a sub-slice of its slab.
   void set_on_frame(FrameFn fn) { on_frame_ = std::move(fn); }
 
-  /// Consumes a stream chunk. Returns false (and poisons the decoder) if a
-  /// frame header exceeds the size limit, a frame fails its CRC or a
-  /// coalesced frame holds a malformed message length — the stream is
-  /// unrecoverable then.
+  /// Consumes a stream chunk the caller keeps: its bytes are copied into the
+  /// accumulation slab. Returns false (and poisons the decoder) if a frame
+  /// header exceeds the size limit, a frame fails its CRC or a coalesced
+  /// frame holds a malformed message length — the stream is unrecoverable
+  /// then.
   bool feed(std::span<const std::uint8_t> chunk);
 
-  /// Zero-copy variant: when no partial frame is buffered, frames are
-  /// emitted as sub-slices of `chunk`'s own slab (no byte is copied); only
-  /// an incomplete tail is buffered. Falls back to the copying path when
-  /// mid-frame or when `chunk` is a borrowed (non-owning) slice.
+  /// Zero-copy variant: frames are emitted as sub-slices of `chunk`'s own
+  /// slab, and an incomplete tail is kept as a view of it, widened in place
+  /// by a next chunk that continues it in the same slab. Copies (as
+  /// feed(span) does) only a borrowed chunk, a chunk that joins pending
+  /// bytes it does not continue in memory, and chunks fed while the
+  /// accumulation slab holds a partial frame.
   bool feed(const BufSlice& chunk);
 
   bool poisoned() const { return poisoned_; }
-  std::size_t buffered_bytes() const { return end_ - start_; }
+  /// Unparsed bytes held, as a view or in the accumulation slab.
+  std::size_t buffered_bytes() const { return view_.size() + end_ - start_; }
   /// Capacity of the accumulation slab (0 when none is held). Bounded by
   /// the largest frame plus one fed chunk, rounded up to a pool size
-  /// class, not by the length of the stream.
+  /// class, not by the length of the stream. Views of fed slabs take no
+  /// slab of the decoder's own.
   std::size_t buffer_capacity() const { return slab_ ? slab_->capacity : 0; }
   std::uint64_t frames_decoded() const { return frames_; }
   /// Frames rejected for a failed CRC check or a malformed coalesced
@@ -143,6 +152,9 @@ class FrameDecoder {
   template <typename EmitFn>
   bool parse(const std::uint8_t* data, std::size_t& start, std::size_t end,
              EmitFn&& emit);
+  /// parse() over an owning slice, emitting sub-slices of it.
+  bool parse_slice(const BufSlice& s, std::size_t& pos);
+  /// Copies `chunk` after the unparsed bytes of the accumulation slab.
   void append(std::span<const std::uint8_t> chunk);
   /// Hands one CRC-validated frame payload to the callback, splitting a
   /// coalesced payload into per-message sub-slices first.
@@ -150,6 +162,7 @@ class FrameDecoder {
   void release_slab() noexcept;
   void move_from(FrameDecoder& other) noexcept {
     max_frame_ = other.max_frame_;
+    view_ = std::move(other.view_);
     slab_ = other.slab_;
     start_ = other.start_;
     end_ = other.end_;
@@ -163,6 +176,9 @@ class FrameDecoder {
   }
 
   std::size_t max_frame_ = kDefaultMaxFrameBytes;
+  /// Unparsed bytes as a view of a fed slab; empty while the accumulation
+  /// slab holds unparsed bytes.
+  BufSlice view_;
   Slab* slab_ = nullptr;   ///< accumulation slab (decoder holds one ref)
   std::size_t start_ = 0;  ///< offset of the first unparsed byte
   std::size_t end_ = 0;    ///< offset past the last buffered byte

@@ -49,23 +49,33 @@ struct OneHost {
   netsim::Host& host = net.add_host();
 };
 
-std::vector<std::uint8_t> bytes_of(const wire::BufSlice& s) {
-  return {s.span().begin(), s.span().end()};
+std::vector<std::uint8_t> bytes_of(const SegmentPayload& p) {
+  std::vector<std::uint8_t> out;
+  p.for_each([&out](const wire::BufSlice& v) {
+    out.insert(out.end(), v.span().begin(), v.span().end());
+  });
+  return out;
+}
+
+std::uint64_t payload_copied() {
+  return wire::SlabPool::instance().stats().payload_bytes_copied;
 }
 
 TEST(SendQueueTest, RetainedRangesMatchTheWrittenHistory) {
   // Property: every retained range reads back as the same range of the full
   // byte history, across arbitrary interleavings of writes through both
   // overloads and cumulative releases — including ranges that straddle
-  // writes, which payload_at gathers.
+  // two writes, which payload_at returns as two views, and ranges spanning
+  // more, which it gathers.
   OneHost world;
   SendQueue q(world.host, 64);
   Rng rng(1);
   std::vector<std::uint8_t> history;  // every byte ever accepted
   const auto matches = [&](std::uint64_t at, std::size_t len) {
-    const wire::BufSlice got = q.payload_at(at, len);
-    return got.size() == len &&
-           std::equal(got.span().begin(), got.span().end(),
+    const SegmentPayload got = q.payload_at(at, len);
+    const std::vector<std::uint8_t> read = bytes_of(got);
+    return got.size() == len && (got.tail.empty() || !got.head.empty()) &&
+           std::equal(read.begin(), read.end(),
                       history.begin() + static_cast<std::ptrdiff_t>(at));
   };
   for (int round = 0; round < 500; ++round) {
@@ -133,6 +143,41 @@ TEST(SendQueueTest, ZeroCapacityRejected) {
   EXPECT_THROW(SendQueue(world.host, 0), std::invalid_argument);
 }
 
+TEST(SendQueueTest, StraddleOfTwoWritesIsTwoViews) {
+  OneHost world;
+  SendQueue q(world.host, 64);
+  const wire::BufSlice a = wire::BufSlice::copy_of(bytes({1, 2, 3, 4}));
+  const wire::BufSlice b = wire::BufSlice::copy_of(bytes({5, 6, 7}));
+  ASSERT_EQ(q.write(a), 4u);
+  ASSERT_EQ(q.write(b), 3u);
+  const std::uint64_t copied0 = payload_copied();
+  const SegmentPayload seg = q.payload_at(2, 4);
+  EXPECT_EQ(payload_copied(), copied0);
+  EXPECT_EQ(seg.head.data(), a.data() + 2);  // views of the written slabs
+  EXPECT_EQ(seg.head.size(), 2u);
+  EXPECT_EQ(seg.tail.data(), b.data());
+  EXPECT_EQ(seg.tail.size(), 2u);
+  EXPECT_EQ(bytes_of(seg), bytes({3, 4, 5, 6}));
+  // Within one write: one view, no tail.
+  const SegmentPayload inner = q.payload_at(4, 3);
+  EXPECT_EQ(inner.head.data(), b.data());
+  EXPECT_TRUE(inner.tail.empty());
+}
+
+TEST(SendQueueTest, RangeOverThreeWritesIsGatheredOnce) {
+  OneHost world;
+  SendQueue q(world.host, 64);
+  ASSERT_EQ(q.write(wire::BufSlice::copy_of(bytes({1, 2}))), 2u);
+  ASSERT_EQ(q.write(wire::BufSlice::copy_of(bytes({3}))), 1u);
+  ASSERT_EQ(q.write(wire::BufSlice::copy_of(bytes({4, 5}))), 2u);
+  const std::uint64_t copied0 = payload_copied();
+  const SegmentPayload seg = q.payload_at(1, 4);
+  EXPECT_EQ(payload_copied(), copied0 + 4);  // one counted copy of the range
+  EXPECT_TRUE(seg.tail.empty());
+  EXPECT_TRUE(seg.head.unique());  // a slab of its own
+  EXPECT_EQ(bytes_of(seg), bytes({2, 3, 4, 5}));
+}
+
 // --- ReassemblyBuffer ---
 
 /// Offers [at, at + data.size()) and collects every run the buffer
@@ -141,8 +186,8 @@ std::vector<std::uint8_t> offer(ReassemblyBuffer& rb, std::uint64_t at,
                                 const std::vector<std::uint8_t>& data) {
   std::vector<std::uint8_t> out;
   rb.offer(at, wire::BufSlice::borrowed(data),
-           [&out](std::span<const std::uint8_t> run) {
-             out.insert(out.end(), run.begin(), run.end());
+           [&out](const wire::BufSlice& run) {
+             out.insert(out.end(), run.span().begin(), run.span().end());
            });
   return out;
 }
@@ -236,8 +281,8 @@ TEST(ReassemblyTest, ParkingAnOwningSliceCopiesNothing) {
       wire::SlabPool::instance().stats().payload_bytes_copied;
   ReassemblyBuffer rb(1024);
   std::vector<std::uint8_t> out;
-  const auto sink = [&out](std::span<const std::uint8_t> run) {
-    out.insert(out.end(), run.begin(), run.end());
+  const auto sink = [&out](const wire::BufSlice& run) {
+    out.insert(out.end(), run.span().begin(), run.span().end());
   };
   rb.offer(2, seg, sink);
   EXPECT_TRUE(out.empty());
@@ -256,8 +301,8 @@ TEST(ReassemblyTest, ParkingABorrowedSliceCopiesIt) {
       wire::SlabPool::instance().stats().payload_bytes_copied;
   ReassemblyBuffer rb(1024);
   std::vector<std::uint8_t> out;
-  const auto sink = [&out](std::span<const std::uint8_t> run) {
-    out.insert(out.end(), run.begin(), run.end());
+  const auto sink = [&out](const wire::BufSlice& run) {
+    out.insert(out.end(), run.span().begin(), run.span().end());
   };
   rb.offer(1, wire::BufSlice::borrowed(payload), sink);
   EXPECT_EQ(wire::SlabPool::instance().stats().payload_bytes_copied,
@@ -266,6 +311,87 @@ TEST(ReassemblyTest, ParkingABorrowedSliceCopiesIt) {
   const auto head = bytes({7});
   rb.offer(0, wire::BufSlice::borrowed(head), sink);
   EXPECT_EQ(out, bytes({7, 1, 2, 3}));
+}
+
+/// A segment straddling two writes: [1, 2, 3] of one slab and [4, 5, 6] of
+/// another.
+struct TwoViewSegment {
+  wire::BufSlice first = wire::BufSlice::copy_of(bytes({1, 2, 3}));
+  wire::BufSlice second = wire::BufSlice::copy_of(bytes({4, 5, 6}));
+  SegmentPayload payload{first, second};
+};
+
+TEST(ReassemblyTest, TwoViewSegmentInOrderPassesItsOwnViews) {
+  const TwoViewSegment seg;
+  ReassemblyBuffer rb(1024);
+  std::vector<const std::uint8_t*> runs;
+  rb.offer(0, seg.payload, [&](const wire::BufSlice& run) {
+    runs.push_back(run.data());
+    EXPECT_EQ(run.ref_count(), 2u);  // the segment's view, not a new one
+  });
+  EXPECT_EQ(runs, (std::vector<const std::uint8_t*>{seg.first.data(),
+                                                    seg.second.data()}));
+  EXPECT_EQ(rb.expected(), 6u);
+}
+
+TEST(ReassemblyTest, TwoViewSegmentParkedIsTrimmedAcrossItsViews) {
+  const TwoViewSegment seg;
+  const std::uint64_t copied0 = payload_copied();
+  ReassemblyBuffer rb(1024);
+  std::vector<std::uint8_t> out;
+  std::vector<const std::uint8_t*> runs;
+  const auto sink = [&](const wire::BufSlice& run) {
+    out.insert(out.end(), run.span().begin(), run.span().end());
+    runs.push_back(run.data());
+  };
+  // Parked at [10, 16), then its first two bytes are covered by a parked
+  // predecessor [8, 12) and its last by a parked successor [15, 17): the
+  // kept range [12, 15) holds the last byte of the first view and two of
+  // the second.
+  const auto pre = bytes({90, 91, 1, 2});
+  const auto post = bytes({6, 97});
+  rb.offer(8, wire::BufSlice::copy_of(pre), sink);
+  rb.offer(15, wire::BufSlice::copy_of(post), sink);
+  rb.offer(10, seg.payload, sink);
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(rb.buffered_bytes(), 4u + 2u + 3u);
+  // Parked as views, not copies: one reference more than the slice and
+  // the segment hold.
+  EXPECT_EQ(seg.first.ref_count(), 3u);
+  EXPECT_EQ(seg.second.ref_count(), 3u);
+  const auto head = bytes({80, 81, 82, 83, 84, 85, 86, 87});
+  rb.offer(0, wire::BufSlice::borrowed(head), sink);
+  EXPECT_EQ(out, bytes({80, 81, 82, 83, 84, 85, 86, 87, 90, 91, 1, 2, 3, 4,
+                        5, 6, 97}));
+  ASSERT_EQ(runs.size(), 5u);
+  EXPECT_EQ(runs[2], seg.first.data() + 2);
+  EXPECT_EQ(runs[3], seg.second.data());
+  EXPECT_EQ(rb.buffered_bytes(), 0u);
+  EXPECT_EQ(seg.first.ref_count(), 2u);
+  EXPECT_EQ(seg.second.ref_count(), 2u);
+  // Only the two owning copies made above.
+  EXPECT_EQ(payload_copied(), copied0 + pre.size() + post.size());
+}
+
+TEST(ReassemblyTest, TwoViewSegmentDroppedWholeAtTheBudget) {
+  const TwoViewSegment seg;
+  ReassemblyBuffer rb(8);
+  const auto sink = [](const wire::BufSlice&) {};
+  rb.offer(20, wire::BufSlice::copy_of(bytes({1, 2, 3})), sink);
+  // 3 parked + 6 would pass the budget of 8 although the first view fits.
+  rb.offer(10, seg.payload, sink);
+  EXPECT_EQ(rb.drops(), 1u);
+  EXPECT_EQ(rb.buffered_bytes(), 3u);
+  EXPECT_EQ(rb.available(), 5u);
+  EXPECT_EQ(seg.first.ref_count(), 2u);  // nothing of it kept
+  EXPECT_EQ(seg.second.ref_count(), 2u);
+  // With room, the same segment parks whole.
+  ReassemblyBuffer roomy(9);
+  roomy.offer(20, wire::BufSlice::copy_of(bytes({1, 2, 3})), sink);
+  roomy.offer(10, seg.payload, sink);
+  EXPECT_EQ(roomy.drops(), 0u);
+  EXPECT_EQ(roomy.buffered_bytes(), 9u);
+  EXPECT_EQ(roomy.available(), 0u);
 }
 
 TEST(ReassemblyTest, RandomizedStreamReconstruction) {

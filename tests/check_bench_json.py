@@ -19,6 +19,9 @@ import sys
 REQUIRED_BENCHMARKS = [
     "BM_ByteBufWritePrimitives",
     "BM_FrameDecode",
+    # The bulk receive path: 65 kB frames fed to the decoder as the segment
+    # views the stream transports deliver.
+    "BM_FrameDecodeSegments",
     "BM_MessageSerializeRoundTrip",
     "BM_SimulatorEventThroughput",
     "BM_ShardedSimThroughput/1",
@@ -53,6 +56,7 @@ REQUIRED_FIELDS = ["name", "real_time", "cpu_time", "time_unit", "iterations"]
 REQUIRED_COUNTERS = ["allocs_per_op", "alloc_bytes_per_op"]
 # Per-benchmark counters beyond the allocation pair.
 EXTRA_COUNTERS = {
+    "BM_FrameDecodeSegments": ["decoder_copied_per_op"],
     "BM_SmallMsgWireBaseline": ["bytes_per_msg"],
     "BM_SmallMsgWireDelta": ["bytes_per_msg"],
     "BM_SmallMsgWireCoalesce": ["bytes_per_msg"],
@@ -62,6 +66,10 @@ EXTRA_COUNTERS = {
 # per-message framing baseline (the headline wire-efficiency claim). Byte
 # counts are deterministic, so this holds in any build type.
 WIRE_REDUCTION_FLOOR_PCT = 40.0
+# The decoder cuts frames out of adjacent segment views in place: any byte
+# it copies on that path fails the check. Deterministic, so hard in every
+# build type.
+SEGMENT_DECODE_MAX_COPIED = 0.0
 
 # Build types with full optimization; anything else is refused.
 OPTIMIZED_BUILD_TYPES = {"Release", "RelWithDebInfo", "MinSizeRel"}
@@ -146,6 +154,14 @@ def main():
         f"ok: wire efficiency {baseline_bpm:.1f} -> {both_bpm:.1f} bytes/msg "
         f"({reduction_pct:.1f}% reduction, floor {WIRE_REDUCTION_FLOOR_PCT:.0f}%)"
     )
+    segment_copied = benches["BM_FrameDecodeSegments"]["decoder_copied_per_op"]
+    if segment_copied > SEGMENT_DECODE_MAX_COPIED:
+        fail(
+            f"BM_FrameDecodeSegments: the decoder copied {segment_copied:.1f} "
+            f"bytes per op of segment views, limit "
+            f"{SEGMENT_DECODE_MAX_COPIED:.0f}"
+        )
+    print(f"ok: segment views decoded with {segment_copied:.0f} bytes copied")
     print(
         f"ok: {len(REQUIRED_BENCHMARKS)} benchmarks validated "
         f"(build type: {build_type})"

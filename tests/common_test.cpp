@@ -1,13 +1,88 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <deque>
+#include <memory>
 #include <set>
 
+#include "common/fifo.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/time.hpp"
 
 namespace kmsg {
 namespace {
+
+// --- Fifo ---
+
+TEST(FifoTest, MatchesADequeThroughWrapsAndGrowth) {
+  // Property: seeded runs of pushes and pops read the same as std::deque,
+  // through every index, as the ring wraps and doubles.
+  Fifo<std::uint64_t> q;
+  std::deque<std::uint64_t> ref;
+  Rng rng(11);
+  std::size_t most = 0;
+  for (int step = 0; step < 20'000; ++step) {
+    if (ref.empty() || rng.next_bool(0.55)) {
+      const std::uint64_t v = rng.next();
+      q.push_back(v);
+      ref.push_back(v);
+    } else {
+      ASSERT_EQ(q.front(), ref.front());
+      q.pop_front();
+      ref.pop_front();
+    }
+    most = std::max(most, ref.size());
+    ASSERT_EQ(q.size(), ref.size());
+    if (!ref.empty()) {
+      ASSERT_EQ(q[q.size() - 1], ref.back());
+      const std::size_t i = rng.next_below(ref.size());
+      ASSERT_EQ(q[i], ref[i]) << "step " << step;
+    }
+  }
+  const Fifo<std::uint64_t>& cq = q;
+  ASSERT_TRUE(std::equal(cq.begin(), cq.end(), ref.begin(), ref.end()));
+  // The capacity is the smallest power of two (at least 16) that held the
+  // deepest queue, and draining keeps it.
+  EXPECT_EQ(q.capacity(), std::max<std::size_t>(16, std::bit_ceil(most)));
+  const std::size_t cap = q.capacity();
+  q.clear();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.capacity(), cap);
+}
+
+TEST(FifoTest, SortedQueueSearchesWithUpperBound) {
+  Fifo<int> q;
+  for (int i = 0; i < 40; ++i) q.push_back(2 * i);
+  for (int i = 0; i < 25; ++i) q.pop_front();  // the front wraps past 0
+  for (int i = 40; i < 50; ++i) q.push_back(2 * i);
+  const Fifo<int>& cq = q;
+  for (int v = 49; v < 100; ++v) {
+    const auto it = std::upper_bound(cq.begin(), cq.end(), v);
+    ASSERT_EQ(it - cq.begin(), std::max(0, v / 2 - 24)) << v;
+    if (it != cq.end()) {
+      ASSERT_GT(*it, v);
+    }
+  }
+}
+
+TEST(FifoTest, DestroysWhatItPopsAndHolds) {
+  const auto token = std::make_shared<int>(7);
+  {
+    Fifo<std::shared_ptr<int>> q;
+    for (int i = 0; i < 20; ++i) q.push_back(token);
+    EXPECT_EQ(token.use_count(), 21);
+    q.pop_front();
+    EXPECT_EQ(token.use_count(), 20);
+    // A push that grows the ring may copy one of its own elements.
+    while (q.size() < q.capacity()) q.push_back(q.front());
+    q.push_back(q.front());
+    EXPECT_EQ(token.use_count(), 1 + static_cast<long>(q.size()));
+    EXPECT_EQ(q[q.size() - 1], token);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+}
 
 // --- Duration / TimePoint ---
 

@@ -288,7 +288,8 @@ class DecoderFuzzTest : public ::testing::Test {
 // --- Targets ------------------------------------------------------------------
 
 TEST_F(DecoderFuzzTest, FrameDecoderOverPlainAndCoalescedFrames) {
-  // A stream of plain frames around two coalesced ones.
+  // A stream of plain frames around two coalesced ones, fed in copied
+  // chunks and as views of one slab.
   struct Frame {
     Bytes payload;
     bool coalesced = false;
@@ -359,6 +360,35 @@ TEST_F(DecoderFuzzTest, FrameDecoderOverPlainAndCoalescedFrames) {
             << case_line();
         ASSERT_EQ(delivered.size(), expected.msgs.size()) << case_line();
       }
+
+      // The same bytes as a stream transport delivers them: adjacent
+      // sub-slices of one slab, which the decoder widens in place, cut at
+      // seeded points; about one in five is re-copied into a fresh slab,
+      // a join the decoder must copy. Its own generator leaves the cases
+      // above as they were.
+      Rng cuts(seed * 1'000'003u + static_cast<std::uint64_t>(i));
+      const wire::BufSlice whole = wire::BufSlice::copy_of(input);
+      wire::FrameDecoder views;
+      std::vector<Bytes> viewed;
+      views.set_on_frame([&](wire::BufSlice m) {
+        touch(m.span());
+        viewed.push_back(bytes_of(m));
+      });
+      bool views_ok = true;
+      for (std::size_t pos = 0; views_ok && pos < whole.size();) {
+        const std::size_t n =
+            std::min<std::size_t>(whole.size() - pos, 1 + cuts.next_below(160));
+        wire::BufSlice piece = whole.slice(pos, n);
+        if (cuts.next_below(5) == 0) {
+          piece = wire::BufSlice::copy_of(piece.span());
+        }
+        views_ok = views.feed(piece);
+        pos += n;
+      }
+      ASSERT_EQ(viewed, expected.msgs) << case_line() << " (sub-slices)";
+      ASSERT_EQ(views.poisoned(), expected.poisoned)
+          << case_line() << " (sub-slices)";
+      ASSERT_EQ(views_ok, !views.poisoned()) << case_line() << " (sub-slices)";
     }
   }
 }

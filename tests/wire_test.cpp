@@ -526,6 +526,196 @@ TEST(FrameDecoderBoundTest, SlabBoundedWhenHeldFramesPinTheSlab) {
   feed_bulk_stream(/*hold_previous=*/true);
 }
 
+// --- Decoder views: frames cut out of the slab they were fed in ---
+
+/// What a decoder made of a stream fed in pieces.
+struct DecodeRun {
+  std::vector<std::vector<std::uint8_t>> msgs;
+  std::vector<bool> fed;  ///< each feed's result
+  bool poisoned = false;
+  std::uint64_t corrupt = 0;
+  bool operator==(const DecodeRun&) const = default;
+};
+
+/// Feeds each piece as the slice it is (a view of its slab, or borrowed),
+/// or with `as_spans` through the copying path, and records the outcome.
+DecodeRun decode(const std::vector<BufSlice>& pieces, bool as_spans = false) {
+  DecodeRun run;
+  FrameDecoder dec;
+  dec.set_on_frame([&](BufSlice m) { run.msgs.push_back(to_vec(m)); });
+  for (const BufSlice& p : pieces) {
+    run.fed.push_back(as_spans ? dec.feed(p.span()) : dec.feed(p));
+  }
+  run.poisoned = dec.poisoned();
+  run.corrupt = dec.frames_corrupt();
+  return run;
+}
+
+/// The frames of `payloads`, encoded back to back.
+std::vector<std::uint8_t> frame_stream(
+    const std::vector<std::vector<std::uint8_t>>& payloads) {
+  std::vector<std::uint8_t> out;
+  for (const auto& p : payloads) {
+    const auto f = encode_frame(p);
+    out.insert(out.end(), f.begin(), f.end());
+  }
+  return out;
+}
+
+std::vector<std::vector<std::uint8_t>> random_payloads(
+    std::initializer_list<std::size_t> sizes, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<std::uint8_t>> out;
+  for (const std::size_t n : sizes) {
+    std::vector<std::uint8_t> p(n);
+    for (auto& b : p) b = static_cast<std::uint8_t>(rng.next());
+    out.push_back(std::move(p));
+  }
+  return out;
+}
+
+/// `whole` cut into adjacent sub-slices at `points` (ascending offsets).
+std::vector<BufSlice> cut(const BufSlice& whole,
+                          std::initializer_list<std::size_t> points) {
+  std::vector<BufSlice> out;
+  std::size_t at = 0;
+  for (const std::size_t p : points) {
+    out.push_back(whole.slice(at, p - at));
+    at = p;
+  }
+  out.push_back(whole.slice(at, whole.size() - at));
+  return out;
+}
+
+std::uint64_t decoder_copied() {
+  return SlabPool::instance().stats().decoder_bytes_copied;
+}
+
+TEST(FrameDecoderViewTest, AdjacentSubSlicesDecodeInPlace) {
+  // bulk_tcp's shape at a small scale: frames spread over many segments
+  // that are adjacent views of the frames' one slab.
+  const auto payloads = random_payloads({1000, 5000, 0, 300, 7000}, 61);
+  const BufSlice stream = BufSlice::copy_of(frame_stream(payloads));
+  const std::uint64_t copied0 = decoder_copied();
+  FrameDecoder dec;
+  std::vector<BufSlice> frames;
+  dec.set_on_frame([&](BufSlice f) { frames.push_back(std::move(f)); });
+  for (std::size_t at = 0; at < stream.size(); at += 893) {
+    const std::size_t n = std::min<std::size_t>(893, stream.size() - at);
+    ASSERT_TRUE(dec.feed(stream.slice(at, n)));
+    EXPECT_EQ(dec.buffer_capacity(), 0u) << "took an accumulation slab";
+  }
+  EXPECT_EQ(decoder_copied(), copied0);
+  EXPECT_EQ(dec.buffered_bytes(), 0u);
+  ASSERT_EQ(frames.size(), payloads.size());
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(to_vec(frames[i]), payloads[i]) << "frame " << i;
+    // Each payload is a view of the fed slab.
+    EXPECT_GE(frames[i].data(), stream.data());
+    EXPECT_LE(frames[i].data() + frames[i].size(),
+              stream.data() + stream.size());
+  }
+  // The frames pin the slab; the decoder keeps nothing of it.
+  EXPECT_EQ(stream.ref_count(), 1u + frames.size());
+  frames.clear();
+  EXPECT_TRUE(stream.unique());
+}
+
+TEST(FrameDecoderViewTest, JoinThatIsNotContiguousDecodesAsCopying) {
+  // The stream's bytes in two slabs, split inside the second frame: the
+  // pending view cannot widen into the other slab, so the join is copied.
+  const auto payloads = random_payloads({1000, 5000, 300}, 62);
+  const auto bytes = frame_stream(payloads);
+  const std::size_t split = 3000;
+  const BufSlice first = BufSlice::copy_of({bytes.data(), split});
+  const BufSlice second =
+      BufSlice::copy_of({bytes.data() + split, bytes.size() - split});
+  std::vector<BufSlice> pieces = cut(first, {500, 1500});
+  for (BufSlice& p : cut(second, {100, 2500, 3100})) {
+    pieces.push_back(std::move(p));
+  }
+  const std::uint64_t copied0 = decoder_copied();
+  const DecodeRun got = decode(pieces);
+  EXPECT_EQ(got, decode(pieces, /*as_spans=*/true));
+  EXPECT_EQ(got.msgs, payloads);
+  EXPECT_GT(decoder_copied(), copied0);
+}
+
+TEST(FrameDecoderViewTest, GapInTheSameSlabIsAJoinThatIsNotContiguous) {
+  // The stream's bytes in one slab with 100 foreign bytes inside the second
+  // frame: slices on either side of them share the slab but do not continue
+  // each other, so the pending view must not widen over the gap.
+  const auto payloads = random_payloads({1000, 5000, 300}, 67);
+  auto bytes = frame_stream(payloads);
+  const std::size_t gap_at = 2500;
+  bytes.insert(bytes.begin() + gap_at, 100, 0xAB);
+  const BufSlice slab = BufSlice::copy_of(bytes);
+  std::vector<BufSlice> pieces = cut(slab.slice(0, gap_at), {400, 1700});
+  for (BufSlice& p : cut(slab.slice(gap_at + 100, bytes.size() - gap_at - 100),
+                         {50, 3000})) {
+    pieces.push_back(std::move(p));
+  }
+  const DecodeRun got = decode(pieces);
+  EXPECT_EQ(got, decode(pieces, /*as_spans=*/true));
+  EXPECT_EQ(got.msgs, payloads);
+}
+
+TEST(FrameDecoderViewTest, BorrowedSpanBetweenTwoSlicesDecodesAsCopying) {
+  const auto payloads = random_payloads({1000, 5000, 300}, 63);
+  const BufSlice stream = BufSlice::copy_of(frame_stream(payloads));
+  std::vector<BufSlice> pieces = cut(stream, {1500, 2600, 4000});
+  pieces[1] = BufSlice::borrowed(pieces[1].span());
+  const DecodeRun got = decode(pieces);
+  EXPECT_EQ(got, decode(pieces, /*as_spans=*/true));
+  EXPECT_EQ(got.msgs, payloads);
+}
+
+TEST(FrameDecoderViewTest, CoalescedFrameInsideAViewIsSplitInPlace) {
+  const auto subs_bytes = random_payloads({40, 0, 700, 9}, 64);
+  std::vector<BufSlice> subs;
+  for (const auto& b : subs_bytes) subs.push_back(BufSlice::copy_of(b));
+  const BufSlice coalesced =
+      encode_frame_slice(encode_wire_coalesced(subs), /*coalesced=*/true);
+  const auto plain = random_payloads({500, 60}, 65);
+  std::vector<std::uint8_t> bytes = encode_frame(plain[0]);
+  bytes.insert(bytes.end(), coalesced.data(),
+               coalesced.data() + coalesced.size());
+  const auto tail = encode_frame(plain[1]);
+  bytes.insert(bytes.end(), tail.begin(), tail.end());
+  const BufSlice stream = BufSlice::copy_of(bytes);
+  const std::vector<BufSlice> pieces = cut(stream, {300, 530, 900, 1200});
+  const std::uint64_t copied0 = decoder_copied();
+  const DecodeRun got = decode(pieces);
+  EXPECT_EQ(decoder_copied(), copied0);
+  EXPECT_EQ(got, decode(pieces, /*as_spans=*/true));
+  std::vector<std::vector<std::uint8_t>> want = {plain[0]};
+  want.insert(want.end(), subs_bytes.begin(), subs_bytes.end());
+  want.push_back(plain[1]);
+  EXPECT_EQ(got.msgs, want);
+  // Each message of the coalesced frame is a view of the fed slab.
+  FrameDecoder dec;
+  dec.set_on_frame([&](BufSlice m) {
+    EXPECT_GE(m.data(), stream.data());
+    EXPECT_LE(m.data() + m.size(), stream.data() + stream.size());
+  });
+  for (const BufSlice& p : pieces) ASSERT_TRUE(dec.feed(p));
+}
+
+TEST(FrameDecoderViewTest, CrcFailureInsideAViewPoisonsAsCopying) {
+  const auto payloads = random_payloads({1000, 5000, 300}, 66);
+  auto bytes = frame_stream(payloads);
+  bytes[kFrameHeaderBytes + 1000 + kFrameHeaderBytes + 2500] ^= 0x10;
+  const BufSlice stream = BufSlice::copy_of(bytes);
+  const std::vector<BufSlice> pieces = cut(stream, {700, 1500, 4000, 6100});
+  const DecodeRun got = decode(pieces);
+  EXPECT_EQ(got, decode(pieces, /*as_spans=*/true));
+  EXPECT_EQ(got.msgs.size(), 1u);  // the frame before the damage
+  EXPECT_TRUE(got.poisoned);
+  EXPECT_EQ(got.corrupt, 1u);
+  // The piece completing the damaged frame fails, and so does the next.
+  EXPECT_EQ(got.fed, (std::vector<bool>{true, true, true, false, false}));
+}
+
 // --- Message codec: compress / decompress ---
 
 TEST(CodecTest, CompressionRoundTrip) {
