@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the building blocks whose costs
 // determine middleware throughput: ByteBuf encoding, the snappy-like codec,
 // frame decoding (of copied chunks and of the segment views the bulk path
-// delivers), message (de)serialisation, protocol-selection policies,
+// delivers), message (de)serialisation and a bulk chunk's generate,
+// serialise and frame, protocol-selection policies,
 // Sarsa(λ) steps, simulator event dispatch and Kompics event handling, and
 // the bulk path's per-byte kernels: payload generation and checking and the
 // frame CRC.
@@ -213,6 +214,11 @@ void BM_FrameDecodeSegments(benchmark::State& state) {
 }
 BENCHMARK(BM_FrameDecodeSegments);
 
+// Serialises and deserialises one 65,000-byte chunk over and over. Only the
+// chunk's first serialisation writes its envelope in front of the payload;
+// every later one copies the payload, a copy counted in
+// payload_bytes_copied, so this times that fallback. BM_ChunkSerializeFrame
+// times the bulk path's own case.
 void BM_MessageSerializeRoundTrip(benchmark::State& state) {
   AllocScope allocs(state);
   messaging::SerializerRegistry reg;
@@ -228,6 +234,41 @@ void BM_MessageSerializeRoundTrip(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 65000);
 }
 BENCHMARK(BM_MessageSerializeRoundTrip);
+
+// The bulk send path's first half, as a DataSource and its NetworkComponent
+// run it per chunk: each op generates a fresh 65,000-byte payload,
+// serialises it into a DataChunkMsg and frames it. The serialiser writes the
+// envelope in front of the payload and the frame header goes in front of
+// that, all in the slab the generator wrote, so payload_copied_per_op (the
+// payload bytes copied per op), which check_bench_json.py requires to be 0,
+// shows a serialiser that copies the payload again.
+void BM_ChunkSerializeFrame(benchmark::State& state) {
+  constexpr std::size_t kPayloadBytes = 65'000;
+  messaging::SerializerRegistry reg;
+  apps::register_app_serializers(reg);
+  const messaging::DataHeader h{messaging::Address{1, 100},
+                                messaging::Address{2, 200},
+                                messaging::Transport::kTcp};
+  std::uint64_t offset = 0;
+  const std::uint64_t copied0 =
+      wire::SlabPool::instance().stats().payload_bytes_copied;
+  AllocScope allocs(state);
+  for (auto _ : state) {
+    const apps::DataChunkMsg chunk{
+        h, 1, offset, apps::make_payload_slice(offset, kPayloadBytes), false};
+    offset += kPayloadBytes;
+    const wire::BufSlice frame =
+        wire::encode_frame_slice(*reg.serialize(chunk));
+    benchmark::DoNotOptimize(frame.data());
+  }
+  state.counters["payload_copied_per_op"] = benchmark::Counter(
+      static_cast<double>(
+          wire::SlabPool::instance().stats().payload_bytes_copied - copied0) /
+      static_cast<double>(std::max<std::int64_t>(state.iterations(), 1)));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kPayloadBytes));
+}
+BENCHMARK(BM_ChunkSerializeFrame);
 
 // --- Small-message wire efficiency -------------------------------------------
 // The many-small-messages workload the delta codec and coalescer target:

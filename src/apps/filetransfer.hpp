@@ -17,6 +17,7 @@
 #include <set>
 
 #include "apps/messages.hpp"
+#include "common/arena.hpp"
 #include "kompics/system.hpp"
 #include "messaging/network_port.hpp"
 
@@ -94,7 +95,11 @@ class DataSource final : public kompics::ComponentDefinition {
   std::uint64_t restarts_observed_ = 0;
   TimePoint started_at_;
   TimePoint finished_at_;
-  std::map<messaging::NotifyId, ChunkRef> pending_notifies_;
+  /// Nodes come from the arena, so a warm source sends a chunk without the
+  /// global allocator.
+  std::map<messaging::NotifyId, ChunkRef, std::less<messaging::NotifyId>,
+           ArenaAllocator<std::pair<const messaging::NotifyId, ChunkRef>>>
+      pending_notifies_;
   std::deque<ChunkRef> retry_queue_;
   bool retry_pending_ = false;
   kompics::TimerHandle retry_cancel_;

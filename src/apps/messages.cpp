@@ -131,7 +131,7 @@ unsigned payload_kernel_width() {
 }
 
 wire::BufSlice make_payload_slice(std::uint64_t offset, std::size_t len) {
-  wire::ByteBuf buf{len};
+  wire::ByteBuf buf{len, messaging::kPayloadHeadroomBytes};
   std::uint8_t* out = buf.write_span(len).data();
   std::size_t i = 0;
   for (; i < len && ((offset + i) & 7) != 0; ++i) {
@@ -189,7 +189,7 @@ void register_app_serializers(messaging::SerializerRegistry& registry) {
         buf.write_varint(c.transfer_id());
         buf.write_varint(c.offset());
         buf.write_bool(c.last());
-        buf.write_blob(c.bytes());
+        buf.write_blob(c.payload_slice());
       },
       [](const BasicHeader& h, wire::ByteBuf& buf) -> MsgPtr {
         const std::uint64_t id = buf.read_varint();

@@ -25,6 +25,10 @@ inline constexpr std::uint32_t kTelemetryTypeId = 0x22;
 /// adaptive interceptor can resolve Transport::DATA per message. The payload
 /// is a ref-counted slice: cloning the message for a protocol rewrite or
 /// deserialising it from a frame shares the backing slab instead of copying.
+/// Its serialiser writes the envelope in front of a payload made by
+/// make_payload_slice, in the payload's slab, the first time the payload is
+/// serialised; a later serialisation (of a clone, say) copies it, counted
+/// (wire::ByteBuf::write_blob).
 class DataChunkMsg final : public messaging::Msg, public messaging::DataMsg {
  public:
   DataChunkMsg(messaging::DataHeader header, std::uint64_t transfer_id,
@@ -37,9 +41,6 @@ class DataChunkMsg final : public messaging::Msg, public messaging::DataMsg {
 
   const messaging::Header& header() const override { return header_; }
   std::uint32_t type_id() const override { return kDataChunkTypeId; }
-  std::size_t serialized_size_hint() const override {
-    return bytes_.size() + 64;
-  }
 
   messaging::MsgPtr with_protocol(messaging::Transport t) const override {
     return kompics::make_event<DataChunkMsg>(header_.with_protocol(t),
@@ -167,7 +168,9 @@ void register_app_serializers(messaging::SerializerRegistry& registry);
 void register_app_delta_schemas(messaging::SerializerRegistry& registry);
 
 /// Deterministic, effectively incompressible payload generated straight
-/// into a pooled slab (the "initial write" of the zero-copy pipeline). Byte
+/// into a pooled slab (the only write of its bytes in the zero-copy
+/// pipeline), behind messaging::kPayloadHeadroomBytes left free for the
+/// message and frame that will carry it. Byte
 /// p of the transfer is byte p & 7 (little-endian) of the splitmix64 output
 /// for word p >> 3, so it depends only on the global position and any
 /// receiver can verify content without sharing state with the sender. One

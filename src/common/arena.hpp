@@ -5,9 +5,9 @@
 //
 // The classes are the powers of two from 32 B to 1 MiB; a request above
 // 1 MiB bypasses the pool (kUnpooled) and goes straight to operator
-// new/delete. Each thread keeps one freelist per class, capped at 2,048
-// blocks for the classes up to 512 B and at 64 for the larger ones; a block
-// released past its class's cap is freed. A block released on another thread
+// new/delete. Each thread keeps one freelist per class, and all of them
+// together hold at most kCacheBudgetBytes; a block released past the budget
+// is freed. A block released on another thread
 // than it was acquired on simply joins the releasing thread's cache:
 // correctness needs no locks because a block is owned by exactly one thread
 // at acquire/release time (ownership is carried by a reference count: an
@@ -59,12 +59,10 @@ class Arena {
     return std::size_t{32} << cls;
   }
 
-  /// Per-class freelist cap. The small classes are sized so a burst of a few
-  /// thousand in-flight events reaches steady state without touching the
-  /// global allocator; the large ones bound idle cache memory per thread.
-  static constexpr std::uint32_t max_cached(std::uint8_t cls) noexcept {
-    return class_bytes(cls) <= 512 ? 2048 : 64;
-  }
+  /// Bytes one thread's cache may hold, across all classes. A workload's
+  /// whole working set of slabs fits (adaptive_wan peaks at 208 slabs of
+  /// 64 KiB, 13 MiB), and it bounds a thread's idle cache memory.
+  static constexpr std::size_t kCacheBudgetBytes = std::size_t{32} << 20;
 
   static constexpr std::uint8_t class_for(std::size_t n) noexcept {
     if (n > kMaxPooledBytes) return kUnpooled;
@@ -81,13 +79,13 @@ class Arena {
   /// cache holds none (always for kUnpooled).
   static void* take(std::uint8_t cls) noexcept {
     if (cls == kUnpooled) return nullptr;
-    Freelist& fl = t_cache.classes[cls];
-    Node* node = fl.head;
+    Cache& cache = t_cache;
+    Node* node = cache.heads[cls];
     if (node == nullptr) return nullptr;
     KMSG_UNPOISON(reinterpret_cast<char*>(node) + sizeof(Node),
                   class_bytes(cls) - sizeof(Node));
-    fl.head = node->next;
-    --fl.count;
+    cache.heads[cls] = node->next;
+    cache.cached_bytes -= class_bytes(cls);
     return node;
   }
 
@@ -104,36 +102,34 @@ class Arena {
       return;
     }
     Cache& cache = t_cache;
-    Freelist& fl = cache.classes[cls];
-    if (cache.state != kLive || fl.count >= max_cached(cls)) [[unlikely]] {
-      if (!adopt()) {  // class full, or the cache is gone
-        ::operator delete(p, class_bytes(cls));
+    const std::size_t bytes = class_bytes(cls);
+    if (cache.state != kLive ||
+        cache.cached_bytes + bytes > kCacheBudgetBytes) [[unlikely]] {
+      if (!adopt()) {  // budget spent, or the cache is gone
+        ::operator delete(p, bytes);
         return;
       }
     }
     Node* node = static_cast<Node*>(p);
-    node->next = fl.head;
+    node->next = cache.heads[cls];
     // The freelist link lives in the first sizeof(Node) bytes and stays
     // unpoisoned; everything behind it is off limits until re-acquired.
     KMSG_POISON(reinterpret_cast<char*>(p) + sizeof(Node),
-                class_bytes(cls) - sizeof(Node));
-    fl.head = node;
-    ++fl.count;
+                bytes - sizeof(Node));
+    cache.heads[cls] = node;
+    cache.cached_bytes += bytes;
   }
 
  private:
   struct Node {
     Node* next;
   };
-  struct Freelist {
-    Node* head;
-    std::uint32_t count;
-  };
   enum State : std::uint8_t { kFresh, kLive, kDead };
   /// Trivially destructible, so its storage outlives every thread_local
   /// destructor of its thread and `state` stays readable after the drain.
   struct Cache {
-    Freelist classes[kNumClasses];
+    Node* heads[kNumClasses];  ///< one freelist per class
+    std::size_t cached_bytes;  ///< summed class bytes of every cached block
     State state;
   };
   /// Empties the thread's cache at thread exit and marks it dead.
@@ -141,14 +137,12 @@ class Arena {
     ~Drain() {
       t_cache.state = kDead;
       for (std::uint8_t c = 0; c < kNumClasses; ++c) {
-        Freelist& fl = t_cache.classes[c];
-        while (fl.head != nullptr) {
-          Node* n = fl.head;
-          fl.head = n->next;
+        while (Node* n = t_cache.heads[c]) {
+          t_cache.heads[c] = n->next;
           ::operator delete(n, class_bytes(c));
         }
-        fl.count = 0;
       }
+      t_cache.cached_bytes = 0;
     }
   };
 

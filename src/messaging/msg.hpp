@@ -35,8 +35,10 @@ class Msg : public kompics::KompicsEvent {
   virtual std::uint32_t type_id() const = 0;
   /// Upper-bound estimate of the serialised envelope + body size, letting
   /// the serialiser reserve its buffer up front (one slab acquisition, no
-  /// growth copies). The default covers small control messages; bulk
-  /// messages should override with payload size + slack.
+  /// growth copies). The default covers small control messages and bulk
+  /// messages whose payload slice the serialiser adopts
+  /// (wire::ByteBuf::write_blob); other bulk messages should override with
+  /// payload size + slack.
   virtual std::size_t serialized_size_hint() const { return 64; }
 };
 

@@ -34,14 +34,14 @@ constexpr Duration kCoalesceDelay = Duration::micros(500);
 constexpr std::size_t kCoalesceMaxBytes = 8 * 1024;
 
 /// Prepends the length/CRC frame header. Debug builds audit the headroom:
-/// whenever the payload solely owns its slab with room for the header, the
-/// header must land in place — a copy here means some layer's headroom
-/// budget is wrong.
+/// whenever the payload starts at its slab's front mark with room for the
+/// header, the header must land in place — a copy here means some layer's
+/// headroom budget is wrong.
 wire::BufSlice frame(wire::BufSlice payload, bool coalesced = false) {
 #ifndef NDEBUG
   const std::uint8_t* payload_before = payload.data();
   const bool must_prepend_in_place =
-      payload.unique() && payload.headroom() >= wire::kFrameHeaderBytes;
+      payload.headroom() >= wire::kFrameHeaderBytes;
 #endif
   wire::BufSlice bytes =
       wire::encode_frame_slice(std::move(payload), coalesced);
@@ -540,9 +540,10 @@ wire::BufSlice NetworkComponent::encode_submsg(DeltaEncoder* delta,
   if (delta != nullptr) {
     // Pass a shared copy and keep m.serialized: if this connection dies
     // before the frame completes, the reconnect path re-encodes the message
-    // against the replacement connection's fresh encoder state. Keyframes
-    // pay one small counted copy for the tag prepend (the slice is shared);
-    // diffs build fresh buffers anyway.
+    // against the replacement connection's fresh encoder state. The first
+    // keyframe claims the headroom for its tag; a re-encoded one pays one
+    // small counted copy (the bytes below m.serialized are claimed); diffs
+    // build fresh buffers anyway.
     const std::uint64_t deltas0 = delta->deltas_sent();
     const std::uint64_t keys0 = delta->keyframes_sent();
     const std::uint64_t saved0 = delta->bytes_saved();

@@ -17,6 +17,12 @@ namespace {
 /// (caught by the debug assert in NetworkComponent's frame()).
 constexpr std::size_t kEnvelopeHeadroom =
     wire::kCodecHeadroomBytes + wire::kFrameHeaderBytes;
+/// The longest envelope: the type id's varint, two addresses (host, port,
+/// vnode varint) and the protocol byte. The rest of kPayloadHeadroomBytes
+/// (74 bytes) is for the body fields before the payload.
+constexpr std::size_t kMaxEnvelopeBytes = 5 + 2 * (4 + 2 + 10) + 1;
+static_assert(kEnvelopeHeadroom + kMaxEnvelopeBytes < kPayloadHeadroomBytes,
+              "payload headroom cannot hold the envelope");
 }  // namespace
 
 const SerializerRegistry::Entry* SerializerRegistry::find(

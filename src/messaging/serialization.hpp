@@ -10,8 +10,11 @@
 // registration happens at startup, lookup on every message — and serialize()
 // reserves the envelope buffer up front (Msg::serialized_size_hint) with
 // headroom so the codec and framing layers can prepend in place. The
-// serialised message travels as a ref-counted wire::BufSlice: payload bytes
-// are written once here and read in place by every later layer.
+// serialised message travels as a ref-counted wire::BufSlice and is read in
+// place by every later layer. A bulk payload is written once, by its
+// producer: a producer that leaves kPayloadHeadroomBytes free in front of
+// its payload slice lets the serialiser write the envelope there
+// (wire::ByteBuf::write_blob) instead of copying the payload.
 #pragma once
 
 #include <cstdint>
@@ -60,6 +63,13 @@ struct DeltaSchema {
 };
 
 inline constexpr std::size_t kDeltaSchemaMaxFields = 63;
+
+/// Spare bytes a producer leaves in front of a payload slice that a
+/// serialiser hands to wire::ByteBuf::write_blob as its message's last
+/// field: room for the envelope, the body fields before the payload, the
+/// codec tags and the frame header, so the whole frame is written in front
+/// of the payload, in the producer's slab.
+inline constexpr std::size_t kPayloadHeadroomBytes = 128;
 
 class SerializerRegistry {
  public:

@@ -70,8 +70,8 @@ class StreamConnection : public std::enable_shared_from_this<StreamConnection> {
   /// keeps a view of the accepted prefix until the peer acknowledges it, and
   /// segments are sub-slices of it: no copy. The bytes must not change until
   /// then. They do not, since no writer touches bytes a live slice views
-  /// (wire/buffer.hpp): BufSlice::try_prepend, for one, writes only into a
-  /// slab its caller solely owns.
+  /// (wire/buffer.hpp): BufSlice::try_prepend, for one, writes only bytes
+  /// it claimed below its slab's front mark, which no slice has viewed.
   std::size_t write(wire::BufSlice data);
   /// As above for bytes the caller keeps: the accepted prefix is copied into
   /// one pooled slab (a counted payload copy).

@@ -1,6 +1,7 @@
 #include "wire/buffer.hpp"
 
 #include <new>
+#include <stdexcept>
 
 namespace kmsg::wire {
 
@@ -15,6 +16,9 @@ SlabPool& SlabPool::instance() {
 }
 
 Slab* SlabPool::acquire(std::size_t min_capacity) {
+  if (min_capacity > Slab::kMaxCapacity) {
+    throw std::length_error("SlabPool: slab larger than 4 GiB");
+  }
   const std::size_t need = sizeof(Slab) + min_capacity;
   const std::uint8_t cls = Arena::class_for(need);
   const std::size_t block_bytes = Arena::block_bytes(need, cls);
@@ -25,7 +29,9 @@ Slab* SlabPool::acquire(std::size_t min_capacity) {
     slabs_created_.fetch_add(1, std::memory_order_relaxed);
     block = ::operator new(block_bytes);
   }
-  return ::new (block) Slab{{1}, cls, block_bytes - sizeof(Slab)};
+  return ::new (block)
+      Slab{{1}, {0}, static_cast<std::uint32_t>(block_bytes - sizeof(Slab)),
+           cls};
 }
 
 SlabPoolStats SlabPool::stats() const {
@@ -69,6 +75,8 @@ BufSlice BufSlice::copy_of(std::span<const std::uint8_t> bytes,
     std::memcpy(slab->bytes() + headroom, bytes.data(), bytes.size());
     pool.count_payload_copy(bytes.size());
   }
+  slab->front.store(static_cast<std::uint32_t>(headroom),
+                    std::memory_order_relaxed);
   return BufSlice{slab, slab->bytes() + headroom, bytes.size(),
                   /*add_ref=*/false};
 }
@@ -85,12 +93,21 @@ BufSlice BufSlice::to_owned() const {
   return copy_of(span());
 }
 
+std::size_t BufSlice::headroom() const {
+  if (!slab_) return 0;
+  const auto at = static_cast<std::size_t>(data_ - slab_->bytes());
+  return slab_->front.load(std::memory_order_relaxed) == at ? at : 0;
+}
+
 std::uint8_t* BufSlice::try_prepend(std::size_t n) {
-  if (!slab_ || !unique() || headroom() < n) return nullptr;
+  if (!slab_ || !slab_->claim(
+                    static_cast<std::size_t>(data_ - slab_->bytes()), n)) {
+    return nullptr;
+  }
   data_ -= n;
   len_ += n;
-  // Safe despite the const view type: we solely own the slab and the bytes
-  // being exposed were never part of any slice.
+  // Safe despite the const view type: the claim gave us bytes no slice has
+  // viewed, and no other writer can claim them.
   return const_cast<std::uint8_t*>(data_);
 }
 

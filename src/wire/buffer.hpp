@@ -18,16 +18,22 @@
 //  - a *borrowed* slice (made from a raw span) owns nothing; producers of
 //    borrowed slices must keep the backing bytes alive themselves, and any
 //    layer that needs to retain one must promote it with BufSlice::copy_of;
-//  - bytes a live slice views are never written: only a slab's sole owner
-//    writes it (a writing ByteBuf, try_prepend, the frame decoder's slide),
-//    except that the decoder appends past the frames it has emitted. A
-//    retained view therefore reads fixed bytes, which the stream transports
-//    rely on: they keep written frames as views until acknowledged.
+//  - bytes a live slice views are never written. A slab's sole owner writes
+//    it (a writing ByteBuf, the frame decoder's slide), the decoder appends
+//    past the frames it has emitted, and anyone else writes only bytes it
+//    has claimed below the slab's front mark: the lowest byte any slice of
+//    the slab has viewed. A claim moves the mark down with one
+//    compare-and-swap, so each never-viewed byte is written by at most one
+//    claimer, before anyone views it (BufSlice::try_prepend,
+//    ByteBuf::write_blob). A retained view therefore reads fixed bytes,
+//    which the stream transports rely on: they keep written frames as views
+//    until acknowledged.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <span>
 
 #include "common/arena.hpp"
@@ -37,15 +43,38 @@ namespace kmsg::wire {
 /// One arena block: this header, immediately followed by `capacity` payload
 /// bytes.
 struct Slab {
+  /// Largest capacity a slab can have: offsets into it fit 32 bits.
+  static constexpr std::size_t kMaxCapacity =
+      std::numeric_limits<std::uint32_t>::max();
+
   std::atomic<std::uint32_t> refs;
+  /// The front mark: the offset of the lowest byte any slice of this slab
+  /// has viewed. The bytes below it were never viewed, and claim() hands
+  /// them to one writer. A fresh slab starts at 0: nothing is claimable
+  /// until take_slice or copy_of sets the mark at the first slice's start.
+  std::atomic<std::uint32_t> front;
+  std::uint32_t capacity;
   std::uint8_t arena_class;  ///< the block's Arena class (or Arena::kUnpooled)
-  std::size_t capacity;
 
   std::uint8_t* bytes() noexcept {
     return reinterpret_cast<std::uint8_t*>(this + 1);
   }
   const std::uint8_t* bytes() const noexcept {
     return reinterpret_cast<const std::uint8_t*>(this + 1);
+  }
+
+  /// Claims the `n` bytes just below offset `at` for the caller to write,
+  /// moving the front mark from `at` down to `at - n`. Fails when the mark
+  /// is not at `at` (some slice views bytes below it, or another writer
+  /// claimed them first) or `n > at`. Relaxed: the mark only decides which
+  /// writer owns the bytes, and they reach their readers with the slice
+  /// that views them.
+  bool claim(std::size_t at, std::size_t n) noexcept {
+    if (n > at) return false;
+    auto expected = static_cast<std::uint32_t>(at);
+    return front.compare_exchange_strong(expected,
+                                         static_cast<std::uint32_t>(at - n),
+                                         std::memory_order_relaxed);
   }
 
   /// Drops one reference; the last one returns the block to the arena.
@@ -82,7 +111,8 @@ struct SlabPoolStats {
 /// thread's cache and the counters are relaxed atomics.
 class SlabPool {
  public:
-  /// Returns a slab with capacity >= min_capacity and refcount 1.
+  /// Returns a slab with capacity >= min_capacity, refcount 1 and its front
+  /// mark at 0. Throws std::length_error above Slab::kMaxCapacity.
   Slab* acquire(std::size_t min_capacity);
 
   SlabPoolStats stats() const;
@@ -134,7 +164,8 @@ class BufSlice {
   }
 
   /// Owning copy of arbitrary bytes (one counted payload copy), with
-  /// `headroom` spare bytes preceding the data for later in-place prepends.
+  /// `headroom` spare bytes preceding the data for later in-place prepends
+  /// (the slab's front mark is set at the data).
   static BufSlice copy_of(std::span<const std::uint8_t> bytes,
                           std::size_t headroom = 0);
 
@@ -166,15 +197,17 @@ class BufSlice {
   }
   /// Sole owner of the backing slab?
   bool unique() const { return ref_count() == 1; }
-  /// Spare slab bytes preceding data() (usable by try_prepend when unique).
-  std::size_t headroom() const {
-    return slab_ ? static_cast<std::size_t>(data_ - slab_->bytes()) : 0;
-  }
+  /// Spare bytes before data() that try_prepend may claim: all the slab
+  /// bytes before the slice when it starts at its slab's front mark, else 0.
+  std::size_t headroom() const;
 
-  /// Zero-copy prepend: when this slice solely owns its slab and `n` spare
-  /// bytes precede it, extends the view backwards by `n` and returns a
-  /// writable pointer to the new prefix. Returns nullptr (slice unchanged)
-  /// otherwise — the caller must then fall back to a copying prepend.
+  /// Zero-copy prepend: claims the `n` bytes before data() (Slab::claim),
+  /// which succeeds when the slice starts at its slab's front mark with at
+  /// least `n` bytes before it, extends the view backwards by `n` and
+  /// returns a writable pointer to the new prefix. Copies of the slice may
+  /// be held elsewhere: of several claims on the same bytes one wins. Returns
+  /// nullptr (slice unchanged) otherwise — the caller must then fall back to
+  /// a copying prepend.
   std::uint8_t* try_prepend(std::size_t n);
 
  private:

@@ -7,11 +7,25 @@ namespace kmsg::wire {
 
 namespace {
 constexpr std::size_t kDefaultInitialCapacity = 64;
+/// At most 10 bytes for a 64-bit LEB128.
+constexpr std::size_t kMaxVarintBytes = 10;
+
+/// Encodes `v` as an unsigned LEB128 at `out`; returns its length.
+std::size_t put_varint(std::uint64_t v, std::uint8_t* out) {
+  std::size_t n = 0;
+  while (v >= 0x80) {
+    out[n++] = static_cast<std::uint8_t>(v) | 0x80;
+    v >>= 7;
+  }
+  out[n++] = static_cast<std::uint8_t>(v);
+  return n;
+}
 }  // namespace
 
 ByteBuf::ByteBuf(std::size_t reserve_bytes, std::size_t headroom)
     : headroom_(headroom) {
   wslab_ = SlabPool::instance().acquire(headroom_ + reserve_bytes);
+  wlimit_ = wslab_->capacity;
 }
 
 ByteBuf ByteBuf::wrap(BufSlice bytes) {
@@ -42,7 +56,7 @@ std::uint8_t* ByteBuf::write_ptr(std::size_t n) {
 
 void ByteBuf::ensure(std::size_t extra) {
   const std::size_t needed = headroom_ + wsize_ + extra;
-  if (wslab_ && needed <= wslab_->capacity) return;
+  if (wslab_ && needed <= wlimit_) return;
   SlabPool& pool = SlabPool::instance();
   std::size_t grow = kDefaultInitialCapacity;
   if (wslab_) grow = wslab_->capacity * 2;
@@ -56,6 +70,7 @@ void ByteBuf::ensure(std::size_t extra) {
     release_write_slab();
   }
   wslab_ = bigger;
+  wlimit_ = bigger->capacity;
 }
 
 void ByteBuf::write_u16(std::uint16_t v) {
@@ -85,14 +100,8 @@ void ByteBuf::write_f64(double v) {
 }
 
 void ByteBuf::write_varint(std::uint64_t v) {
-  // At most 10 bytes for a 64-bit LEB128.
-  std::uint8_t tmp[10];
-  std::size_t n = 0;
-  while (v >= 0x80) {
-    tmp[n++] = static_cast<std::uint8_t>(v) | 0x80;
-    v >>= 7;
-  }
-  tmp[n++] = static_cast<std::uint8_t>(v);
+  std::uint8_t tmp[kMaxVarintBytes];
+  const std::size_t n = put_varint(v, tmp);
   std::memcpy(write_ptr(n), tmp, n);
 }
 
@@ -104,6 +113,31 @@ void ByteBuf::write_bytes(std::span<const std::uint8_t> bytes) {
 void ByteBuf::write_blob(std::span<const std::uint8_t> bytes) {
   write_varint(bytes.size());
   write_bytes(bytes);
+}
+
+void ByteBuf::write_blob(const BufSlice& blob) {
+  Slab* slab = blob.slab_;
+  if (!view_active_ && slab != nullptr) {
+    std::uint8_t len[kMaxVarintBytes];
+    const std::size_t len_bytes = put_varint(blob.size(), len);
+    const auto at = static_cast<std::size_t>(blob.data_ - slab->bytes());
+    const std::size_t prefix = wsize_ + len_bytes;
+    // The claim leaves this buffer's headroom free below the prefix.
+    if (at >= headroom_ + prefix && slab->claim(at, prefix)) {
+      std::uint8_t* dst = slab->bytes() + (at - prefix);
+      if (wsize_ != 0) std::memcpy(dst, wslab_->bytes() + headroom_, wsize_);
+      std::memcpy(dst + wsize_, len, len_bytes);
+      slab->refs.fetch_add(1, std::memory_order_relaxed);
+      release_write_slab();
+      wslab_ = slab;
+      headroom_ = at - prefix;
+      wsize_ = prefix + blob.size();
+      wlimit_ = at + blob.size();
+      return;
+    }
+  }
+  write_blob(blob.span());
+  if (!blob.empty()) SlabPool::instance().count_payload_copy(blob.size());
 }
 
 void ByteBuf::write_string(std::string_view s) {
@@ -212,10 +246,16 @@ BufSlice ByteBuf::take_slice() && {
     return out;
   }
   if (!wslab_) return {};
+  // The slice's first byte is the lowest any slice of this slab views: a
+  // slab this buffer wrote alone had no slice yet, and an adopted blob's
+  // claim already moved the mark here.
+  wslab_->front.store(static_cast<std::uint32_t>(headroom_),
+                      std::memory_order_relaxed);
   // Transfer our slab reference into the slice (add_ref = false).
   BufSlice out{wslab_, wslab_->bytes() + headroom_, wsize_, /*add_ref=*/false};
   wslab_ = nullptr;
   wsize_ = 0;
+  wlimit_ = 0;
   headroom_ = 0;
   read_index_ = 0;
   return out;

@@ -7,7 +7,9 @@
 // Storage is the pooled slab/slice model from wire/buffer.hpp:
 //  - a *writing* ByteBuf owns a pool slab (optionally with headroom reserved
 //    for a later in-place frame header) and hands the written bytes off as a
-//    ref-counted BufSlice via take_slice() — no copy;
+//    ref-counted BufSlice via take_slice() — no copy. write_blob(BufSlice)
+//    may instead continue in the blob's slab, writing in front of the blob;
+//    the buffer then shares that slab with the blob's other slices;
 //  - a *wrapping* ByteBuf is a read-only view: wrap(BufSlice) shares
 //    ownership of the backing slab (zero-copy), wrap(span) merely borrows
 //    and the caller must keep the bytes alive while reading.
@@ -66,6 +68,15 @@ class ByteBuf {
   std::span<std::uint8_t> write_span(std::size_t n) { return {write_ptr(n), n}; }
   /// varint length + raw bytes.
   void write_blob(std::span<const std::uint8_t> bytes);
+  /// varint length + the blob's bytes, written in front of the blob rather
+  /// than copying it when its slab allows: when the blob starts at its
+  /// slab's front mark with room below for this buffer's headroom, the
+  /// bytes written so far and the length, those bytes are claimed
+  /// (Slab::claim) and copied there, and the buffer continues in the blob's
+  /// slab, ending with the blob. Otherwise the blob is copied, and the copy
+  /// counted in SlabPoolStats::payload_bytes_copied. A write after an
+  /// adopted blob moves the buffer to a slab of its own.
+  void write_blob(const BufSlice& blob);
   void write_string(std::string_view s);
 
   // --- Reading (consumes from the read index) ---
@@ -99,9 +110,10 @@ class ByteBuf {
 
   /// Relinquishes the written (or wrapped) bytes as a ref-counted slice —
   /// the zero-copy handoff used by the serialisation and framing layers. A
-  /// writing buffer transfers its slab reference; the buffer resets to
-  /// empty. The slice of a writing buffer retains its headroom for in-place
-  /// prepends (BufSlice::try_prepend).
+  /// writing buffer transfers its slab reference and sets the slab's front
+  /// mark at the slice; the buffer resets to empty. The slice of a writing
+  /// buffer retains its headroom for in-place prepends
+  /// (BufSlice::try_prepend).
   BufSlice take_slice() &&;
 
  private:
@@ -123,19 +135,24 @@ class ByteBuf {
   void move_from(ByteBuf& other) noexcept {
     wslab_ = other.wslab_;
     wsize_ = other.wsize_;
+    wlimit_ = other.wlimit_;
     headroom_ = other.headroom_;
     view_ = std::move(other.view_);
     view_active_ = other.view_active_;
     read_index_ = other.read_index_;
     other.wslab_ = nullptr;
     other.wsize_ = 0;
+    other.wlimit_ = 0;
     other.headroom_ = 0;
     other.view_active_ = false;
     other.read_index_ = 0;
   }
 
-  Slab* wslab_ = nullptr;     // writing mode: sole reference held here
+  Slab* wslab_ = nullptr;     // writing mode: this buffer's reference
   std::size_t wsize_ = 0;     // payload bytes written (after headroom)
+  // End of the slab bytes this buffer may write: the slab's capacity, or
+  // the end of an adopted blob, past which other slices may view bytes.
+  std::size_t wlimit_ = 0;
   std::size_t headroom_ = 0;  // spare prefix bytes in the write slab
   BufSlice view_;             // wrapping mode storage
   bool view_active_ = false;

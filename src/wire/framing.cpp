@@ -325,8 +325,8 @@ BufSlice encode_frame_slice(BufSlice payload, bool coalesced) {
   const std::uint32_t crc = frame_crc(payload.span(), coalesced);
   std::uint8_t* hdr = payload.try_prepend(kFrameHeaderBytes);
   if (!hdr) {
-    // Shared or headroom-less slice: one counted copy into a fresh slab
-    // that does have the room.
+    // The bytes in front are viewed, claimed or missing: one counted copy
+    // into a fresh slab that does have the room.
     payload = BufSlice::copy_of(payload.span(), kFrameHeaderBytes);
     hdr = payload.try_prepend(kFrameHeaderBytes);
   }

@@ -22,9 +22,9 @@
 // down and re-establishing the session (which the messaging layer does).
 //
 // Zero-copy model: encode_frame_slice writes the 8-byte header into the
-// payload slice's headroom in place when it solely owns its slab (the
-// serialiser reserves that headroom), so encoding a frame moves no payload
-// bytes. feed(BufSlice) parses frames straight out of the slab it is fed and
+// payload slice's headroom in place when it can claim those bytes, i.e.
+// the slice starts at its slab's front mark (the serialiser reserves that
+// headroom), so encoding a frame moves no payload bytes. feed(BufSlice) parses frames straight out of the slab it is fed and
 // emits each as a BufSlice *view* of it; the unparsed bytes stay a view of
 // that slab too, which widens while the next chunk continues it in the same
 // slab. A stream transport hands the decoder views of the sender's written
@@ -83,8 +83,9 @@ unsigned crc32_fold_width();
 std::vector<std::uint8_t> encode_frame(std::span<const std::uint8_t> payload);
 
 /// Zero-copy framing: prepends the header in place via the slice's headroom
-/// when possible (sole owner, >= kFrameHeaderBytes spare); otherwise falls
-/// back to one counted copy into a fresh slab. The returned slice covers
+/// when possible (BufSlice::try_prepend claims the kFrameHeaderBytes in
+/// front of it); otherwise falls back to one counted copy into a fresh
+/// slab. The returned slice covers
 /// header + payload. `coalesced` marks a payload built by
 /// encode_wire_coalesced.
 BufSlice encode_frame_slice(BufSlice payload, bool coalesced = false);

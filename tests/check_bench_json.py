@@ -23,6 +23,9 @@ REQUIRED_BENCHMARKS = [
     # views the stream transports deliver.
     "BM_FrameDecodeSegments",
     "BM_MessageSerializeRoundTrip",
+    # The bulk send path: a fresh 65 kB chunk generated, serialised and
+    # framed in the one slab the generator wrote.
+    "BM_ChunkSerializeFrame",
     "BM_SimulatorEventThroughput",
     "BM_ShardedSimThroughput/1",
     "BM_ShardedSimThroughput/2",
@@ -57,6 +60,7 @@ REQUIRED_COUNTERS = ["allocs_per_op", "alloc_bytes_per_op"]
 # Per-benchmark counters beyond the allocation pair.
 EXTRA_COUNTERS = {
     "BM_FrameDecodeSegments": ["decoder_copied_per_op"],
+    "BM_ChunkSerializeFrame": ["payload_copied_per_op"],
     "BM_SmallMsgWireBaseline": ["bytes_per_msg"],
     "BM_SmallMsgWireDelta": ["bytes_per_msg"],
     "BM_SmallMsgWireCoalesce": ["bytes_per_msg"],
@@ -70,6 +74,10 @@ WIRE_REDUCTION_FLOOR_PCT = 40.0
 # it copies on that path fails the check. Deterministic, so hard in every
 # build type.
 SEGMENT_DECODE_MAX_COPIED = 0.0
+# The serialiser writes a fresh chunk's envelope in front of its payload:
+# any payload byte it copies fails the check. Deterministic, so hard in
+# every build type.
+CHUNK_SERIALIZE_MAX_COPIED = 0.0
 
 # Build types with full optimization; anything else is refused.
 OPTIMIZED_BUILD_TYPES = {"Release", "RelWithDebInfo", "MinSizeRel"}
@@ -162,6 +170,14 @@ def main():
             f"{SEGMENT_DECODE_MAX_COPIED:.0f}"
         )
     print(f"ok: segment views decoded with {segment_copied:.0f} bytes copied")
+    chunk_copied = benches["BM_ChunkSerializeFrame"]["payload_copied_per_op"]
+    if chunk_copied > CHUNK_SERIALIZE_MAX_COPIED:
+        fail(
+            f"BM_ChunkSerializeFrame: serialising and framing a fresh chunk "
+            f"copied {chunk_copied:.1f} payload bytes per op, limit "
+            f"{CHUNK_SERIALIZE_MAX_COPIED:.0f}"
+        )
+    print(f"ok: fresh chunks serialised with {chunk_copied:.0f} bytes copied")
     print(
         f"ok: {len(REQUIRED_BENCHMARKS)} benchmarks validated "
         f"(build type: {build_type})"

@@ -7,6 +7,11 @@
 //  - a block released after its thread's cache is gone (by a thread_local
 //    destructor that runs later) is freed, never pushed onto the dead cache
 //    (under LeakSanitizer such a block would be reported as leaked);
+//  - a thread caches up to Arena::kCacheBudgetBytes across all classes: a
+//    working set of 208 slabs of 64 KiB comes back whole, and a block
+//    released past the budget is freed;
+//  - two threads claiming the same bytes in front of one slice: one writes
+//    them in place, the other copies (under TSan, without a race);
 //  - SmallFn's oversize closures recycle arena blocks: a warm
 //    make/invoke/destroy loop allocates nothing.
 //
@@ -14,15 +19,18 @@
 // watches for one chosen block being freed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <latch>
 #include <new>
 #include <thread>
 #include <vector>
 
 #include "common/small_fn.hpp"
 #include "wire/buffer.hpp"
+#include "wire/framing.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
@@ -62,10 +70,9 @@ void watch(const void* p) {
   g_watch.store(p, std::memory_order_relaxed);
 }
 
-/// The block behind an owning slice: the slab header precedes its bytes.
-const void* block_of(const BufSlice& s) {
-  return s.data() - s.headroom() - sizeof(Slab);
-}
+/// The block behind a slice from filled_slice: the slab header precedes
+/// the slice's first byte.
+const void* block_of(const BufSlice& s) { return s.data() - sizeof(Slab); }
 
 BufSlice filled_slice(std::size_t n) {
   const std::vector<std::uint8_t> bytes(n, 0x5a);
@@ -148,6 +155,109 @@ TEST(SlabCountersTest, ReleaseAfterTheThreadsCacheIsGoneFreesTheBlock) {
   EXPECT_EQ(g_late_created.load(), 1u);
   EXPECT_EQ(g_late_recycled.load(), 0u);
   watch(nullptr);
+}
+
+// --- The per-thread byte budget ---
+
+TEST(ArenaBudgetTest, AWorkingSetOf208SlabsComesBackWhole) {
+  // adaptive_wan's peak: 208 live 65,000-byte slabs, 13 MiB of the 64 KiB
+  // class, all released and then needed again.
+  std::thread([] {
+    constexpr std::size_t kSlabs = 208;
+    SlabPool& pool = SlabPool::instance();
+    std::vector<Slab*> held;
+    held.reserve(kSlabs);
+    for (std::size_t i = 0; i < kSlabs; ++i) {
+      held.push_back(pool.acquire(65'000));
+    }
+    for (Slab* slab : held) slab->unref();
+    held.clear();
+    const auto s0 = pool.stats();
+    for (std::size_t i = 0; i < kSlabs; ++i) {
+      held.push_back(pool.acquire(65'000));
+    }
+    const auto s1 = pool.stats();
+    EXPECT_EQ(s1.slabs_created - s0.slabs_created, 0u);
+    EXPECT_EQ(s1.slabs_recycled - s0.slabs_recycled, kSlabs);
+    for (Slab* slab : held) slab->unref();
+  }).join();
+}
+
+TEST(ArenaBudgetTest, BlocksReleasedPastTheBudgetAreFreed) {
+  // One budget across the classes: 31 blocks of 1 MiB and 16 of 64 KiB fill
+  // it, and the next 64 KiB block is freed.
+  std::thread([] {
+    constexpr std::size_t kBig = Arena::kMaxPooledBytes;
+    constexpr std::size_t kSmall = std::size_t{64} << 10;
+    constexpr std::size_t kBigBlocks = Arena::kCacheBudgetBytes / kBig - 1;
+    constexpr std::size_t kSmallBlocks = kBig / kSmall;
+    constexpr std::uint8_t kBigClass = Arena::class_for(kBig);
+    constexpr std::uint8_t kSmallClass = Arena::class_for(kSmall);
+    std::vector<void*> big;
+    std::vector<void*> small;
+    for (std::size_t i = 0; i < kBigBlocks; ++i) {
+      big.push_back(Arena::acquire(kBig, kBigClass));
+    }
+    for (std::size_t i = 0; i <= kSmallBlocks; ++i) {
+      small.push_back(Arena::acquire(kSmall, kSmallClass));
+    }
+    for (void* p : big) Arena::release(p, kBigClass);
+    for (std::size_t i = 0; i < kSmallBlocks; ++i) {
+      Arena::release(small[i], kSmallClass);
+    }
+    watch(small.back());
+    Arena::release(small.back(), kSmallClass);
+    EXPECT_TRUE(g_watch_freed.load()) << "cached past the budget";
+    watch(nullptr);
+    // Everything within the budget is served from the cache.
+    std::size_t cached_big = 0;
+    std::size_t cached_small = 0;
+    for (std::size_t i = 0; i < kBigBlocks; ++i) {
+      if ((big[i] = Arena::take(kBigClass)) != nullptr) ++cached_big;
+    }
+    for (std::size_t i = 0; i <= kSmallBlocks; ++i) {
+      if ((small[i] = Arena::take(kSmallClass)) != nullptr) ++cached_small;
+    }
+    EXPECT_EQ(cached_big, kBigBlocks);
+    EXPECT_EQ(cached_small, kSmallBlocks);
+    for (void* p : big) Arena::release(p, kBigClass);
+    for (void* p : small) {
+      if (p != nullptr) Arena::release(p, kSmallClass);
+    }
+  }).join();
+}
+
+// --- Claims on the bytes in front of a slice ---
+
+TEST(FrontMarkRaceTest, TwoThreadsClaimTheSameHeadroomOneWins) {
+  constexpr int kRounds = 200;
+  const std::vector<std::uint8_t> bytes(4000, 0x5a);
+  for (int round = 0; round < kRounds; ++round) {
+    const BufSlice payload =
+        BufSlice::copy_of(bytes, wire::kFrameHeaderBytes);
+    // Each thread frames its own reference to the payload.
+    BufSlice framed[2] = {payload, payload};
+    std::latch start{2};
+    std::thread other([&] {
+      start.arrive_and_wait();
+      framed[1] = wire::encode_frame_slice(std::move(framed[1]));
+    });
+    start.arrive_and_wait();
+    framed[0] = wire::encode_frame_slice(std::move(framed[0]));
+    other.join();
+    int in_place = 0;
+    for (const BufSlice& f : framed) {
+      ASSERT_EQ(f.size(), wire::kFrameHeaderBytes + bytes.size());
+      if (f.data() + wire::kFrameHeaderBytes == payload.data()) ++in_place;
+      std::vector<BufSlice> got;
+      wire::FrameDecoder dec;
+      dec.set_on_frame([&got](BufSlice m) { got.push_back(std::move(m)); });
+      ASSERT_TRUE(dec.feed(f));
+      ASSERT_EQ(got.size(), 1u);
+      EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), got[0].data()));
+    }
+    EXPECT_EQ(in_place, 1) << "round " << round;
+  }
 }
 
 // --- SmallFn's oversize closures ---

@@ -122,6 +122,141 @@ TEST(ByteBufTest, WrapIsAView) {
   EXPECT_EQ(buf.full_span().data(), raw.data());
 }
 
+// --- The front mark: who may write in front of a slice ---
+
+std::uint64_t payload_copied() {
+  return SlabPool::instance().stats().payload_bytes_copied;
+}
+
+TEST(FrontMarkTest, FreshCopiedAndTakenSlabsSetTheMark) {
+  // A fresh slab's mark is 0: nothing below any slice is claimable yet.
+  Slab* fresh = SlabPool::instance().acquire(100);
+  EXPECT_EQ(fresh->front.load(), 0u);
+  fresh->unref();
+  // copy_of and take_slice set the mark at the slice's first byte.
+  const std::vector<std::uint8_t> bytes(40, 7);
+  EXPECT_EQ(owned(bytes, 24).headroom(), 24u);
+  ByteBuf buf{bytes.size(), 12};
+  buf.write_bytes(bytes);
+  EXPECT_EQ(std::move(buf).take_slice().headroom(), 12u);
+  // No headroom: the slice is at the front with nothing below it.
+  BufSlice bare = owned(bytes, 0);
+  EXPECT_EQ(bare.headroom(), 0u);
+  EXPECT_EQ(bare.try_prepend(1), nullptr);
+}
+
+TEST(FrontMarkTest, SharedSliceAtTheFrontPrependsInPlaceOnce) {
+  const std::vector<std::uint8_t> bytes(40, 7);
+  BufSlice first = owned(bytes, 16);
+  BufSlice second = first;  // shared: both start at the front
+  const std::uint8_t* const data = first.data();
+  std::uint8_t* p = first.try_prepend(4);
+  ASSERT_EQ(p, data - 4);
+  std::memset(p, 0xAB, 4);
+  EXPECT_EQ(first.size(), 44u);
+  EXPECT_EQ(first.headroom(), 12u);
+  // The same bytes claimed again: refused, and the slice is unchanged.
+  EXPECT_EQ(second.headroom(), 0u);
+  EXPECT_EQ(second.try_prepend(4), nullptr);
+  EXPECT_EQ(second.data(), data);
+  EXPECT_EQ(second.size(), 40u);
+  // Framing it falls back to one counted copy into a slab of its own.
+  const std::uint64_t copied0 = payload_copied();
+  const BufSlice framed = encode_frame_slice(second);
+  EXPECT_EQ(payload_copied() - copied0, bytes.size());
+  EXPECT_NE(framed.data() + kFrameHeaderBytes, data);
+  EXPECT_EQ(to_vec(framed.slice(kFrameHeaderBytes, bytes.size())), bytes);
+  // The winner's prefix is intact, and it may claim further down.
+  EXPECT_EQ(to_vec(first.slice(0, 4)),
+            (std::vector<std::uint8_t>{0xAB, 0xAB, 0xAB, 0xAB}));
+  EXPECT_NE(first.try_prepend(12), nullptr);
+  EXPECT_EQ(first.try_prepend(1), nullptr);  // the slab's first byte
+}
+
+TEST(FrontMarkTest, SliceNotAtTheFrontNeverPrepends) {
+  const std::vector<std::uint8_t> bytes(40, 7);
+  BufSlice whole = owned(bytes, 16);
+  BufSlice tail = whole.slice(8, 32);
+  const std::uint8_t* const data = tail.data();
+  EXPECT_EQ(tail.headroom(), 0u);
+  EXPECT_EQ(tail.try_prepend(8), nullptr);  // bytes `whole` views
+  EXPECT_EQ(tail.try_prepend(1), nullptr);
+  // Not even once it is the slab's sole owner.
+  whole = BufSlice{};
+  ASSERT_TRUE(tail.unique());
+  EXPECT_EQ(tail.try_prepend(8), nullptr);
+  EXPECT_EQ(tail.data(), data);
+  EXPECT_EQ(tail.size(), 32u);
+}
+
+TEST(FrontMarkTest, WriteBlobWritesInFrontOfAPayloadWithRoom) {
+  const std::vector<std::uint8_t> bytes(1000, 0x5A);
+  const BufSlice payload = owned(bytes, 64);
+  const std::uint64_t copied0 = payload_copied();
+  ByteBuf buf{16, kFrameHeaderBytes};
+  buf.write_u32(0xCAFEBABE);
+  buf.write_blob(payload);
+  BufSlice msg = std::move(buf).take_slice();
+  EXPECT_EQ(payload_copied(), copied0);
+  // u32 + a 2-byte length, then the payload where it was written.
+  ASSERT_EQ(msg.size(), 4u + 2u + bytes.size());
+  EXPECT_EQ(msg.data() + 6, payload.data());
+  EXPECT_EQ(msg.headroom(), 64u - 6u);
+  auto rd = ByteBuf::wrap(msg);
+  EXPECT_EQ(rd.read_u32(), 0xCAFEBABEu);
+  const BufSlice blob = rd.read_blob_slice();
+  EXPECT_EQ(blob.data(), payload.data());
+  EXPECT_EQ(to_vec(blob), bytes);
+  // The frame header goes in front of the message, in the same slab.
+  const BufSlice framed = encode_frame_slice(msg);
+  EXPECT_EQ(framed.data() + kFrameHeaderBytes, msg.data());
+  EXPECT_EQ(payload_copied(), copied0);
+}
+
+TEST(FrontMarkTest, WriteBlobCopiesWhenItCannotClaim) {
+  const std::vector<std::uint8_t> bytes(1000, 0x5A);
+  const BufSlice payload = owned(bytes, 64);
+  ByteBuf first;
+  first.write_u8(1);
+  first.write_blob(payload);  // claims the bytes in front of the payload
+  const BufSlice kept = std::move(first).take_slice();
+  // Claimed already, too little room, and not at the front: each is a copy,
+  // and counted.
+  const BufSlice cramped = owned(bytes, 2);
+  const BufSlice inner = owned(bytes, 64).slice(10, 900);
+  for (const BufSlice* blob : {&payload, &cramped, &inner}) {
+    const std::uint64_t copied0 = payload_copied();
+    ByteBuf buf;
+    buf.write_u8(2);
+    buf.write_blob(*blob);
+    const BufSlice msg = std::move(buf).take_slice();
+    EXPECT_EQ(payload_copied() - copied0, blob->size());
+    EXPECT_NE(msg.data() + msg.size(), blob->data() + blob->size());
+    auto rd = ByteBuf::wrap(msg);
+    EXPECT_EQ(rd.read_u8(), 2u);
+    EXPECT_EQ(to_vec(rd.read_blob_slice()), to_vec(*blob));
+  }
+  EXPECT_EQ(kept[0], 1u);
+}
+
+TEST(FrontMarkTest, WriteAfterAnAdoptedBlobMovesToASlabOfItsOwn) {
+  // The payload is the front half of a slice that still views the rest.
+  const std::vector<std::uint8_t> bytes(2000, 0x5A);
+  const BufSlice whole = owned(bytes, 64);
+  const BufSlice payload = whole.slice(0, 1000);
+  ByteBuf buf;
+  buf.write_u8(1);
+  buf.write_blob(payload);
+  buf.write_u16(0xFFFF);  // would land on bytes `whole` views
+  const BufSlice msg = std::move(buf).take_slice();
+  EXPECT_EQ(to_vec(whole), bytes);
+  auto rd = ByteBuf::wrap(msg);
+  EXPECT_EQ(rd.read_u8(), 1u);
+  EXPECT_EQ(to_vec(rd.read_blob_slice()), to_vec(payload));
+  EXPECT_EQ(rd.read_u16(), 0xFFFFu);
+  EXPECT_TRUE(rd.exhausted());
+}
+
 // --- Snappy-like codec ---
 
 TEST(SnappyTest, EmptyInput) {

@@ -3,7 +3,10 @@
 //  - slices are safe views: they outlive their producers and the pool never
 //    recycles a slab that a live slice still pins;
 //  - the serialise -> frame -> decode -> deserialise path moves no payload
-//    bytes after the initial serialisation write (SlabPool copy counters);
+//    byte: the envelope and frame header are written in front of the
+//    payload, in the slab its producer wrote, and the receiver gets a view
+//    of those same bytes (SlabPool copy counters); a second serialisation
+//    of the same payload copies it, counted;
 //  - the stream transports send views of the written slices, two for a
 //    segment straddling two writes, and deliver views of them: 65 kB frames
 //    cross TCP, UDT and LEDBAT without a copied byte;
@@ -204,7 +207,7 @@ TEST(ZeroCopyPathTest, EndToEndMovesNoPayloadBytes) {
   auto reg = make_registry();
 
   // Incompressible payload, generated straight into a pooled slab — the
-  // "initial write" of the payload's life.
+  // only write of the payload's life.
   const std::size_t kPayload = 4096;
   apps::DataChunkMsg chunk{
       DataHeader{Address{1, 100}, Address{2, 200}, Transport::kTcp}, 7, 0,
@@ -212,9 +215,9 @@ TEST(ZeroCopyPathTest, EndToEndMovesNoPayloadBytes) {
 
   SlabPool::instance().reset_stats();
 
-  // Sender: serialise (writes the payload once, into the envelope slab),
-  // try compression (incompressible: the message goes on untagged and
-  // untouched), frame (header into headroom).
+  // Sender: serialise (the envelope goes in front of the payload, in its
+  // slab), try compression (incompressible: the message goes on untagged
+  // and untouched), frame (header in front of the envelope).
   auto envelope = reg.serialize(chunk);
   ASSERT_TRUE(envelope);
   auto encoded = wire::compress(std::move(*envelope));
@@ -233,16 +236,61 @@ TEST(ZeroCopyPathTest, EndToEndMovesNoPayloadBytes) {
 
   const auto& got = dynamic_cast<const apps::DataChunkMsg&>(*delivered);
   EXPECT_TRUE(apps::verify_payload(0, got.bytes()));
-  // The delivered payload is a view inside the sender's framed slab: same
-  // backing memory end to end.
+  // The delivered payload is a view inside the sender's framed slab, and
+  // that is where the generator wrote it: same bytes end to end.
   EXPECT_EQ(got.bytes().data(),
             framed.data() + framed.size() - kPayload);
+  EXPECT_EQ(got.bytes().data(), chunk.payload_slice().data());
 
   const auto stats = SlabPool::instance().stats();
   EXPECT_EQ(stats.payload_bytes_copied, 0u)
-      << "payload was copied after the initial serialisation write";
+      << "payload was copied after the generator wrote it";
   EXPECT_EQ(stats.grow_bytes_copied, 0u)
       << "serialisation buffer was sized wrong and had to grow";
+}
+
+TEST(ZeroCopyPathTest, SecondSerialisationOfAPayloadIsACountedCopy) {
+  auto reg = make_registry();
+  const std::size_t kPayload = 65'000;
+  const apps::DataChunkMsg chunk{
+      DataHeader{Address{1, 100}, Address{2, 200}, Transport::kData}, 7,
+      130'000, apps::make_payload_slice(130'000, kPayload), false};
+  // The clone shares the payload slice, as the interceptor's are.
+  const messaging::MsgPtr clone = chunk.with_protocol(Transport::kUdt);
+
+  const auto copied = [] {
+    return SlabPool::instance().stats().payload_bytes_copied;
+  };
+  const std::uint64_t copied0 = copied();
+  auto first = reg.serialize(chunk);
+  ASSERT_TRUE(first);
+  const std::uint64_t copied1 = copied();
+  auto second = reg.serialize(*clone);
+  ASSERT_TRUE(second);
+  const std::uint64_t copied2 = copied();
+  EXPECT_EQ(copied1 - copied0, 0u) << "the first serialisation copied";
+  EXPECT_EQ(copied2 - copied1, kPayload) << "the second was not counted";
+
+  std::vector<messaging::MsgPtr> delivered;
+  wire::FrameDecoder dec;
+  dec.set_on_frame([&](BufSlice frame) {
+    delivered.push_back(reg.deserialize(std::move(frame)));
+  });
+  ASSERT_TRUE(dec.feed(wire::encode_frame_slice(std::move(*first))));
+  ASSERT_TRUE(dec.feed(wire::encode_frame_slice(std::move(*second))));
+  ASSERT_EQ(delivered.size(), 2u);
+  const Transport protocols[] = {Transport::kData, Transport::kUdt};
+  // The first frame carries the generator's bytes, the second a copy.
+  const bool generators[] = {true, false};
+  for (std::size_t i = 0; i < 2; ++i) {
+    ASSERT_NE(delivered[i], nullptr);
+    const auto& got = dynamic_cast<const apps::DataChunkMsg&>(*delivered[i]);
+    EXPECT_EQ(got.header().protocol(), protocols[i]);
+    EXPECT_EQ(got.offset(), 130'000u);
+    EXPECT_TRUE(apps::verify_payload(got.offset(), got.bytes()));
+    EXPECT_EQ(got.bytes().data() == chunk.payload_slice().data(),
+              generators[i]);
+  }
 }
 
 // --- Transport send path: segments alias the written frames ---
