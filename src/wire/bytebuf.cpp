@@ -59,7 +59,7 @@ void ByteBuf::ensure(std::size_t extra) {
   if (wslab_ && needed <= wlimit_) return;
   SlabPool& pool = SlabPool::instance();
   std::size_t grow = kDefaultInitialCapacity;
-  if (wslab_) grow = wslab_->capacity * 2;
+  if (wslab_) grow = std::size_t{wslab_->capacity} * 2;
   Slab* bigger = pool.acquire(needed > grow ? needed : grow);
   if (wslab_) {
     const std::size_t used = headroom_ + wsize_;
