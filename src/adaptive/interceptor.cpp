@@ -140,7 +140,6 @@ void DataInterceptor::clear_blacklist(Flow& flow, Transport t) {
 
 void DataInterceptor::on_connection_status(
     const messaging::ConnectionStatus& cs) {
-  if (!config_.enable_fallback) return;
   auto it = flows_.find(cs.peer.with_vnode(0));
   if (it == flows_.end()) return;
   Flow& flow = *it->second;

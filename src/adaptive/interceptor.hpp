@@ -42,7 +42,6 @@ struct DataNetworkConfig {
   /// TCP or UDT channel Dead, DATA traffic is pinned to the survivor and the
   /// dead transport blacklisted until probation expires (or the channel
   /// reports healthy again, whichever comes first).
-  bool enable_fallback = true;
   Duration fallback_probation = Duration::seconds(5.0);
 };
 

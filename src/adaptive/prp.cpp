@@ -52,7 +52,9 @@ TDRatioLearner::TDRatioLearner(TDRatioConfig config, Rng rng)
 }
 
 double TDRatioLearner::reward_of(const EpisodeStats& stats) const {
-  double r = stats.throughput_bps / config_.reward_scale_bps;
+  // Throughput that earns a reward of 1.0: 100 MB/s.
+  constexpr double kRewardScaleBps = 100e6;
+  double r = stats.throughput_bps / kRewardScaleBps;
   if (config_.latency_penalty_per_ms > 0.0 && stats.avg_rtt_ms > 0.0) {
     r -= config_.latency_penalty_per_ms * stats.avg_rtt_ms;
   }

@@ -70,8 +70,6 @@ struct TDRatioConfig {
   int n_states = 11;
   /// Action offsets in state steps; the paper allows up to two steps.
   std::vector<int> action_offsets = {-2, -1, 0, 1, 2};
-  /// Normalises throughput into a reward; default scales 100 MB/s to 1.0.
-  double reward_scale_bps = 100e6;
   /// Optional latency penalty per ms of average probe RTT.
   double latency_penalty_per_ms = 0.0;
 

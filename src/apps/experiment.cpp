@@ -14,8 +14,11 @@ TwoNodeExperiment::TwoNodeExperiment(ExperimentConfig config)
   registry_ = std::make_shared<messaging::SerializerRegistry>();
   register_app_serializers(*registry_);
 
-  addr_a_ = messaging::Address{world_->sender, config_.port_a};
-  addr_b_ = messaging::Address{world_->receiver, config_.port_b};
+  // The nodes' ports, for their stream listeners and UDP endpoints.
+  constexpr netsim::Port kPortA = 1000;
+  constexpr netsim::Port kPortB = 2000;
+  addr_a_ = messaging::Address{world_->sender, kPortA};
+  addr_b_ = messaging::Address{world_->receiver, kPortB};
 
   auto& host_a = world_->net.host(world_->sender);
   auto& host_b = world_->net.host(world_->receiver);

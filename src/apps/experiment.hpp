@@ -27,8 +27,6 @@ struct ExperimentConfig {
   /// Base messaging config for both nodes (addresses are filled in); tune
   /// transport parameters (e.g. the UDT 100 MB buffers) here.
   messaging::NetworkConfig net;
-  netsim::Port port_a = 1000;
-  netsim::Port port_b = 2000;
   /// Override the topology's link config (e.g. loss injection).
   std::optional<netsim::LinkConfig> link_override;
 };

@@ -156,6 +156,7 @@ void GossipNode::accept_rumor(std::uint32_t rumor, std::uint8_t hop) {
 }
 
 void GossipNode::forward_rumor(std::uint32_t rumor, std::uint8_t hop) {
+  constexpr std::size_t kRumorPayloadBytes = 256;  // simulated on the wire
   if (peers_.empty()) return;
   auto body = std::make_shared<GossipBody>();
   body->type = GossipBody::Type::kRumor;
@@ -172,8 +173,8 @@ void GossipNode::forward_rumor(std::uint32_t rumor, std::uint8_t hop) {
     dg.src_port = kGossipPort;
     dg.dst_port = kGossipPort;
     dg.proto = netsim::IpProto::kUdp;
-    dg.wire_bytes = netsim::wire_size(netsim::kIpUdpHeaderBytes +
-                                      overlay_.config_.rumor_payload_bytes);
+    dg.wire_bytes =
+        netsim::wire_size(netsim::kIpUdpHeaderBytes + kRumorPayloadBytes);
     dg.body = shared;
     host().send(std::move(dg));
     ++local_.rumors_forwarded;

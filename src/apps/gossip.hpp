@@ -57,7 +57,6 @@ struct GossipConfig {
   unsigned rumors = 4;
   Duration rumor_window = Duration::seconds(2.0);
   unsigned fanout = 3;
-  std::size_t rumor_payload_bytes = 256;
   /// Churn: `churn_events` nodes stop at random times in
   /// [churn_from, churn_to), each rejoining after churn_down_for (when that
   /// still falls inside run_for).

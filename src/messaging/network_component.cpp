@@ -694,18 +694,17 @@ void NetworkComponent::attach_inbound(
   auto in = std::make_unique<Inbound>();
   in->conn = conn;
   in->transport = t;
-  in->decoder = std::make_unique<wire::FrameDecoder>();
   Inbound* raw = in.get();
-  in->decoder->set_on_frame(
+  in->decoder.set_on_frame(
       [this, raw](wire::BufSlice frame) { deliver_frame(std::move(frame), raw); });
   // Each run arrives as a view of the sender's written frame, so the decoder
   // cuts frames out of it in place. A segment may hand over two runs: once
   // one of them poisons the stream, the rest of it is ignored, so a poisoned
   // stream is counted and aborted once.
   conn->set_on_data([this, raw](const wire::BufSlice& chunk) {
-    if (raw->decoder->poisoned()) return;
-    if (!raw->decoder->feed(chunk)) {
-      stats_.frames_corrupt += raw->decoder->frames_corrupt();
+    if (raw->decoder.poisoned()) return;
+    if (!raw->decoder.feed(chunk)) {
+      stats_.frames_corrupt += raw->decoder.frames_corrupt();
       KMSG_ERROR("network") << "poisoned frame stream; aborting connection";
       raw->conn->abort();
     }

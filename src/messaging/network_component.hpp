@@ -244,7 +244,7 @@ class NetworkComponent final : public kompics::ComponentDefinition {
 
   struct Inbound {
     std::shared_ptr<transport::StreamConnection> conn;
-    std::unique_ptr<wire::FrameDecoder> decoder;
+    wire::FrameDecoder decoder;
     std::unique_ptr<DeltaDecoder> delta;  // made by the first delta tag
     Transport transport = Transport::kTcp;
     /// Sender incarnation announced by this connection's session hello;

@@ -94,15 +94,12 @@ void ReliableChannel::arm_retransmit(const Address& peer, std::uint64_t seq) {
   auto pit = fit->second.pending.find(seq);
   if (pit == fit->second.pending.end()) return;
   Pending& p = pit->second;
-  // Exponential backoff: the RTO doubles (by default) per unacked retry,
-  // capped so recovery after a long partition is still prompt.
+  // Exponential backoff: the RTO doubles per unacked retry, capped so
+  // recovery after a long partition is still prompt.
+  const double max_s = config_.max_retransmit_timeout.as_seconds();
   double rto_s = config_.retransmit_timeout.as_seconds();
-  for (int i = 0; i < p.retries; ++i) {
-    rto_s *= config_.backoff_factor;
-    if (rto_s >= config_.max_retransmit_timeout.as_seconds()) break;
-  }
-  const Duration rto =
-      Duration::seconds(std::min(rto_s, config_.max_retransmit_timeout.as_seconds()));
+  for (int i = 0; i < p.retries && rto_s < max_s; ++i) rto_s *= 2.0;
+  const Duration rto = Duration::seconds(std::min(rto_s, max_s));
   p.timer = system().scheduler().schedule_delayed(
       rto, [this, peer, seq] {
         auto f = flows_.find(peer);

@@ -77,11 +77,9 @@ struct ReliableConfig {
   int max_retries = 20;
   /// Transport used for acknowledgements.
   Transport ack_protocol = Transport::kTcp;
-  /// Each unacknowledged retransmission multiplies the RTO by this factor
-  /// (exponential backoff), so retries survive long partitions without
-  /// flooding the recovering link. 1.0 restores a fixed-interval RTO.
-  double backoff_factor = 2.0;
-  /// Ceiling on the backed-off RTO.
+  /// Ceiling on the RTO, which doubles with each unacknowledged
+  /// retransmission (exponential backoff), so retries survive long
+  /// partitions without flooding the recovering link.
   Duration max_retransmit_timeout = Duration::seconds(8.0);
 };
 

@@ -75,7 +75,13 @@ MsgPtr SerializerRegistry::deserialize(wire::BufSlice bytes) const {
     const auto type_id = static_cast<std::uint32_t>(buf.read_varint());
     const Address src = Address::deserialize(buf);
     const Address dst = Address::deserialize(buf);
-    const auto proto = static_cast<Transport>(buf.read_u8());
+    const std::uint8_t proto_byte = buf.read_u8();
+    if (proto_byte > static_cast<std::uint8_t>(Transport::kLedbat)) {
+      // Names no transport: as malformed as a truncated envelope.
+      KMSG_WARN("serialization") << "malformed message frame";
+      return nullptr;
+    }
+    const auto proto = static_cast<Transport>(proto_byte);
     const Entry* entry = find(type_id);
     if (!entry) {
       ++unknown_;

@@ -45,7 +45,9 @@ void PhiAccrualDetector::heartbeat(TimePoint now) {
 }
 
 double PhiAccrualDetector::mean_interval_seconds() const {
-  if (count_ < 2) return config_.bootstrap_interval.as_seconds();
+  // Assumed mean interval until enough samples arrive.
+  constexpr Duration kBootstrapInterval = Duration::millis(200);
+  if (count_ < 2) return kBootstrapInterval.as_seconds();
   return sum_ / count_;
 }
 
@@ -58,7 +60,10 @@ double PhiAccrualDetector::phi(TimePoint now) const {
   if (count_ >= 2) {
     variance = std::max(0.0, sum_sq_ / count_ - (sum_ / count_) * (sum_ / count_));
   }
-  const double std_floor = config_.min_std.as_seconds();
+  // Floor on the interval standard deviation; keeps phi from exploding on a
+  // metronomic heartbeat stream.
+  constexpr Duration kMinStd = Duration::millis(100);
+  const double std_floor = kMinStd.as_seconds();
   const double stddev = std::max(std::sqrt(variance), std_floor);
   const double z = (elapsed - mean) / stddev;
   // Tail probability under the normal model; erfc keeps precision deep into

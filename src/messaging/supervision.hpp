@@ -31,14 +31,9 @@ namespace kmsg::messaging {
 struct PhiConfig {
   /// Interval samples kept (sliding window).
   int window = 16;
-  /// Floor on the interval standard deviation; keeps phi from exploding on
-  /// a metronomic heartbeat stream.
-  Duration min_std = Duration::millis(100);
   /// Grace added to the interval mean: pauses up to roughly this long are
   /// not suspicious (absorbs RTT steps, GC-style stalls, bursts of loss).
   Duration acceptable_pause = Duration::seconds(1.0);
-  /// Assumed mean interval until enough samples arrive.
-  Duration bootstrap_interval = Duration::millis(200);
 };
 
 class PhiAccrualDetector {

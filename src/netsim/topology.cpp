@@ -151,6 +151,9 @@ TopologySpec make_fat_tree(const FatTreeConfig& cfg, std::uint64_t seed) {
                                             unsigned i) {
     return static_cast<HostId>(pod * pod_size + 1 + rack * per_rack + i);
   };
+  constexpr Duration kRackDelay = Duration::micros(30);  // intra-rack one-way
+  constexpr Duration kPodDelay = Duration::micros(300);  // rack <-> pod spine
+  constexpr Duration kCoreDelay = Duration::millis(2);   // pod <-> pod core
   // ±20% jitter on each drawn delay keeps distinct seeds distinct.
   const auto jittered = [&rng](Duration base) {
     return draw_delay(rng, base.scaled(0.8), base.scaled(1.2));
@@ -161,18 +164,18 @@ TopologySpec make_fat_tree(const FatTreeConfig& cfg, std::uint64_t seed) {
       for (unsigned i = 0; i < per_rack; ++i) {
         for (unsigned j = i + 1; j < per_rack; ++j) {
           add_duplex(spec, host_at(p, rk, i), host_at(p, rk, j),
-                     lan_config(jittered(cfg.rack_delay)));
+                     lan_config(jittered(kRackDelay)));
         }
       }
       add_duplex(spec, host_at(p, rk, 0), spine_of(p),
-                 lan_config(jittered(cfg.pod_delay)));
+                 lan_config(jittered(kPodDelay)));
     }
   }
   // Pod spines pairwise through the core.
   for (unsigned p = 0; p < spec.regions; ++p) {
     for (unsigned q = p + 1; q < spec.regions; ++q) {
       add_duplex(spec, spine_of(p), spine_of(q),
-                 wan_config(jittered(cfg.core_delay)));
+                 wan_config(jittered(kCoreDelay)));
     }
   }
   return spec;
@@ -191,8 +194,9 @@ TopologySpec make_wan_mesh(const WanMeshConfig& cfg, std::uint64_t seed) {
   const auto host_at = [per](unsigned region, unsigned i) {
     return static_cast<HostId>(region * per + i);
   };
+  constexpr Duration kLanDelay = Duration::micros(100);
   const auto jittered_lan = [&](void) {
-    return draw_delay(rng, cfg.lan_delay.scaled(0.8), cfg.lan_delay.scaled(1.2));
+    return draw_delay(rng, kLanDelay.scaled(0.8), kLanDelay.scaled(1.2));
   };
   for (unsigned r = 0; r < spec.regions; ++r) {
     for (unsigned i = 0; i < per; ++i) {

@@ -104,20 +104,17 @@ struct FatTreeConfig {
   unsigned pods = 4;
   unsigned racks_per_pod = 2;
   unsigned hosts_per_rack = 4;
-  Duration rack_delay = Duration::micros(30);   ///< intra-rack one-way
-  Duration pod_delay = Duration::micros(300);   ///< rack <-> pod spine
-  Duration core_delay = Duration::millis(2);    ///< pod <-> pod core
 };
 
 /// Folded-Clos-flavoured datacentre: hosts in racks (cliques), racks joined
-/// through a per-pod spine host, pods joined pairwise through core links.
+/// through a per-pod spine host, pods joined pairwise through core links
+/// (one-way delays of 30 us, 300 us and 2 ms, each jittered ±20%).
 /// Region = pod.
 TopologySpec make_fat_tree(const FatTreeConfig& cfg, std::uint64_t seed);
 
 struct WanMeshConfig {
   unsigned regions = 5;
   unsigned hosts_per_region = 6;
-  Duration lan_delay = Duration::micros(100);
   Duration wan_delay_min = Duration::millis(10);
   Duration wan_delay_max = Duration::millis(150);
   /// true: both directions of a WAN link share one delay draw; false: each

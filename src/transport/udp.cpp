@@ -51,14 +51,17 @@ void UdpEndpoint::close() {
 bool UdpEndpoint::send(netsim::HostId dst, netsim::Port dst_port,
                        wire::BufSlice payload) {
   if (closed_) return false;
-  if (payload.size() > config_.max_message_bytes) {
+  // Messages above this size are refused locally (mirrors the 64 KiB IP
+  // datagram limit, generously rounded for jumbo-frame environments).
+  constexpr std::size_t kMaxMessageBytes = 256 * 1024;
+  if (payload.size() > kMaxMessageBytes) {
     ++stats_.oversize_rejected;
     return false;
   }
   // Fragments outlive this call inside datagram bodies, so a borrowed view
   // must be promoted to an owning slice first (no-op when already owning).
   payload = payload.to_owned();
-  const std::size_t mtu = config_.mtu_payload;
+  const std::size_t mtu = netsim::kDefaultMtuPayload;
   const auto count = static_cast<std::uint32_t>(
       payload.empty() ? 1 : (payload.size() + mtu - 1) / mtu);
   const std::uint64_t id = next_message_id_++;

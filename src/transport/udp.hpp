@@ -26,10 +26,6 @@
 namespace kmsg::transport {
 
 struct UdpConfig {
-  std::size_t mtu_payload = netsim::kDefaultMtuPayload;
-  /// Messages above this size are refused locally (mirrors the 64 KiB IP
-  /// datagram limit, generously rounded for jumbo-frame environments).
-  std::size_t max_message_bytes = 256 * 1024;
   /// Partially reassembled messages older than this are discarded.
   Duration reassembly_timeout = Duration::seconds(5.0);
 };

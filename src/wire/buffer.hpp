@@ -11,7 +11,7 @@
 //
 // Ownership rules (see DESIGN.md §4b):
 //  - a slab returns its block to the arena when its last slice (or writing
-//    ByteBuf, or frame decoder) drops it, on whichever thread that happens;
+//    ByteBuf) drops it, on whichever thread that happens;
 //  - slices never outlive their bytes: copying a slice bumps the count,
 //    recycling only happens at count zero, and a recycled slab is never
 //    handed out while any slice still points into it;
@@ -19,10 +19,10 @@
 //    borrowed slices must keep the backing bytes alive themselves, and any
 //    layer that needs to retain one must promote it with BufSlice::copy_of;
 //  - bytes a live slice views are never written. A slab's sole owner writes
-//    it (a writing ByteBuf, the frame decoder's slide), the decoder appends
-//    past the frames it has emitted, and anyone else writes only bytes it
-//    has claimed below the slab's front mark: the lowest byte any slice of
-//    the slab has viewed. A claim moves the mark down with one
+//    it (a writing ByteBuf), the frame decoder writes only past its view of
+//    unparsed bytes in a slab of its own, and anyone else writes only bytes
+//    it has claimed below the slab's front mark: the lowest byte any slice
+//    of the slab has viewed. A claim moves the mark down with one
 //    compare-and-swap, so each never-viewed byte is written by at most one
 //    claimer, before anyone views it (BufSlice::try_prepend,
 //    ByteBuf::write_blob). A retained view therefore reads fixed bytes,
@@ -96,13 +96,16 @@ struct SlabPoolStats {
   /// keeps this flat per message; the regression test pins it to zero across
   /// serialise -> frame -> decode -> deserialise.
   std::uint64_t payload_bytes_copied = 0;
-  /// Bytes moved because a writing ByteBuf outgrew its slab (tuning signal:
-  /// a correct reserve() keeps this at zero on the hot path).
+  /// Bytes moved to a fresh slab because a writing ByteBuf outgrew its slab
+  /// (tuning signal: a correct reserve() keeps this at zero on the hot
+  /// path), or because a FrameDecoder's unparsed bytes and the chunk it
+  /// copies did not fit in its own slab.
   std::uint64_t grow_bytes_copied = 0;
-  /// Bytes a FrameDecoder copied into its accumulation slab: chunks fed as
-  /// borrowed spans, and chunks that do not continue the decoder's pending
-  /// view in the same slab. Views of the sender's frames, which the stream
-  /// transports deliver, are decoded in place and add nothing here.
+  /// Bytes a FrameDecoder copied into a slab of its own: chunks fed as
+  /// borrowed spans, chunks that do not continue the decoder's pending view
+  /// in the same slab (the pending view's bytes included), and chunks fed
+  /// while it holds copied bytes. Views of the sender's frames, which the
+  /// stream transports deliver, are decoded in place and add nothing here.
   std::uint64_t decoder_bytes_copied = 0;
 };
 

@@ -1,6 +1,5 @@
 #include "wire/framing.hpp"
 
-#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
@@ -335,32 +334,30 @@ BufSlice encode_frame_slice(BufSlice payload, bool coalesced) {
   return payload;
 }
 
-template <typename EmitFn>
-bool FrameDecoder::parse(const std::uint8_t* data, std::size_t& start,
-                         std::size_t end, EmitFn&& emit) {
-  while (end - start >= kFrameHeaderBytes) {
-    const std::uint32_t word = get_u32(data + start);
+bool FrameDecoder::parse(const BufSlice& s, std::size_t& pos) {
+  const std::uint8_t* data = s.data();
+  while (s.size() - pos >= kFrameHeaderBytes) {
+    const std::uint32_t word = get_u32(data + pos);
     const bool coalesced = (word & kCoalescedBit) != 0;
     const auto len = static_cast<std::size_t>(word & ~kCoalescedBit);
     if (len > max_frame_) {
       poisoned_ = true;
       return false;
     }
-    const std::uint32_t expected_crc = get_u32(data + start + 4);
-    if (end - start - kFrameHeaderBytes < len) break;
+    const std::uint32_t expected_crc = get_u32(data + pos + 4);
+    const std::size_t payload_at = pos + kFrameHeaderBytes;
+    if (s.size() - payload_at < len) break;
     // CRC over the bytes in place — no copy of the payload is made.
-    if (frame_crc({data + start + kFrameHeaderBytes, len}, coalesced) !=
-        expected_crc) {
+    if (frame_crc({data + payload_at, len}, coalesced) != expected_crc) {
       // Bit errors in flight: the length we just trusted may itself be
       // damaged, so resynchronisation is not possible — poison the stream.
       ++corrupt_;
       poisoned_ = true;
       return false;
     }
-    const std::size_t payload_at = start + kFrameHeaderBytes;
-    start = payload_at + len;
+    pos = payload_at + len;
     ++frames_;
-    if (on_frame_) emit(payload_at, len, coalesced);
+    if (on_frame_) emit_payload(s.slice(payload_at, len), coalesced);
     if (poisoned_) return false;  // callback may have reset us
   }
   return true;
@@ -397,108 +394,77 @@ void FrameDecoder::emit_payload(BufSlice payload, bool coalesced) {
   }
 }
 
-void FrameDecoder::release_slab() noexcept {
-  if (slab_) {
-    slab_->unref();
-    slab_ = nullptr;
-  }
-  start_ = end_ = 0;
-}
-
-bool FrameDecoder::parse_slice(const BufSlice& s, std::size_t& pos) {
-  return parse(s.data(), pos, s.size(),
-               [this, &s](std::size_t at, std::size_t len, bool coalesced) {
-                 emit_payload(s.slice(at, len), coalesced);
-               });
-}
-
 void FrameDecoder::append(std::span<const std::uint8_t> chunk) {
-  if (chunk.empty()) return;
   SlabPool& pool = SlabPool::instance();
-  if (!slab_) {
-    slab_ = pool.acquire(chunk.size());
-    start_ = end_ = 0;
-  }
-  const std::size_t unparsed = end_ - start_;
-  const std::size_t need = unparsed + chunk.size();
-  const bool sole_owner = slab_->refs.load(std::memory_order_acquire) == 1;
-  if (sole_owner && unparsed == 0) {
-    // Nothing buffered and no emitted frame still aliases the slab: rewind
-    // and reuse the space.
-    start_ = end_ = 0;
-  }
-  if (end_ + chunk.size() > slab_->capacity) {
-    if (sole_owner && need <= slab_->capacity) {
-      // Only the decoder sees these bytes: slide the partial frame to the
-      // front instead of growing, so the slab is sized by the largest frame
-      // rather than by the stream.
-      std::memmove(slab_->bytes(), slab_->bytes() + start_, unparsed);
-    } else {
-      // A slab pinned by emitted frames is swapped for a pooled one of the
-      // same capacity; it grows (doubling) only when one frame plus the
-      // chunk outgrows it. Either way only the unparsed tail moves: bytes
-      // of emitted frames stay behind, kept alive by the frames' own
-      // references.
-      std::size_t want = slab_->capacity;
-      if (need > want) want = std::max(need, 2 * want);
-      Slab* next = pool.acquire(want);
-      std::memcpy(next->bytes(), slab_->bytes() + start_, unparsed);
-      release_slab();
-      slab_ = next;
+  const std::size_t unparsed = pending_.size();
+  std::size_t at = 0;  // offset of the unparsed bytes in the own slab
+  if (own_) {
+    Slab* slab = pending_.slab_;
+    // Nothing unparsed and no emitted frame still aliases the slab: the
+    // copy starts at its front again.
+    if (unparsed == 0 && slab->refs.load(std::memory_order_acquire) == 1) {
+      pending_.data_ = slab->bytes();
     }
-    pool.count_grow_copy(unparsed);
-    start_ = 0;
-    end_ = unparsed;
+    at = static_cast<std::size_t>(pending_.data() - slab->bytes());
   }
-  std::memcpy(slab_->bytes() + end_, chunk.data(), chunk.size());
-  end_ += chunk.size();
+  if (!own_ || at + unparsed + chunk.size() > pending_.slab_->capacity) {
+    // The unparsed bytes move to a fresh slab sized for the frame in
+    // progress plus the chunk: an emitted frame keeps the old one alive,
+    // and bytes of the frame still to come will not move again. A length
+    // above the limit sizes nothing; parse() poisons on it.
+    std::size_t frame = unparsed;  // never a whole frame: parse() took those
+    if (unparsed >= kFrameHeaderBytes) {
+      const std::size_t len = get_u32(pending_.data()) & ~kCoalescedBit;
+      if (len <= max_frame_) frame = kFrameHeaderBytes + len;
+    }
+    Slab* next = pool.acquire(frame + chunk.size());
+    if (unparsed != 0) std::memcpy(next->bytes(), pending_.data(), unparsed);
+    if (own_) {
+      pool.count_grow_copy(unparsed);
+    } else {
+      pool.count_decoder_copy(unparsed);  // a pending view joins the copy
+    }
+    pending_ = BufSlice{next, next->bytes(), unparsed, /*add_ref=*/false};
+    own_ = true;
+    at = 0;
+  }
+  std::memcpy(pending_.slab_->bytes() + at + unparsed, chunk.data(),
+              chunk.size());
+  pending_.len_ += chunk.size();
   pool.count_decoder_copy(chunk.size());
-}
-
-bool FrameDecoder::feed(std::span<const std::uint8_t> chunk) {
-  if (poisoned_) return false;
-  if (!view_.empty()) {
-    // The pending view's bytes join the accumulation slab first.
-    const BufSlice pending = std::move(view_);
-    append(pending.span());
-  }
-  append(chunk);
-  if (!slab_) return true;  // empty chunk, nothing buffered
-  return parse(slab_->bytes(), start_, end_,
-               [this](std::size_t at, std::size_t len, bool coalesced) {
-                 emit_payload(BufSlice{slab_, slab_->bytes() + at, len,
-                                       /*add_ref=*/true},
-                              coalesced);
-               });
 }
 
 bool FrameDecoder::feed(const BufSlice& chunk) {
   if (poisoned_) return false;
   if (chunk.empty()) return true;
-  if (!chunk.owning() || end_ != start_) return feed(chunk.span());
-  if (view_.empty()) {
+  if (pending_.empty() && chunk.owning()) {
     // Nothing pending: parse frames straight out of the fed slice and keep
     // an incomplete tail as a view of it. Whole frames cost no reference
     // beyond the ones the emitted frames take.
     std::size_t pos = 0;
-    if (!parse_slice(chunk, pos)) return false;
-    if (pos < chunk.size()) view_ = chunk.slice(pos, chunk.size() - pos);
+    if (!parse(chunk, pos)) return false;
+    if (pos < chunk.size()) {
+      pending_ = chunk.slice(pos, chunk.size() - pos);
+      own_ = false;
+    }
     return true;
   }
-  if (chunk.slab_ != view_.slab_ ||
-      chunk.data() != view_.data() + view_.size()) {
-    return feed(chunk.span());  // a join that is not contiguous
-  }
-  // The chunk continues the pending bytes in the same slab: widen the view
-  // (its reference already pins the slab), parse, and keep what is left.
-  view_.len_ += chunk.size();
-  std::size_t pos = 0;
-  if (!parse_slice(view_, pos)) return false;
-  if (pos == view_.size()) {
-    view_ = BufSlice{};
+  if (!own_ && chunk.owning() && chunk.slab_ == pending_.slab_ &&
+      chunk.data() == pending_.data() + pending_.size()) {
+    // The chunk continues the pending view in the same slab: widen it (its
+    // reference already pins the slab).
+    pending_.len_ += chunk.size();
   } else {
-    view_.data_ += pos;
-    view_.len_ -= pos;
+    append(chunk.span());  // borrowed, a join that is not contiguous, or
+                           // fed while the own slab holds unparsed bytes
+  }
+  std::size_t pos = 0;
+  if (!parse(pending_, pos)) return false;
+  if (pos == pending_.size() && !own_) {
+    pending_ = BufSlice{};  // let the fed slab go
+  } else {
+    pending_.data_ += pos;
+    pending_.len_ -= pos;
   }
   return true;
 }

@@ -24,19 +24,21 @@
 // Zero-copy model: encode_frame_slice writes the 8-byte header into the
 // payload slice's headroom in place when it can claim those bytes, i.e.
 // the slice starts at its slab's front mark (the serialiser reserves that
-// headroom), so encoding a frame moves no payload bytes. feed(BufSlice) parses frames straight out of the slab it is fed and
-// emits each as a BufSlice *view* of it; the unparsed bytes stay a view of
-// that slab too, which widens while the next chunk continues it in the same
-// slab. A stream transport hands the decoder views of the sender's written
-// frames (DESIGN.md §4b), so a frame spread over many segments is decoded
-// where it was written. Only a borrowed span (feed(span)) or a join that is
-// not contiguous is copied, into the decoder's accumulation slab, whose
-// frames are emitted as views of it and pin it via refcount. That slab is
-// sized by the largest frame, not by the stream: when a chunk does not fit,
-// the decoder slides the not-yet-parsed tail to the front of a slab it
-// solely owns, swaps a slab pinned by emitted frames for a pooled one of the
-// same capacity, and grows only when one frame outgrows the slab.
-// SlabPoolStats::decoder_bytes_copied counts what it copies.
+// headroom), so encoding a frame moves no payload bytes. The decoder keeps
+// its unparsed bytes as one BufSlice: a view of the slab they were fed in,
+// widened while the next chunk continues it there, or a view of a slab the
+// decoder wrote itself. Frames are emitted as sub-slices of that slab and
+// pin it via refcount. A stream transport hands the decoder views of the
+// sender's written frames (DESIGN.md §4b), so a frame spread over many
+// segments is decoded where it was written. Only a borrowed span
+// (feed(span)), a join that is not contiguous, or a chunk fed while the
+// decoder holds copied bytes is copied, past the view into the decoder's
+// own slab. When it does not fit there, only the unparsed bytes move, to a
+// fresh slab sized for the frame in progress plus the chunk, so the slab is
+// sized by the largest frame, not by the stream; with nothing unparsed and
+// no emitted frame aliasing it, the next copy starts at its front again.
+// SlabPoolStats::decoder_bytes_copied counts the bytes it copies and
+// grow_bytes_copied those it moves.
 #pragma once
 
 #include <cstdint>
@@ -91,54 +93,50 @@ std::vector<std::uint8_t> encode_frame(std::span<const std::uint8_t> payload);
 BufSlice encode_frame_slice(BufSlice payload, bool coalesced = false);
 
 /// Incremental frame decoder: feed arbitrary stream chunks; complete frames
-/// are emitted through the callback in order as slices of the fed slab (or
-/// of the decoder's accumulation slab on the copying path). The callback may
-/// retain the slice — it pins the backing slab.
+/// are emitted through the callback in order as slices of the slab their
+/// bytes are in: the fed one, or on the copying path the decoder's own. The
+/// callback may retain the slice — it pins the backing slab. Neither
+/// copyable nor movable: it writes a slab of its own.
 class FrameDecoder {
  public:
   using FrameFn = std::function<void(BufSlice)>;
 
   explicit FrameDecoder(std::size_t max_frame_bytes = kDefaultMaxFrameBytes)
       : max_frame_(max_frame_bytes) {}
-  FrameDecoder(FrameDecoder&& other) noexcept { move_from(other); }
-  FrameDecoder& operator=(FrameDecoder&& other) noexcept {
-    if (this != &other) {
-      release_slab();
-      move_from(other);
-    }
-    return *this;
-  }
   FrameDecoder(const FrameDecoder&) = delete;
   FrameDecoder& operator=(const FrameDecoder&) = delete;
-  ~FrameDecoder() { release_slab(); }
 
   /// The callback receives one message per call: a plain frame's payload,
   /// or each message of a coalesced frame as a sub-slice of its slab.
   void set_on_frame(FrameFn fn) { on_frame_ = std::move(fn); }
 
   /// Consumes a stream chunk the caller keeps: its bytes are copied into the
-  /// accumulation slab. Returns false (and poisons the decoder) if a frame
+  /// decoder's own slab. Returns false (and poisons the decoder) if a frame
   /// header exceeds the size limit, a frame fails its CRC or a coalesced
   /// frame holds a malformed message length — the stream is unrecoverable
   /// then.
-  bool feed(std::span<const std::uint8_t> chunk);
+  bool feed(std::span<const std::uint8_t> chunk) {
+    return feed(BufSlice::borrowed(chunk));
+  }
 
   /// Zero-copy variant: frames are emitted as sub-slices of `chunk`'s own
   /// slab, and an incomplete tail is kept as a view of it, widened in place
   /// by a next chunk that continues it in the same slab. Copies (as
   /// feed(span) does) only a borrowed chunk, a chunk that joins pending
   /// bytes it does not continue in memory, and chunks fed while the
-  /// accumulation slab holds a partial frame.
+  /// decoder's own slab holds unparsed bytes.
   bool feed(const BufSlice& chunk);
 
   bool poisoned() const { return poisoned_; }
-  /// Unparsed bytes held, as a view or in the accumulation slab.
-  std::size_t buffered_bytes() const { return view_.size() + end_ - start_; }
-  /// Capacity of the accumulation slab (0 when none is held). Bounded by
-  /// the largest frame plus one fed chunk, rounded up to a pool size
-  /// class, not by the length of the stream. Views of fed slabs take no
-  /// slab of the decoder's own.
-  std::size_t buffer_capacity() const { return slab_ ? slab_->capacity : 0; }
+  /// Unparsed bytes held, as a view of a fed slab or in the decoder's own.
+  std::size_t buffered_bytes() const { return pending_.size(); }
+  /// Capacity of the decoder's own slab (0 while it holds none). Bounded by
+  /// the largest frame plus one fed chunk, rounded up to an arena class,
+  /// not by the length of the stream. Views of fed slabs take no slab of
+  /// the decoder's own.
+  std::size_t buffer_capacity() const {
+    return own_ ? pending_.slab_->capacity : 0;
+  }
   std::uint64_t frames_decoded() const { return frames_; }
   /// Frames rejected for a failed CRC check or a malformed coalesced
   /// payload.
@@ -147,42 +145,21 @@ class FrameDecoder {
   std::uint64_t coalesced_frames() const { return coalesced_; }
 
  private:
-  /// Parses complete frames out of [data + start, data + end); emits via
-  /// `emit` (which receives payload offset + length relative to `data`, and
-  /// the coalesced flag). Advances `start`. Returns false on poison.
-  template <typename EmitFn>
-  bool parse(const std::uint8_t* data, std::size_t& start, std::size_t end,
-             EmitFn&& emit);
-  /// parse() over an owning slice, emitting sub-slices of it.
-  bool parse_slice(const BufSlice& s, std::size_t& pos);
-  /// Copies `chunk` after the unparsed bytes of the accumulation slab.
+  /// Parses complete frames out of `s` from `pos` on, emitting sub-slices
+  /// of it, and advances `pos` past them. Returns false on poison.
+  bool parse(const BufSlice& s, std::size_t& pos);
+  /// Copies `chunk` after the unparsed bytes, into the decoder's own slab.
   void append(std::span<const std::uint8_t> chunk);
   /// Hands one CRC-validated frame payload to the callback, splitting a
   /// coalesced payload into per-message sub-slices first.
   void emit_payload(BufSlice payload, bool coalesced);
-  void release_slab() noexcept;
-  void move_from(FrameDecoder& other) noexcept {
-    max_frame_ = other.max_frame_;
-    view_ = std::move(other.view_);
-    slab_ = other.slab_;
-    start_ = other.start_;
-    end_ = other.end_;
-    poisoned_ = other.poisoned_;
-    frames_ = other.frames_;
-    corrupt_ = other.corrupt_;
-    coalesced_ = other.coalesced_;
-    on_frame_ = std::move(other.on_frame_);
-    other.slab_ = nullptr;
-    other.start_ = other.end_ = 0;
-  }
 
   std::size_t max_frame_ = kDefaultMaxFrameBytes;
-  /// Unparsed bytes as a view of a fed slab; empty while the accumulation
-  /// slab holds unparsed bytes.
-  BufSlice view_;
-  Slab* slab_ = nullptr;   ///< accumulation slab (decoder holds one ref)
-  std::size_t start_ = 0;  ///< offset of the first unparsed byte
-  std::size_t end_ = 0;    ///< offset past the last buffered byte
+  /// The unparsed bytes: a view of the slab they were fed in, or with
+  /// `own_` of the decoder's own slab, which it writes only past this view
+  /// and keeps (the view empty) once they are parsed.
+  BufSlice pending_;
+  bool own_ = false;
   bool poisoned_ = false;
   std::uint64_t frames_ = 0;
   std::uint64_t corrupt_ = 0;

@@ -59,7 +59,8 @@ REQUIRED_FIELDS = ["name", "real_time", "cpu_time", "time_unit", "iterations"]
 REQUIRED_COUNTERS = ["allocs_per_op", "alloc_bytes_per_op"]
 # Per-benchmark counters beyond the allocation pair.
 EXTRA_COUNTERS = {
-    "BM_FrameDecodeSegments": ["decoder_copied_per_op"],
+    "BM_FrameDecode": ["decoder_copied_per_op", "grow_copied_per_op"],
+    "BM_FrameDecodeSegments": ["decoder_copied_per_op", "grow_copied_per_op"],
     "BM_ChunkSerializeFrame": ["payload_copied_per_op"],
     "BM_SmallMsgWireBaseline": ["bytes_per_msg"],
     "BM_SmallMsgWireDelta": ["bytes_per_msg"],
@@ -74,6 +75,11 @@ WIRE_REDUCTION_FLOOR_PCT = 40.0
 # it copies on that path fails the check. Deterministic, so hard in every
 # build type.
 SEGMENT_DECODE_MAX_COPIED = 0.0
+# BM_FrameDecode feeds its 64-frame stream (64 x 1,008 bytes) as one
+# borrowed chunk: the decoder copies exactly those bytes once per op.
+FRAME_DECODE_COPIED = 64 * 1008.0
+# Neither decode row moves a byte the decoder already holds to a fresh slab.
+DECODE_MAX_MOVED = 0.0
 # The serialiser writes a fresh chunk's envelope in front of its payload:
 # any payload byte it copies fails the check. Deterministic, so hard in
 # every build type.
@@ -170,6 +176,24 @@ def main():
             f"{SEGMENT_DECODE_MAX_COPIED:.0f}"
         )
     print(f"ok: segment views decoded with {segment_copied:.0f} bytes copied")
+    stream_copied = benches["BM_FrameDecode"]["decoder_copied_per_op"]
+    if stream_copied != FRAME_DECODE_COPIED:
+        fail(
+            f"BM_FrameDecode: the decoder copied {stream_copied:.1f} bytes per "
+            f"op of a borrowed stream of {FRAME_DECODE_COPIED:.0f}, which it "
+            f"must copy exactly once"
+        )
+    for name in ("BM_FrameDecode", "BM_FrameDecodeSegments"):
+        moved = benches[name]["grow_copied_per_op"]
+        if moved > DECODE_MAX_MOVED:
+            fail(
+                f"{name}: the decoder moved {moved:.1f} bytes per op to fresh "
+                f"slabs, limit {DECODE_MAX_MOVED:.0f}"
+            )
+    print(
+        f"ok: a borrowed stream copied once ({stream_copied:.0f} bytes), "
+        f"no decoder bytes moved"
+    )
     chunk_copied = benches["BM_ChunkSerializeFrame"]["payload_copied_per_op"]
     if chunk_copied > CHUNK_SERIALIZE_MAX_COPIED:
         fail(

@@ -1,9 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "apps/experiment.hpp"
+#include "apps/filetransfer.hpp"
 #include "apps/messages.hpp"
+#include "common/logging.hpp"
 #include "messaging/virtual_network.hpp"
+#include "transport/tcp.hpp"
 #include "wire/codec.hpp"
+#include "wire/framing.hpp"
 
 namespace kmsg::messaging {
 namespace {
@@ -128,6 +136,43 @@ TEST(SerializerRegistryTest, MalformedBytesRejected) {
   EXPECT_EQ(reg.deserialize(wire::BufSlice::copy_of(junk)), nullptr);
 }
 
+/// A serialised 500-byte DataChunkMsg naming TCP, and the offset of its
+/// protocol byte: the one byte where it differs from the same chunk
+/// serialised naming UDT.
+std::pair<std::vector<std::uint8_t>, std::size_t> chunk_and_protocol_at(
+    const SerializerRegistry& reg, const Address& src, const Address& dst) {
+  const DataHeader h{src, dst, Transport::kTcp};
+  const DataChunkMsg chunk{h, 7, 0, apps::make_payload_slice(0, 500), true};
+  const auto tcp = reg.serialize(chunk, Transport::kTcp);
+  const auto udt = reg.serialize(chunk, Transport::kUdt);
+  EXPECT_TRUE(tcp && udt);
+  std::vector<std::uint8_t> bytes(tcp->data(), tcp->data() + tcp->size());
+  const auto at = static_cast<std::size_t>(
+      std::mismatch(bytes.begin(), bytes.end(), udt->data()).first -
+      bytes.begin());
+  EXPECT_EQ(bytes[at], static_cast<std::uint8_t>(Transport::kTcp));
+  return {std::move(bytes), at};
+}
+
+TEST(SerializerRegistryTest, ProtocolByteMustNameATransport) {
+  SerializerRegistry reg;
+  apps::register_app_serializers(reg);
+  auto [bytes, at] = chunk_and_protocol_at(reg, Address{1, 100}, Address{2, 200});
+  const LogLevel level = Logger::level();
+  Logger::set_level(LogLevel::kOff);  // 251 malformed envelopes follow
+  for (unsigned b = 0; b < 256; ++b) {
+    bytes[at] = static_cast<std::uint8_t>(b);
+    const MsgPtr msg = reg.deserialize(wire::BufSlice::copy_of(bytes));
+    if (b <= static_cast<unsigned>(Transport::kLedbat)) {
+      ASSERT_NE(msg, nullptr) << "protocol byte " << b;
+      EXPECT_EQ(msg->header().protocol(), static_cast<Transport>(b));
+    } else {
+      EXPECT_EQ(msg, nullptr) << "protocol byte " << b;
+    }
+  }
+  Logger::set_level(level);
+}
+
 TEST(SerializerRegistryTest, DuplicateRegistrationThrows) {
   SerializerRegistry reg;
   apps::register_app_serializers(reg);
@@ -205,6 +250,29 @@ TEST_F(MessagingFixture, TcpMessageDelivery) {
   EXPECT_EQ(p->header().protocol(), Transport::kTcp);
   EXPECT_EQ(exp->network_a().net_stats().msgs_sent, 1u);
   EXPECT_EQ(exp->network_b().net_stats().msgs_received, 1u);
+}
+
+TEST_F(MessagingFixture, EnvelopeNamingNoTransportIsRejected) {
+  // A CRC-valid frame on a plain TCP connection carries a chunk whose
+  // protocol byte names no transport: node B's stack counts a malformed
+  // message and its sink sees nothing.
+  build();
+  auto& sink = exp->system().create<apps::DataSink>(
+      "sink", apps::DataSinkConfig{exp->addr_b()});
+  exp->connect_b(sink.network());
+  exp->start();
+  auto [bytes, at] =
+      chunk_and_protocol_at(*exp->registry(), exp->addr_a(), exp->addr_b());
+  bytes[at] = 0xFF;
+  const std::vector<std::uint8_t> frame = wire::encode_frame(bytes);
+  auto conn = transport::TcpConnection::connect(
+      exp->network().host(exp->addr_a().host), exp->addr_b().host,
+      exp->addr_b().port);
+  conn->set_on_connected([&] { conn->write(frame); });
+  exp->run_for(Duration::seconds(1.0));
+  EXPECT_EQ(sink.chunks_received(), 0u);
+  EXPECT_EQ(exp->network_b().net_stats().deserialize_failures, 1u);
+  conn->abort();
 }
 
 TEST_F(MessagingFixture, UdtMessageDelivery) {

@@ -9,8 +9,9 @@
 // segmented, reassembled, decoded and verified, where a warm chunk must
 // neither allocate nor copy payload bytes beyond a bound, on the send side
 // or into the receiver's frame decoder (which cuts frames out of the
-// sender's slabs). It runs over TCP, UDT and the adaptive DATA path, whose
-// interceptor picks a transport per chunk.
+// sender's slabs), nor move bytes already written to a fresh slab. It runs
+// over TCP, UDT and the adaptive DATA path, whose interceptor picks a
+// transport per chunk.
 // These counts depend only on the code, the compiler and the standard
 // library, never on the host's speed, so they are exact gates on any host.
 //
@@ -165,6 +166,7 @@ class ChunkLog final : public kompics::ComponentDefinition {
   std::uint64_t allocs_from = 0, allocs_to = 0;
   std::uint64_t copied_from = 0, copied_to = 0;
   std::uint64_t decoded_from = 0, decoded_to = 0;
+  std::uint64_t moved_from = 0, moved_to = 0;
 
  private:
   void on_chunk(const DataChunkMsg& c) {
@@ -181,11 +183,13 @@ class ChunkLog final : public kompics::ComponentDefinition {
       allocs_from = allocs;
       copied_from = slabs.payload_bytes_copied;
       decoded_from = slabs.decoder_bytes_copied;
+      moved_from = slabs.grow_bytes_copied;
     }
     if (chunks == window_.to_chunk) {
       allocs_to = allocs;
       copied_to = slabs.payload_bytes_copied;
       decoded_to = slabs.decoder_bytes_copied;
+      moved_to = slabs.grow_bytes_copied;
     }
   }
 
@@ -197,12 +201,14 @@ struct BulkCounts {
   double allocs_per_chunk = 0.0;
   double copied_per_chunk = 0.0;   ///< SlabPoolStats::payload_bytes_copied
   double decoded_per_chunk = 0.0;  ///< SlabPoolStats::decoder_bytes_copied
+  double moved_per_chunk = 0.0;    ///< SlabPoolStats::grow_bytes_copied
 
   void print(const char* row) const {
     std::printf(
-        "%s: %.3f allocations, %.1f copied and %.1f decoder-copied bytes per "
-        "warm chunk\n",
-        row, allocs_per_chunk, copied_per_chunk, decoded_per_chunk);
+        "%s: %.3f allocations, %.1f copied, %.1f decoder-copied and %.1f "
+        "moved bytes per warm chunk\n",
+        row, allocs_per_chunk, copied_per_chunk, decoded_per_chunk,
+        moved_per_chunk);
   }
 };
 
@@ -227,7 +233,7 @@ ExperimentConfig data_config() {
 }
 
 /// Sends `window.bytes` over `protocol` with the sink verifying every byte,
-/// and returns the two counts per chunk over the window's arrivals.
+/// and returns the counts per chunk over the window's arrivals.
 BulkCounts run_bulk(const ExperimentConfig& cfg, messaging::Transport protocol,
                     BulkWindow window) {
   TwoNodeExperiment exp{cfg};
@@ -265,7 +271,8 @@ BulkCounts run_bulk(const ExperimentConfig& cfg, messaging::Transport protocol,
   const auto counted = static_cast<double>(window.to_chunk - window.from_chunk);
   return {static_cast<double>(log.allocs_to - log.allocs_from) / counted,
           static_cast<double>(log.copied_to - log.copied_from) / counted,
-          static_cast<double>(log.decoded_to - log.decoded_from) / counted};
+          static_cast<double>(log.decoded_to - log.decoded_from) / counted,
+          static_cast<double>(log.moved_to - log.moved_from) / counted};
 }
 
 // Bounds from the counts the code read when they were set. Allocations per
@@ -277,7 +284,11 @@ BulkCounts run_bulk(const ExperimentConfig& cfg, messaging::Transport protocol,
 // Bytes copied into the receiver's frame decoder: TCP 0, UDT 13,272, DATA
 // 10,843 (the frames joined across a gathered segment); a decoder fed
 // copies of every chunk reads about 64,000 on each row, and more than about
-// 1.7 kB of new decoder copies per chunk fails each row.
+// 1.7 kB of new decoder copies per chunk fails each row. Bytes moved to a
+// fresh slab (a writing ByteBuf outgrowing its slab, or the decoder moving
+// its unparsed bytes): 0 on every row, and any move fails it; a decoder
+// that moved a pinned slab's unparsed bytes to one of the same capacity
+// read 1,334 per chunk on the DATA row.
 
 TEST(PacketPathTest, BulkTcpChunksStayWithinTheirCounts) {
   // The first run warms the arena.
@@ -288,6 +299,7 @@ TEST(PacketPathTest, BulkTcpChunksStayWithinTheirCounts) {
   EXPECT_LE(c.allocs_per_chunk, 0.6);
   EXPECT_LE(c.copied_per_chunk, 1'000.0);
   EXPECT_LE(c.decoded_per_chunk, 1'000.0);
+  EXPECT_EQ(c.moved_per_chunk, 0.0);
 }
 
 TEST(PacketPathTest, BulkUdtChunksStayWithinTheirCounts) {
@@ -299,6 +311,7 @@ TEST(PacketPathTest, BulkUdtChunksStayWithinTheirCounts) {
   EXPECT_LE(c.allocs_per_chunk, 0.6);
   EXPECT_LE(c.copied_per_chunk, 2'000.0);
   EXPECT_LE(c.decoded_per_chunk, 15'000.0);
+  EXPECT_EQ(c.moved_per_chunk, 0.0);
 }
 
 TEST(PacketPathTest, BulkDataChunksStayWithinTheirCounts) {
@@ -310,6 +323,7 @@ TEST(PacketPathTest, BulkDataChunksStayWithinTheirCounts) {
   EXPECT_LE(c.allocs_per_chunk, 0.6);
   EXPECT_LE(c.copied_per_chunk, 1'750.0);
   EXPECT_LE(c.decoded_per_chunk, 12'500.0);
+  EXPECT_EQ(c.moved_per_chunk, 0.0);
 }
 
 }  // namespace

@@ -591,17 +591,19 @@ TEST(FramingTest, CorruptHeaderDetected) {
 
 // --- Decoder memory bound ---
 
-// bulk_tcp's shape: 64 MiB of 65,000-byte frames arriving in 8,928-byte
-// segments. The accumulation slab must stay sized by one frame plus one
-// segment, both when each emitted frame is dropped at once (the decoder
-// slides its partial frame to the front) and when the last frame is held
-// until the next one arrives (the slab is pinned whenever it fills, so the
-// decoder must swap it). A held frame must still read intact when it is
-// let go: a pinned slab is never written over.
-void feed_bulk_stream(bool hold_previous) {
-  constexpr std::size_t kFrameBytes = 65'000;
-  constexpr std::size_t kSpanBytes = 8'928;
-  constexpr std::size_t kStreamBytes = 64u << 20;
+// bulk_tcp's shape: 65,000-byte frames arriving in borrowed spans (8,928
+// bytes, the path MTU's payload, unless a run says otherwise), so every
+// byte goes through the decoder's own slab. That slab must stay sized by
+// one frame plus one span, not by the stream, however long emitted frames
+// are held: dropped at once (the slab rewinds), held until the next one
+// arrives, or all held to the end of a shorter stream. The decoder writes
+// past its unparsed bytes in a slab its emitted frames alias, so every
+// frame held must still read intact when it is checked.
+enum class Hold { kNone, kPrevious, kAll };
+constexpr std::size_t kFrameBytes = 65'000;
+
+void feed_bulk_stream(Hold hold, std::size_t stream_bytes,
+                      std::size_t span_bytes = 8'928) {
   constexpr std::size_t kDistinct = 8;
   Rng rng(53);
   std::vector<std::vector<std::uint8_t>> payloads(kDistinct);
@@ -613,7 +615,7 @@ void feed_bulk_stream(bool hold_previous) {
     cycle.insert(cycle.end(), framed.begin(), framed.end());
   }
   const std::size_t frame_wire = kFrameBytes + kFrameHeaderBytes;
-  const std::size_t frames = (kStreamBytes + frame_wire - 1) / frame_wire;
+  const std::size_t frames = (stream_bytes + frame_wire - 1) / frame_wire;
   const std::size_t total = frames * frame_wire;
 
   std::size_t got = 0;
@@ -625,20 +627,22 @@ void feed_bulk_stream(bool hold_previous) {
       ++damaged;
     }
   };
-  BufSlice held;  // the previous frame, when holding
+  std::vector<BufSlice> held;  // the previous frame, or every frame
   FrameDecoder dec;
   dec.set_on_frame([&](BufSlice f) {
     check(f, got);
-    if (hold_previous) {
-      if (got > 0) check(held, got - 1);
-      held = std::move(f);
+    if (hold == Hold::kPrevious) {
+      if (got > 0) check(held.back(), got - 1);
+      held.assign(1, std::move(f));
+    } else if (hold == Hold::kAll) {
+      held.push_back(std::move(f));
     }
     ++got;
   });
-  std::vector<std::uint8_t> span(kSpanBytes);
+  std::vector<std::uint8_t> span(span_bytes);
   std::size_t max_capacity = 0;
-  for (std::size_t pos = 0; pos < total; pos += kSpanBytes) {
-    const std::size_t n = std::min(kSpanBytes, total - pos);
+  for (std::size_t pos = 0; pos < total; pos += span_bytes) {
+    const std::size_t n = std::min(span_bytes, total - pos);
     const std::size_t at = pos % cycle.size();
     const std::size_t first = std::min(n, cycle.size() - at);
     std::memcpy(span.data(), cycle.data() + at, first);
@@ -646,7 +650,9 @@ void feed_bulk_stream(bool hold_previous) {
     ASSERT_TRUE(dec.feed({span.data(), n}));
     max_capacity = std::max(max_capacity, dec.buffer_capacity());
   }
-  if (hold_previous) check(held, got - 1);
+  const std::size_t first_held = got - held.size();
+  for (std::size_t i = 0; i < held.size(); ++i) check(held[i], first_held + i);
+  if (hold == Hold::kAll) EXPECT_EQ(held.size(), frames);
   EXPECT_EQ(got, frames);
   EXPECT_EQ(damaged, 0u);
   EXPECT_EQ(dec.buffered_bytes(), 0u);
@@ -654,11 +660,18 @@ void feed_bulk_stream(bool hold_previous) {
 }
 
 TEST(FrameDecoderBoundTest, SlabBoundedWhenFramesDroppedAtOnce) {
-  feed_bulk_stream(/*hold_previous=*/false);
+  feed_bulk_stream(Hold::kNone, 64u << 20);
 }
 
 TEST(FrameDecoderBoundTest, SlabBoundedWhenHeldFramesPinTheSlab) {
-  feed_bulk_stream(/*hold_previous=*/true);
+  feed_bulk_stream(Hold::kPrevious, 64u << 20);
+}
+
+TEST(FrameDecoderBoundTest, EveryHeldFrameStaysIntact) {
+  feed_bulk_stream(Hold::kAll, 4u << 20);
+  // Eight spans per frame: each frame ends with a span, leaving nothing
+  // unparsed, where the decoder would rewind its slab if no frame held it.
+  feed_bulk_stream(Hold::kAll, 4u << 20, (kFrameBytes + kFrameHeaderBytes) / 8);
 }
 
 // --- Decoder views: frames cut out of the slab they were fed in ---
@@ -738,7 +751,7 @@ TEST(FrameDecoderViewTest, AdjacentSubSlicesDecodeInPlace) {
   for (std::size_t at = 0; at < stream.size(); at += 893) {
     const std::size_t n = std::min<std::size_t>(893, stream.size() - at);
     ASSERT_TRUE(dec.feed(stream.slice(at, n)));
-    EXPECT_EQ(dec.buffer_capacity(), 0u) << "took an accumulation slab";
+    EXPECT_EQ(dec.buffer_capacity(), 0u) << "took a slab of its own";
   }
   EXPECT_EQ(decoder_copied(), copied0);
   EXPECT_EQ(dec.buffered_bytes(), 0u);

@@ -166,7 +166,7 @@ TEST(SliceLifetimeTest, DecodedFramesOutliveDecoder) {
       std::vector<std::uint8_t> payload(100, static_cast<std::uint8_t>(i));
       EXPECT_TRUE(dec.feed(wire::encode_frame(payload)));
     }
-  }  // decoder destroyed; emitted frames pin the accumulation slab
+  }  // decoder destroyed; emitted frames pin the slab it wrote
   ASSERT_EQ(frames.size(), 3u);
   for (int i = 0; i < 3; ++i) {
     ASSERT_EQ(frames[i].size(), 100u);
